@@ -286,6 +286,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
       | _ -> ()
     end
   done;
+  Option.iter Scheduler.session_close session;
   let graph_list = List.sort_uniq Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) graphs []) in
   let snapshots, restores =
     match session with Some s -> Scheduler.session_counters s | None -> (0, 0)

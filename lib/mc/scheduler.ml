@@ -81,6 +81,25 @@ type status =
   | Paused of Program.op * (int, unit) Effect.Deep.continuation
   | Finished
 
+(* A paused thread the scheduler discards without resuming (a restore
+   overwrites it, a run or a search ends with it suspended) must have its
+   fiber stack freed: OCaml 5.1 never reclaims the stack of a dropped
+   continuation. [take_stack] is the runtime primitive behind
+   [Effect.Deep.continue]: it detaches the stack, leaving the
+   continuation marked as resumed; [free_stack] returns it, with any
+   parent stacks, to the runtime. No code runs on the fiber. *)
+type fiber_stack
+
+external take_stack : ('a, 'b) Effect.Deep.continuation -> fiber_stack
+  = "caml_continuation_use_noexc"
+[@@noalloc]
+
+external free_stack : fiber_stack -> unit = "cdsspec_free_stack" [@@noalloc]
+
+let drop_fiber = function
+  | Paused (_, k) -> free_stack (take_stack k)
+  | Not_started _ | Finished -> ()
+
 (* What a committed step touched, for sleep-set wake-ups. *)
 type footprint =
   | Mem of { loc : int; write : bool }
@@ -858,6 +877,7 @@ let replay_threads st main (snap : snapshot) =
   (* every fiber is stale (threads spawned after the snapshot are
      simply gone); parents re-register their children *)
   for tid = 0 to Array.length st.threads - 1 do
+    drop_fiber st.threads.(tid);
     st.threads.(tid) <- Finished
   done;
   if need_run.(0) then st.threads.(0) <- Not_started main;
@@ -1070,9 +1090,19 @@ let mk_result st outcome =
     inline_ops = st.n_inline;
   }
 
+(* Free the fibers of every thread still suspended: the run is over. *)
+let drop_fibers st =
+  Array.iteri
+    (fun tid status ->
+      drop_fiber status;
+      st.threads.(tid) <- Finished)
+    st.threads
+
 let run ?pick ?prune ~config ~trace main =
   let st = mk_state ?pick ?prune ~config ~trace main in
-  mk_result st (run_loop st 0)
+  let outcome = run_loop st 0 in
+  drop_fibers st;
+  mk_result st outcome
 
 let session_create ?prune ~config ~trace main =
   let st = mk_state ?prune ~config ~trace main in
@@ -1106,6 +1136,8 @@ let session_run s =
     s.n_restores <- s.n_restores + 1;
     mk_result st (run_loop ~session:s st snap.s_sleep)
   end
+
+let session_close s = drop_fibers s.st
 
 let session_counters s = (s.n_snapshots, s.n_restores)
 

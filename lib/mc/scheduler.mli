@@ -185,6 +185,10 @@ val session_create :
     decision and continue from there. *)
 val session_run : session -> run_result
 
+(** End the search: free the fibers of threads the last run left
+    suspended. The session must not be run again. *)
+val session_close : session -> unit
+
 (** [(snapshots, restores)] taken/performed so far. *)
 val session_counters : session -> int * int
 

@@ -286,7 +286,12 @@ let submit_job server conn ~op run req =
           Mutex.lock server.mu;
           conn.jobs_active <- conn.jobs_active - 1;
           Mutex.unlock server.mu)
-        (fun () -> run server conn ~job req))
+        (fun () ->
+          (* A job that raises (say, its store directory vanished) still
+             ends with a structured event: the pool would only log the
+             exception, leaving the client waiting for a [done]. *)
+          try run server conn ~job req
+          with e -> send_error conn ~job (Printf.sprintf "%s failed: %s" op (Printexc.to_string e))))
 
 let handle_request server conn line =
   match J.of_string line with

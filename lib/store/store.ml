@@ -7,27 +7,24 @@ module Ords = Structures.Ords
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv64 s =
+(* Hash of the first [len] bytes of [s], in place. The state is a local
+   ref updated in a loop, which the compiler keeps unboxed: no substring
+   copy, no closure, no boxed [Int64] per byte. *)
+let fnv64_prefix s len =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   !h
+
+let fnv64 s = fnv64_prefix s (String.length s)
 
 let hex64 h = Printf.sprintf "%016Lx" h
 
 (* ------------------------------------------------------------------ *)
-(* Store handle *)
+(* Store files *)
 
 type stats = { mutable hits : int; mutable misses : int; mutable corrupt : int }
-
-type t = { dir : string; stats : stats; lock : Mutex.t }
-
-let dir t = t.dir
-
-let stats t = t.stats
 
 let meta_format = "cdsspec-store/1"
 
@@ -47,28 +44,31 @@ let read_file path =
     Some s
   with Sys_error _ | End_of_file -> None
 
+let tmp_counter = Atomic.make 0
+
 (* Atomic write: entries must never be observed half-written (the serve
-   daemon's workers and a concurrent CLI run may share a store dir). *)
+   daemon's workers and a concurrent CLI run may share a store dir).
+   Each write goes through a temp file of its own — named by process,
+   domain and a counter — so concurrent saves of one key never share
+   one: each renames a complete file into place and the last rename
+   wins. *)
 let write_file path content =
-  let tmp = path ^ ".tmp" in
+  let tmp =
+    Printf.sprintf "%s.%d-%d-%d.tmp" path (Unix.getpid ())
+      (Domain.self () :> int)
+      (Atomic.fetch_and_add tmp_counter 1)
+  in
   let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  try
+    output_string oc content;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let flush_entries dir = List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (entry_files dir)
-
-let open_dir dirname =
-  if not (Sys.file_exists dirname) then Sys.mkdir dirname 0o755;
-  let expected = Printf.sprintf "%s\n%s\n" meta_format Mc.Engine_rev.current in
-  (match read_file (meta_path dirname) with
-  | Some m when m = expected -> ()
-  | _ ->
-    (* Missing, malformed, or another engine revision: flush wholesale.
-       Coarse and safe — one cold rebuild, never a stale verdict. *)
-    flush_entries dirname;
-    write_file (meta_path dirname) expected);
-  { dir = dirname; stats = { hits = 0; misses = 0; corrupt = 0 }; lock = Mutex.create () }
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -139,12 +139,10 @@ let magic = "CDSS1"
 
 exception Corrupt
 
-let put_i64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
+(* Little-endian 64-bit words throughout. *)
+let put_i64 = Buffer.add_int64_le
 
-let put_int buf v = put_i64 buf (Int64.of_int v)
+let put_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 let put_bool buf v = Buffer.add_char buf (if v then '\x01' else '\x00')
 
@@ -156,21 +154,22 @@ let put_i64_list buf l =
   put_int buf (List.length l);
   List.iter (put_i64 buf) l
 
-type reader = { src : string; mutable pos : int }
+(* Reads stop at [lim], the start of the trailing hash, so the body is
+   decoded in place. *)
+type reader = { src : string; mutable pos : int; lim : int }
 
-let need r n = if r.pos + n > String.length r.src then raise Corrupt
+let need r n = if n > r.lim - r.pos then raise Corrupt
 
 let get_i64 r =
   need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.src.[r.pos + i]))
-  done;
+  let v = String.get_int64_le r.src r.pos in
   r.pos <- r.pos + 8;
-  !v
+  v
 
 let get_int r =
-  let v = Int64.to_int (get_i64 r) in
+  need r 8;
+  let v = Int64.to_int (String.get_int64_le r.src r.pos) in
+  r.pos <- r.pos + 8;
   if v < 0 then raise Corrupt;
   v
 
@@ -191,7 +190,7 @@ let get_str r =
    corrupt count must fail cleanly, not OOM. *)
 let get_list r f =
   let n = get_int r in
-  if n > String.length r.src then raise Corrupt;
+  if n > r.lim then raise Corrupt;
   List.init n (fun _ -> f r)
 
 let get_i64_list r = get_list r get_i64
@@ -246,7 +245,7 @@ let get_check_entry r : Cdsspec.Checker.cache_entry =
   let entry_p_trunc = get_bool r in
   { entry_key; entry_verdict; entry_h_trunc; entry_p_trunc }
 
-let encode key e =
+let encode (key : key) e =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   (* Key-string echo: two jobs colliding on the 64-bit fingerprint must
@@ -270,21 +269,16 @@ let encode key e =
   | Some cap ->
     put_bool buf true;
     put_int buf cap);
-  let body = Buffer.contents buf in
-  let trailer = Buffer.create 8 in
-  put_i64 trailer (fnv64 body);
-  body ^ Buffer.contents trailer
+  put_i64 buf (fnv64 (Buffer.contents buf));
+  Buffer.contents buf
 
-let decode key s =
+let decode (key : key) s =
   let n = String.length s in
   if n < String.length magic + 8 then raise Corrupt;
-  let body = String.sub s 0 (n - 8) in
-  let hash_r = { src = s; pos = n - 8 } in
-  if get_i64 hash_r <> fnv64 body then raise Corrupt;
-  let r = { src = body; pos = 0 } in
-  need r (String.length magic);
-  if String.sub body 0 (String.length magic) <> magic then raise Corrupt;
-  r.pos <- String.length magic;
+  let lim = n - 8 in
+  if String.get_int64_le s lim <> fnv64_prefix s lim then raise Corrupt;
+  if not (String.starts_with ~prefix:magic s) then raise Corrupt;
+  let r = { src = s; pos = String.length magic; lim } in
   let descr = get_str r in
   if descr <> key.descr then raise Corrupt;
   let graphs = get_i64_list r in
@@ -299,32 +293,142 @@ let decode key s =
   let explored = get_int r in
   let time = Int64.float_of_bits (get_i64 r) in
   let partial = if get_bool r then Some (get_int r) else None in
-  if r.pos <> String.length body then raise Corrupt;
+  if r.pos <> lim then raise Corrupt;
   { graphs; closed; check_entries; behaviours; explored; time; partial }
+
+(* ------------------------------------------------------------------ *)
+(* Store handle and its resident table *)
+
+(* An entry kept in memory: the exact file bytes it was decoded from (or
+   encoded to), the key description it was validated against, the
+   decoded entry, and its closed keys as the explorer's read-only warm
+   table. A lookup reuses it only when the file still holds [raw]. *)
+type resident = {
+  raw : string;
+  descr : string;
+  entry : entry;
+  warm : (Mc.Scheduler.prune_key, unit) Hashtbl.t;
+}
+
+type t = {
+  dir : string;
+  stats : stats;
+  lock : Mutex.t;  (* guards [stats], [resident] and [resident_bytes] *)
+  resident : (string, resident) Hashtbl.t;  (* by entry fingerprint *)
+  mutable resident_bytes : int;  (* sum of [String.length raw], <= [resident_cap] *)
+}
+
+(* Raw bytes the resident table may hold. The registry's check entries
+   total about 1 MiB; decoded, an entry takes several times its raw
+   size. *)
+let resident_cap = 16 * 1024 * 1024
+
+let dir t = t.dir
+
+let resident_bytes t = Mutex.protect t.lock (fun () -> t.resident_bytes)
+
+let stats t = t.stats
+
+let open_dir dirname =
+  if not (Sys.file_exists dirname) then Sys.mkdir dirname 0o755;
+  let expected = Printf.sprintf "%s\n%s\n" meta_format Mc.Engine_rev.current in
+  (match read_file (meta_path dirname) with
+  | Some m when m = expected -> ()
+  | _ ->
+    (* Missing, malformed, or another engine revision: flush wholesale.
+       Coarse and safe — one cold rebuild, never a stale verdict. *)
+    flush_entries dirname;
+    write_file (meta_path dirname) expected);
+  {
+    dir = dirname;
+    stats = { hits = 0; misses = 0; corrupt = 0 };
+    lock = Mutex.create ();
+    resident = Hashtbl.create 64;
+    resident_bytes = 0;
+  }
 
 let entry_path t key = Filename.concat t.dir (key.fp ^ ".bin")
 
-let load t key =
+(* The resident-table operations below run under [t.lock]. *)
+
+let forget t fp =
+  match Hashtbl.find_opt t.resident fp with
+  | Some r ->
+    Hashtbl.remove t.resident fp;
+    t.resident_bytes <- t.resident_bytes - String.length r.raw
+  | None -> ()
+
+(* Replace [fp]'s resident copy with [r], evicting other entries (in
+   table order) until it fits under the cap. An entry larger than the
+   cap is never resident. *)
+let remember t fp r =
+  forget t fp;
+  let n = String.length r.raw in
+  if n <= resident_cap then begin
+    if t.resident_bytes + n > resident_cap then begin
+      let victims = ref [] and kept = ref t.resident_bytes in
+      (try
+         Hashtbl.iter
+           (fun victim v ->
+             if !kept + n <= resident_cap then raise Exit;
+             victims := victim :: !victims;
+             kept := !kept - String.length v.raw)
+           t.resident
+       with Exit -> ());
+      List.iter (forget t) !victims
+    end;
+    Hashtbl.replace t.resident fp r;
+    t.resident_bytes <- t.resident_bytes + n
+  end
+
+let resident_of (key : key) raw entry =
+  let warm = Hashtbl.create (max 16 (List.length entry.closed)) in
+  List.iter (fun k -> Hashtbl.replace warm k ()) entry.closed;
+  { raw; descr = key.descr; entry; warm }
+
+(* The one lookup path. The file is re-read on every call, so another
+   process's rewrite, corruption or deletion of the entry is seen at
+   once; decoding is skipped only when the bytes equal the resident
+   copy's. *)
+let lookup t (key : key) =
   let path = entry_path t key in
-  let bump f = Mutex.protect t.lock (fun () -> f t.stats) in
+  let locked f = Mutex.protect t.lock (fun () -> f t) in
   match read_file path with
   | None ->
-    bump (fun s -> s.misses <- s.misses + 1);
+    locked (fun t ->
+        forget t key.fp;
+        t.stats.misses <- t.stats.misses + 1);
     None
   | Some raw -> (
-    match decode key raw with
-    | e ->
-      bump (fun s -> s.hits <- s.hits + 1);
-      Some e
-    | exception Corrupt ->
-      (* Discard, never trust: a bad entry is a miss plus a deletion. *)
-      (try Sys.remove path with Sys_error _ -> ());
-      bump (fun s ->
-          s.corrupt <- s.corrupt + 1;
-          s.misses <- s.misses + 1);
-      None)
+    let cached = locked (fun t -> Hashtbl.find_opt t.resident key.fp) in
+    match cached with
+    | Some r when String.equal r.raw raw && String.equal r.descr key.descr ->
+      locked (fun t -> t.stats.hits <- t.stats.hits + 1);
+      Some r
+    | _ -> (
+      match decode key raw with
+      | entry ->
+        let r = resident_of key raw entry in
+        locked (fun t ->
+            remember t key.fp r;
+            t.stats.hits <- t.stats.hits + 1);
+        Some r
+      | exception Corrupt ->
+        (* Discard, never trust: a bad entry is a miss plus a deletion. *)
+        (try Sys.remove path with Sys_error _ -> ());
+        locked (fun t ->
+            forget t key.fp;
+            t.stats.corrupt <- t.stats.corrupt + 1;
+            t.stats.misses <- t.stats.misses + 1);
+        None))
 
-let save t key e = write_file (entry_path t key) (encode key e)
+let load t key = Option.map (fun r -> r.entry) (lookup t key)
+
+let save t key e =
+  let raw = encode key e in
+  write_file (entry_path t key) raw;
+  let r = resident_of key raw e in
+  Mutex.protect t.lock (fun () -> remember t key.fp r)
 
 (* ------------------------------------------------------------------ *)
 (* Checked exploration through the store *)
@@ -334,6 +438,15 @@ let union_closed a b =
   List.iter (fun k -> Hashtbl.replace h k ()) a;
   List.iter (fun k -> Hashtbl.replace h k ()) b;
   Hashtbl.fold (fun k () acc -> k :: acc) h []
+
+(* [sorted_subset a b]: every element of [a] is in [b]; both ascending. *)
+let rec sorted_subset a b =
+  match a, b with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' ->
+    let c = Int64.compare x y in
+    if c = 0 then sorted_subset a' b' else if c > 0 then sorted_subset a b' else false
 
 let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs ~prune ~engine
     (b : B.t) ~ords (t : B.test) =
@@ -346,7 +459,7 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
       store
   in
   let stored =
-    match store, key with Some s, Some k -> load s k | _ -> None
+    match store, key with Some s, Some k -> lookup s k | _ -> None
   in
   (* Partial entries are cap-scoped: a clean-but-capped run's closed
      keys are sound only for runs that stop at or before the same cap —
@@ -354,8 +467,8 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
      the stored run never reached. An incompatible entry is a miss. *)
   let stored =
     match stored, store with
-    | Some e, Some s
-      when (match e.partial with
+    | Some rs, Some s
+      when (match rs.entry.partial with
            | None -> false
            | Some cap -> ( match max_execs with Some n -> n > cap | None -> true)) ->
       Mutex.protect s.lock (fun () ->
@@ -365,16 +478,10 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
     | _ -> stored
   in
   (match stored with
-  | Some e -> Cdsspec.Checker.import_entries cache e.check_entries
+  | Some rs -> Cdsspec.Checker.import_entries cache rs.entry.check_entries
   | None -> ());
-  let warm =
-    match stored with
-    | Some e when prune ->
-      let h = Hashtbl.create (max 16 (List.length e.closed)) in
-      List.iter (fun k -> Hashtbl.replace h k ()) e.closed;
-      Some h
-    | _ -> None
-  in
+  let verdicts_in = (Cdsspec.Checker.cache_counters cache).cache_entries in
+  let warm = match stored with Some rs when prune -> Some rs.warm | _ -> None in
   let config =
     {
       Mc.Explorer.scheduler = b.scheduler;
@@ -397,28 +504,39 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
   in
   (* A warm run only re-discovers graphs reachable without entering a
      closed subtree; the stored set is the rest. The union equals the
-     cold run's graph set exactly. *)
+     cold run's graph set exactly. When the run found nothing the entry
+     lacks — the common warm hit — the stored lists already are that
+     union and are returned as they are. *)
+  let added_nothing =
+    match stored with
+    | None -> false
+    | Some rs ->
+      sorted_subset r.graphs rs.entry.graphs
+      && List.for_all (fun k -> Hashtbl.mem rs.warm k) r.closed
+      && (Cdsspec.Checker.cache_counters cache).cache_entries = verdicts_in
+  in
   let r =
     match stored with
     | None -> r
-    | Some e ->
-      let graphs = List.sort_uniq Int64.compare (List.rev_append e.graphs r.graphs) in
-      {
-        r with
-        graphs;
-        closed = union_closed e.closed r.closed;
-        stats = { r.stats with distinct_graphs = List.length graphs };
-      }
+    | Some { entry = e; _ } ->
+      let graphs, closed =
+        if added_nothing then (e.graphs, e.closed)
+        else
+          ( List.sort_uniq Int64.compare (List.rev_append e.graphs r.graphs),
+            union_closed e.closed r.closed )
+      in
+      { r with graphs; closed; stats = { r.stats with distinct_graphs = List.length graphs } }
   in
-  (* Save clean, pruning-on runs. Complete runs save unconditionally —
-     including the upgrade of a previously-partial entry once a warm run
-     finishes the job. Clean-but-capped runs save under a [partial] flag
-     keyed by the cap, but only when the truncation is known to come
-     from the cap itself ([stop] runs are cancelled by a client, which
-     looks identical in [truncated]), and never downgrading an entry
-     that is already complete or already covers a larger cap. Buggy
-     runs never save: bugs would need serializing to reproduce the
-     verdict from a hit. *)
+  (* Save clean, pruning-on runs. Complete runs save — including the
+     upgrade of a previously-partial entry once a warm run finishes the
+     job — unless the entry is already complete and the run added
+     nothing to it, in which case the file is left untouched.
+     Clean-but-capped runs save under a [partial] flag keyed by the cap,
+     but only when the truncation is known to come from the cap itself
+     ([stop] runs are cancelled by a client, which looks identical in
+     [truncated]), and never downgrading an entry that is already
+     complete or already covers a larger cap. Buggy runs never save:
+     bugs would need serializing to reproduce the verdict from a hit. *)
   (match store, key with
   | Some s, Some k when prune && r.bugs = [] ->
     let complete = not r.stats.truncated in
@@ -427,18 +545,22 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
     in
     let covered =
       match stored with
-      | Some e -> (
-        match e.partial, cap_partial with
+      | Some rs -> (
+        match rs.entry.partial, cap_partial with
         | None, _ -> true (* already complete: never downgrade *)
         | Some c, Some n -> c >= n
         | Some _, None -> false)
       | None -> false
     in
-    if complete || (cap_partial <> None && not covered) then begin
-      let explored =
-        match stored with Some e -> e.explored | None -> r.stats.explored
+    let unchanged =
+      match stored with Some rs -> rs.entry.partial = None && added_nothing | None -> false
+    in
+    if (complete && not unchanged) || (cap_partial <> None && not covered) then begin
+      let explored, time =
+        match stored with
+        | Some rs -> (rs.entry.explored, rs.entry.time)
+        | None -> (r.stats.explored, r.stats.time)
       in
-      let time = match stored with Some e -> e.time | None -> r.stats.time in
       save s k
         {
           graphs = r.graphs;

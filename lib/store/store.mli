@@ -21,16 +21,17 @@
     - {b Clean only, caps scoped}: {!explore_checked} saves entries only
       for bug-free, pruning-on runs — a warm hit never has to reproduce
       serialized bugs; the stored verdict is "clean" and the warm run
-      re-derives everything else. Complete runs save unconditionally.
-      A clean run truncated by its execution cap saves under a [partial]
-      flag recording the cap: its closed prune keys are genuinely
-      fully-explored subtrees, but the entry as a whole is incomplete,
-      so it only warms later runs whose cap is at most the stored one
-      (anything larger is treated as a miss), is never allowed to
-      overwrite a complete entry, and is upgraded in place the first
-      time a run under its key explores to completion. Runs truncated
-      by a [stop] callback (client cancellation) are never saved — the
-      store cannot tell how far they got.
+      re-derives everything else. Complete runs save, except a warm
+      hit on a complete entry that added nothing to it, which leaves
+      the file as it is. A clean run truncated by its execution cap
+      saves under a [partial] flag recording the cap: its closed prune
+      keys are genuinely fully-explored subtrees, but the entry as a
+      whole is incomplete, so it only warms later runs whose cap is at
+      most the stored one (anything larger is treated as a miss), is
+      never allowed to overwrite a complete entry, and is upgraded in
+      place the first time a run under its key explores to completion.
+      Runs truncated by a [stop] callback (client cancellation) are
+      never saved — the store cannot tell how far they got.
 
     Corruption is handled the same way: an entry that fails its length,
     magic, trailing-hash or key-echo check is deleted and reported as a
@@ -94,11 +95,33 @@ type entry = {
 }
 
 (** [None] on absent, corrupt (deleted, counted) or key-collision
-    entries. *)
+    entries.
+
+    The file is read on every call; its bytes are compared with the
+    handle's resident copy of the entry, and only bytes that differ are
+    decoded (and become the resident copy). Another process's rewrite,
+    corruption or deletion of the entry is therefore seen by the next
+    [load], exactly as if nothing were kept in memory. *)
 val load : t -> key -> entry option
 
-(** Atomic (write-to-temp, rename) entry write. *)
+(** Atomic entry write: to a temp file unique to the writer (process,
+    domain, counter), then renamed into place, so concurrent saves of one
+    key each land whole and the last rename wins. The written bytes
+    become the handle's resident copy. *)
 val save : t -> key -> entry -> unit
+
+(** {2 Resident table}
+
+    Each handle keeps recently loaded or saved entries in memory, keyed
+    by fingerprint: the raw file bytes, the decoded entry and its closed
+    keys as a read-only warm table. Its raw bytes are capped at
+    {!resident_cap}; inserting past the cap evicts other entries, and an
+    entry larger than the cap is never kept. *)
+
+val resident_cap : int
+
+(** Raw bytes currently resident, at most {!resident_cap}. *)
+val resident_bytes : t -> int
 
 (** {2 Checked exploration through the store} *)
 
@@ -113,6 +136,11 @@ val save : t -> key -> entry -> unit
     closed subtree at its root; the stored graph set is merged back into
     the result, making graphs, bugs and verdicts identical to the cold
     run's. On a miss (or with no store) this is exactly the cold path.
+
+    A hit on a complete entry whose run added no closed prune key, graph
+    fingerprint or check-cache verdict — the usual warm hit — writes
+    nothing: the result carries the stored graph and closed-key lists
+    as they are, and the entry file is left untouched.
 
     [stop] forces a serial exploration polled per run (the serve daemon
     cancels abandoned jobs this way); [jobs] is used otherwise.

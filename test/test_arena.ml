@@ -345,9 +345,56 @@ let test_session_restore () =
   done;
   Alcotest.(check bool) "graphs match legacy" true (!fps = !legacy_fps)
 
+(* ------------------------------------------------------------------ *)
+(* Fiber stacks *)
+
+(* Peak resident set size of this process in kB ([VmHWM]), when the
+   platform reports it. *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec go () =
+      match input_line ic with
+      | line when String.starts_with ~prefix:"VmHWM:" line ->
+        Some (Scanf.sscanf line "VmHWM: %d kB" Fun.id)
+      | _ -> go ()
+      | exception End_of_file -> None
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) go
+
+(* Every restore discards the paused fibers of the run it rewinds, and
+   each search ends with some suspended; their stacks must go back to
+   the runtime. Seqlock/2write-1read drops enough of them that a leak
+   grows the peak RSS by tens of MB per exploration. *)
+let test_dropped_fibers_freed () =
+  let b = find "Seqlock" in
+  let t = List.find (fun (t : B.test) -> t.test_name = "2write-1read") b.tests in
+  let explore () =
+    ignore
+      (E.explore
+         ~config:{ E.default_config with scheduler = b.scheduler }
+         (t.program (Structures.Ords.default b.sites)))
+  in
+  (* the first exploration sizes the heap *)
+  explore ();
+  match peak_rss_kb () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+    let runs = 4 in
+    for _ = 1 to runs do
+      explore ()
+    done;
+    let grown = Option.get (peak_rss_kb ()) - before in
+    Alcotest.(check bool)
+      (Printf.sprintf "peak RSS grew %d kB over %d explorations (bound 16 MB)" grown runs)
+      true
+      (grown < 16 * 1024)
+
 let () =
   Alcotest.run "arena"
     [
+      ("fiber-stacks", [ Alcotest.test_case "dropped fibers freed" `Quick test_dropped_fibers_freed ]);
       ( "differential",
         [
           Alcotest.test_case "exhaustive registry, serial" `Quick test_serial_differential;

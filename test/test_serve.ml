@@ -326,6 +326,40 @@ let test_store_warm_over_protocol () =
             (List.for_all2 (fun w c -> w <= c) (explored warm) (explored cold))));
   rm_rf dir
 
+(* A job whose run raises ends with an [error] event carrying its id,
+   and the daemon keeps serving. Deleting the store directory under the
+   daemon makes the cold check's save fail. *)
+let test_raising_job_reports_error () =
+  let dir = "serve-store-vanishing" in
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm_rf dir;
+  with_server ~jobs:1 ~store_dir:dir (fun socket ->
+      rm_rf dir;
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          let job = submit c (check_req "Treiber Stack" ~test:"2push-2pop") in
+          (match List.rev (wait_job c ~job) with
+          | last :: _ ->
+            Alcotest.(check (option string)) "job ends with error" (Some "error") (ev last);
+            Alcotest.(check (option int)) "error carries the job id" (Some job) (int_f "job" last);
+            Alcotest.(check bool) "error carries the exception text" true
+              (match str_f "message" last with
+              | Some m -> String.length m > 0
+              | None -> false)
+          | [] -> Alcotest.fail "no events for the job");
+          Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+          match Serve.Client.recv ~timeout:30. c with
+          | Serve.Client.Msg j -> Alcotest.(check (option string)) "daemon still answers" (Some "pong") (ev j)
+          | _ -> Alcotest.fail "no pong after the failed job"));
+  rm_rf dir
+
 let () =
   Alcotest.run "serve"
     [
@@ -342,5 +376,6 @@ let () =
           Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
+          Alcotest.test_case "raising job reports error" `Quick test_raising_job_reports_error;
         ] );
     ]

@@ -37,6 +37,22 @@ let entry_files dir =
 
 let checker = Cdsspec.Checker.default_config
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let inode path = (Unix.stat path).Unix.st_ino
+
+let treiber () =
+  match Structures.Registry.find "Treiber Stack" with
+  | Some b -> b
+  | None -> Alcotest.fail "Treiber Stack registered"
+
 let run ?store ~jobs ~prune (b : B.t) ~ords (t : B.test) =
   Store.explore_checked ?store ~checker ~use_cache:true ~max_execs:(Some cap) ~jobs ~prune
     ~engine:`Arena b ~ords t
@@ -88,37 +104,38 @@ let test_fingerprint_stability () =
 (* ------------------------------------------------------------------ *)
 (* Entry roundtrip *)
 
+let sample_entry =
+  {
+    Store.graphs = [ 3L; 17L; Int64.min_int ];
+    closed =
+      [
+        { Mc.Scheduler.fp = 42L; sleeping = [ 1; 3 ]; nacts = 7 };
+        { Mc.Scheduler.fp = -9L; sleeping = []; nacts = 0 };
+      ];
+    check_entries =
+      [
+        {
+          Cdsspec.Checker.entry_key = "k1";
+          entry_verdict =
+            [
+              { Cdsspec.Checker.kind = `Admissibility; message = "m1" };
+              { Cdsspec.Checker.kind = `Unjustified; message = "m2 with \n newline" };
+            ];
+          entry_h_trunc = true;
+          entry_p_trunc = false;
+        };
+      ];
+    behaviours = [ ("t1", [ 5L; 6L ]); ("t2", []) ];
+    explored = 12345;
+    time = 1.5;
+    partial = Some 321;
+  }
+
 let test_entry_roundtrip () =
   let dir = scratch_dir () in
   let s = Store.open_dir dir in
   let key = default_key [ ("a", C11.Memory_order.Seq_cst) ] in
-  let entry =
-    {
-      Store.graphs = [ 3L; 17L; Int64.min_int ];
-      closed =
-        [
-          { Mc.Scheduler.fp = 42L; sleeping = [ 1; 3 ]; nacts = 7 };
-          { Mc.Scheduler.fp = -9L; sleeping = []; nacts = 0 };
-        ];
-      check_entries =
-        [
-          {
-            Cdsspec.Checker.entry_key = "k1";
-            entry_verdict =
-              [
-                { Cdsspec.Checker.kind = `Admissibility; message = "m1" };
-                { Cdsspec.Checker.kind = `Unjustified; message = "m2 with \n newline" };
-              ];
-            entry_h_trunc = true;
-            entry_p_trunc = false;
-          };
-        ];
-      behaviours = [ ("t1", [ 5L; 6L ]); ("t2", []) ];
-      explored = 12345;
-      time = 1.5;
-      partial = Some 321;
-    }
-  in
+  let entry = sample_entry in
   Store.save s key entry;
   (match Store.load s key with
   | None -> Alcotest.fail "saved entry loads"
@@ -135,6 +152,67 @@ let test_entry_roundtrip () =
   (* a different key never reads someone else's entry *)
   let other = default_key ~test:"other" [ ("a", C11.Memory_order.Seq_cst) ] in
   Alcotest.(check bool) "foreign key misses" true (Store.load s other = None);
+  rm_rf dir
+
+(* The on-disk bytes of [sample_entry] under a fixed key, captured from
+   the codec before its rewrite: any change that moves a byte must come
+   with an engine-rev bump. *)
+let golden_hex =
+  String.concat ""
+    [
+      "43445353316000000000000000636865636b1f676f6c64656e1f741f611f7365";
+      "715f6373741f621f72656c617865641f321f3330301f747275651f747275651f";
+      "747275651f6172656e611f616e791f313030301f6e6f6e651f36341f66616c73";
+      "651f66616c73651f747275651f03000000000000000300000000000000110000";
+      "0000000000000000000000008002000000000000002a00000000000000020000";
+      "0000000000010000000000000003000000000000000700000000000000f7ffff";
+      "ffffffffff000000000000000000000000000000000100000000000000020000";
+      "00000000006b310200000000000000000000000000000002000000000000006d";
+      "31020000000000000011000000000000006d322077697468200a206e65776c69";
+      "6e65010002000000000000000200000000000000743102000000000000000500";
+      "0000000000000600000000000000020000000000000074320000000000000000";
+      "3930000000000000000000000000f83f01410100000000000068a81b48e34318";
+      "9c";
+    ]
+
+let test_encode_golden () =
+  let dir = scratch_dir () in
+  let s = Store.open_dir dir in
+  (* every key field spelled out, so a change of defaults cannot move
+     the bytes *)
+  let sched =
+    {
+      Mc.Scheduler.default_config with
+      loop_bound = 2;
+      max_actions = 300;
+      sleep_sets = true;
+      rf_kernel = true;
+    }
+  in
+  let checker =
+    {
+      Cdsspec.Checker.max_histories = 1000;
+      sample_histories = None;
+      max_prefixes = 64;
+      strict_histories = false;
+      legacy_replay = false;
+    }
+  in
+  let key =
+    Store.job_key ~kind:`Check ~bench:"golden" ~test:"t"
+      ~ords:[ ("a", C11.Memory_order.Seq_cst); ("b", C11.Memory_order.Relaxed) ]
+      ~sched ~prune:true ~engine:`Arena ~max_execs:None ~checker ~use_cache:true
+  in
+  Alcotest.(check string) "golden key fingerprint" "0061782bd9e7a2d3" (Store.fingerprint key);
+  Store.save s key sample_entry;
+  let raw = read_bytes (Filename.concat dir (Store.fingerprint key ^ ".bin")) in
+  let hex =
+    String.to_seq raw
+    |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+    |> List.of_seq |> String.concat ""
+  in
+  Alcotest.(check string) "encoded bytes" golden_hex hex;
+  Alcotest.(check bool) "golden bytes decode" true (Store.load (Store.open_dir dir) key = Some sample_entry);
   rm_rf dir
 
 let test_check_cache_roundtrip () =
@@ -373,6 +451,178 @@ let test_engine_rev_flush () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* Resident entries and writes *)
+
+let entry_path dir key = Filename.concat dir (Store.fingerprint key ^ ".bin")
+
+let check_key (b : B.t) (t : B.test) ~ords =
+  Store.job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
+    ~sched:b.scheduler ~prune:true ~engine:`Arena ~max_execs:(Some cap) ~checker ~use_cache:true
+
+(* A warm hit that adds nothing to a complete entry leaves the file
+   alone: same inode, same bytes. *)
+let test_warm_hit_no_rewrite () =
+  let dir = scratch_dir () in
+  let b = treiber () in
+  let ords = Ords.default b.B.sites in
+  let store = Store.open_dir dir in
+  List.iter
+    (fun (t : B.test) ->
+      let where = b.B.name ^ "/" ^ t.B.test_name in
+      let path = entry_path dir (check_key b t ~ords) in
+      let cold, d0 = run ~store ~jobs:1 ~prune:true b ~ords t in
+      Alcotest.(check bool) (where ^ ": cold miss") true (d0 = `Miss);
+      Alcotest.(check bool) (where ^ ": cold run completes") false cold.stats.truncated;
+      let ino = inode path and bytes = read_bytes path in
+      for round = 1 to 2 do
+        let warm, d = run ~store ~jobs:1 ~prune:true b ~ords t in
+        let where = Printf.sprintf "%s warm %d" where round in
+        Alcotest.(check bool) (where ^ ": hit") true (d = `Hit);
+        check_semantics ~where cold warm;
+        Alcotest.(check bool) (where ^ ": same inode") true (inode path = ino);
+        Alcotest.(check bool) (where ^ ": same bytes") true (read_bytes path = bytes)
+      done)
+    b.B.tests;
+  rm_rf dir
+
+(* A hit on a partial entry that explores to completion still upgrades
+   the entry in place: the file is rewritten, complete. *)
+let test_partial_upgrade_rewrites () =
+  let dir = scratch_dir () in
+  let b = treiber () in
+  let ords = Ords.default b.B.sites in
+  let t = List.hd b.B.tests in
+  let key = check_key b t ~ords in
+  let path = entry_path dir key in
+  let store = Store.open_dir dir in
+  let cold, _ = run ~store ~jobs:1 ~prune:true b ~ords t in
+  Alcotest.(check bool) "cold run completes" false cold.stats.truncated;
+  (* mark the complete entry partial under a cap the next run stays within *)
+  let e = Option.get (Store.load store key) in
+  Store.save store key { e with partial = Some cap };
+  let ino = inode path and bytes = read_bytes path in
+  let warm, d = run ~store ~jobs:1 ~prune:true b ~ords t in
+  Alcotest.(check bool) "partial entry hits" true (d = `Hit);
+  Alcotest.(check bool) "warm run completes" false warm.stats.truncated;
+  check_semantics ~where:"upgrade" cold warm;
+  Alcotest.(check bool) "entry rewritten" true (inode path <> ino || read_bytes path <> bytes);
+  (match Store.load (Store.open_dir dir) key with
+  | Some e -> Alcotest.(check bool) "entry is complete" true (e.partial = None)
+  | None -> Alcotest.fail "upgraded entry loads");
+  rm_rf dir
+
+let small_entry n =
+  {
+    Store.graphs = [ Int64.of_int n ];
+    closed = [ { Mc.Scheduler.fp = Int64.of_int n; sleeping = []; nacts = n } ];
+    check_entries = [];
+    behaviours = [];
+    explored = n;
+    time = 0.;
+    partial = None;
+  }
+
+(* Another handle (another process, in practice) rewrites, corrupts or
+   deletes an entry this handle holds resident: the next load sees it. *)
+let test_foreign_changes_seen () =
+  let dir = scratch_dir () in
+  let key = default_key [ ("a", C11.Memory_order.Seq_cst) ] in
+  let path = entry_path dir key in
+  let mine = Store.open_dir dir and other = Store.open_dir dir in
+  Store.save mine key (small_entry 1);
+  Alcotest.(check bool) "own entry loads" true (Store.load mine key = Some (small_entry 1));
+  Alcotest.(check bool) "entry is resident" true (Store.resident_bytes mine > 0);
+  (* rewrite: same size, different bytes *)
+  Store.save other key (small_entry 2);
+  Alcotest.(check bool) "rewrite is seen" true (Store.load mine key = Some (small_entry 2));
+  (* corruption: one flipped byte *)
+  let raw = Bytes.of_string (read_bytes path) in
+  let i = Bytes.length raw / 2 in
+  Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 0xFF));
+  write_bytes path (Bytes.to_string raw);
+  let corrupt = (Store.stats mine).corrupt in
+  Alcotest.(check bool) "corrupt entry misses" true (Store.load mine key = None);
+  Alcotest.(check int) "corruption counted" (corrupt + 1) (Store.stats mine).corrupt;
+  Alcotest.(check bool) "corrupt entry deleted" false (Sys.file_exists path);
+  (* deletion *)
+  Store.save mine key (small_entry 3);
+  Alcotest.(check bool) "resaved entry loads" true (Store.load mine key = Some (small_entry 3));
+  Sys.remove path;
+  Alcotest.(check bool) "deleted entry misses" true (Store.load mine key = None);
+  Alcotest.(check int) "deletion frees the resident copy" 0 (Store.resident_bytes mine);
+  rm_rf dir
+
+(* Entries totalling more than the cap: every load stays correct, and
+   the resident bytes never exceed the cap. *)
+let test_resident_cap () =
+  let dir = scratch_dir () in
+  let s = Store.open_dir dir in
+  let n = 12 in
+  let size = Store.resident_cap / 8 in
+  let entry i =
+    {
+      (small_entry i) with
+      Store.check_entries =
+        [
+          {
+            Cdsspec.Checker.entry_key = String.make size (Char.chr (Char.code 'a' + i));
+            entry_verdict = [];
+            entry_h_trunc = false;
+            entry_p_trunc = false;
+          };
+        ];
+    }
+  in
+  let key i = default_key ~test:(Printf.sprintf "t%d" i) [ ("a", C11.Memory_order.Seq_cst) ] in
+  let within where =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d resident bytes within the cap" where (Store.resident_bytes s))
+      true
+      (Store.resident_bytes s <= Store.resident_cap)
+  in
+  for i = 0 to n - 1 do
+    Store.save s (key i) (entry i);
+    within (Printf.sprintf "save %d" i)
+  done;
+  for round = 1 to 2 do
+    for i = 0 to n - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d: entry %d loads intact" round i)
+        true
+        (Store.load s (key i) = Some (entry i));
+      within (Printf.sprintf "round %d load %d" round i)
+    done
+  done;
+  Alcotest.(check bool) "the entries overflow the cap" true (n * size > Store.resident_cap);
+  rm_rf dir
+
+(* Two writers saving one key at once (two daemon workers, or a daemon
+   and a CLI run) never collide on a temp file: every save succeeds and
+   the entry left behind is one of them, whole. *)
+let test_concurrent_saves () =
+  let dir = scratch_dir () in
+  let key = default_key [ ("a", C11.Memory_order.Seq_cst) ] in
+  ignore (Store.open_dir dir);
+  let saves = 500 in
+  let writer w () =
+    let s = Store.open_dir dir in
+    for i = 1 to saves do
+      Store.save s key (small_entry ((w * saves) + i))
+    done
+  in
+  let d1 = Domain.spawn (writer 1) and d2 = Domain.spawn (writer 2) in
+  Domain.join d1;
+  Domain.join d2;
+  (match Store.load (Store.open_dir dir) key with
+  | Some e ->
+    Alcotest.(check bool) "a written entry survives" true (e = small_entry e.Store.explored)
+  | None -> Alcotest.fail "entry loads after concurrent saves");
+  Alcotest.(check (list string))
+    "no temp files left" []
+    (List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir)));
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Advisor through the store *)
 
 let test_advisor_warm () =
@@ -417,6 +667,7 @@ let () =
         [
           Alcotest.test_case "entry roundtrip" `Quick test_entry_roundtrip;
           Alcotest.test_case "check-cache export/import" `Quick test_check_cache_roundtrip;
+          Alcotest.test_case "encode golden bytes" `Quick test_encode_golden;
         ] );
       ( "differential",
         [
@@ -428,6 +679,14 @@ let () =
         [
           Alcotest.test_case "corrupt entry discarded" `Quick test_corrupt_entry_discarded;
           Alcotest.test_case "engine-rev flush" `Quick test_engine_rev_flush;
+        ] );
+      ( "resident",
+        [
+          Alcotest.test_case "warm hit leaves the entry alone" `Quick test_warm_hit_no_rewrite;
+          Alcotest.test_case "partial upgrade rewrites" `Quick test_partial_upgrade_rewrites;
+          Alcotest.test_case "foreign changes seen" `Quick test_foreign_changes_seen;
+          Alcotest.test_case "byte cap" `Quick test_resident_cap;
+          Alcotest.test_case "concurrent same-key saves" `Quick test_concurrent_saves;
         ] );
       ("advisor", [ Alcotest.test_case "warm advisor" `Slow test_advisor_warm ]);
     ]
