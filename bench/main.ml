@@ -11,7 +11,6 @@
      bench/main.exe timing     wall-clock timing per Figure-7 row; writes BENCH_PR1.json
      bench/main.exe fuzz       randomized vs exhaustive exploration; writes BENCH_PR2.json
      bench/main.exe lint       memory-order lint + weakening advisor; writes BENCH_PR3.json
-     bench/main.exe check-cache  cross-execution check cache; writes BENCH_PR4.json
      bench/main.exe explore    equivalence pruning + work stealing; writes BENCH_PR5.json
      bench/main.exe replay     arena engine vs legacy re-execution; writes BENCH_PR6.json
                                (--smoke: capped CI subset; hard-fails on any divergence)
@@ -565,167 +564,10 @@ let run_lint () =
   write_lint_json rows
 
 (* ------------------------------------------------------------------ *)
-(* Check cache: the PR-4 prefix-sharing replay + cross-execution check
-   cache. Each workload is explored twice — memoization off (the
-   counters still flow, so the runs are otherwise identical) and on —
-   and BENCH_PR4.json records wall times, hit rates and the speedup.
-   History-heavy entries (many calls per execution, so history replay
-   dominates the wall clock) are where the cache pays; small workloads
-   are included as context. `--smoke` runs a CI-sized subset.          *)
+(* Shared by the emitters below: [--smoke] runs a CI-sized subset, and
+   [median] summarizes their per-row speedups.                          *)
 
-let check_cache_json_file = "BENCH_PR4.json"
 let smoke = ref false
-
-type cc_row = {
-  cc_workload : string;
-  cc_heavy : bool;
-  cc_max_execs : int option;
-  cc_explored : int;
-  cc_feasible : int;
-  cc_wall_on_s : float;
-  cc_wall_off_s : float;
-  cc_speedup : float;
-  cc_hits : int;
-  cc_misses : int;
-  cc_entries : int;
-  cc_hist_trunc : int;
-  cc_pref_trunc : int;
-}
-
-(* History-heavy workloads, defined here because the stock unit tests
-   stop at 4 calls: 8 calls across 4 threads make the per-execution
-   history replay dominate the wall clock (~70% of it, measured), which
-   is the regime the cache targets. They are driven by seeded fuzzing
-   rather than a capped exhaustive DFS — the DFS visits near-sequential
-   interleavings first, whose ordering relations are almost total (few
-   histories, cheap checks), while random schedules hit the
-   concurrency-rich executions whose history sets are expensive. *)
-let ms_heavy =
-  let test ords () =
-    let module P = Mc.Program in
-    let q = Structures.Ms_queue.create () in
-    let producer base =
-      P.spawn (fun () ->
-          Structures.Ms_queue.enq ords q (base + 1);
-          Structures.Ms_queue.enq ords q (base + 2))
-    in
-    let consumer () =
-      P.spawn (fun () ->
-          ignore (Structures.Ms_queue.deq ords q);
-          ignore (Structures.Ms_queue.deq ords q))
-    in
-    let t1 = producer 10 and t2 = consumer () and t3 = producer 30 and t4 = consumer () in
-    P.join t1;
-    P.join t2;
-    P.join t3;
-    P.join t4
-  in
-  B.make ~name:"M&S Queue (8 calls)" ~spec:Structures.Ms_queue.spec
-    ~sites:Structures.Ms_queue.sites
-    [ ("2x2enq-2x2deq", test) ]
-
-let treiber_heavy =
-  let test ords () =
-    let module P = Mc.Program in
-    let s = Structures.Treiber_stack.create () in
-    let pusher base =
-      P.spawn (fun () ->
-          Structures.Treiber_stack.push ords s (base + 1);
-          Structures.Treiber_stack.push ords s (base + 2))
-    in
-    let popper () =
-      P.spawn (fun () ->
-          ignore (Structures.Treiber_stack.pop ords s);
-          ignore (Structures.Treiber_stack.pop ords s))
-    in
-    let t1 = pusher 10 and t2 = popper () and t3 = pusher 30 and t4 = popper () in
-    P.join t1;
-    P.join t2;
-    P.join t3;
-    P.join t4
-  in
-  B.make ~name:"Treiber Stack (8 calls)" ~spec:Structures.Treiber_stack.spec
-    ~sites:Structures.Treiber_stack.sites
-    [ ("2x2push-2x2pop", test) ]
-
-(* (benchmark, unit test or first, execution cap, history-heavy?); a
-   history-heavy case is fuzzed with [fuzz_seed], the rest run the capped
-   exhaustive DFS. *)
-let check_cache_cases () =
-  let case find name test max heavy =
-    match find name with
-    | Some b -> Some (b, test, max, heavy)
-    | None ->
-      Format.printf "check-cache: no benchmark %S, skipping@." name;
-      None
-  in
-  let reg = case Structures.Registry.find in
-  let inline b test max heavy = Some (b, test, max, heavy) in
-  List.filter_map Fun.id
-    (if !smoke then
-       [
-         reg "M&S Queue" (Some "2enq-2deq") (Some 3_000) false;
-         inline ms_heavy None (Some 6_000) true;
-       ]
-     else
-       [
-         reg "M&S Queue" (Some "2enq-2deq") None false;
-         reg "Blocking Queue" (Some "racing-enqs") None false;
-         reg "Ticket Lock" None None false;
-         reg "SPSC Queue" None None false;
-         inline ms_heavy None (Some 50_000) true;
-         inline treiber_heavy None (Some 50_000) true;
-       ])
-
-let check_cache_one ((b : B.t), test, max_execs, heavy) =
-  let t = match test with Some name -> find_test b name | None -> List.hd b.tests in
-  let ords = Structures.Ords.default b.sites in
-  let run ~memoize =
-    let cache = Cdsspec.Checker.create_cache ~memoize () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      if heavy then
-        Fuzz.Engine.explorer_result
-          (Fuzz.Engine.run
-             ~config:
-               {
-                 Fuzz.Engine.default_config with
-                 scheduler = { b.scheduler with Mc.Scheduler.sleep_sets = false };
-                 max_executions = max_execs;
-                 minimize = false;
-               }
-             ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
-             ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
-             ~seed:fuzz_seed (t.program ords))
-      else
-        Mc.Parallel.explore ~jobs:!jobs
-          ~config:{ E.default_config with scheduler = b.scheduler; max_executions = max_execs }
-          ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
-          ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
-          (t.program ords)
-    in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let wall_off, r_off = run ~memoize:false in
-  let wall_on, r_on = run ~memoize:true in
-  if List.map Mc.Bug.key r_on.bugs <> List.map Mc.Bug.key r_off.bugs then
-    failwith ("check-cache: verdicts diverge between cached and uncached runs on " ^ b.name);
-  let c = r_on.stats.E.check in
-  {
-    cc_workload = b.name ^ "/" ^ t.test_name;
-    cc_heavy = heavy;
-    cc_max_execs = max_execs;
-    cc_explored = r_on.stats.explored;
-    cc_feasible = r_on.stats.feasible;
-    cc_wall_on_s = wall_on;
-    cc_wall_off_s = wall_off;
-    cc_speedup = (if wall_on > 0. then wall_off /. wall_on else 1.);
-    cc_hits = c.cache_hits;
-    cc_misses = c.cache_misses;
-    cc_entries = c.cache_entries;
-    cc_hist_trunc = c.histories_truncated;
-    cc_pref_trunc = c.prefixes_truncated;
-  }
 
 let median l =
   match List.sort compare l with
@@ -734,65 +576,6 @@ let median l =
     let n = List.length sorted in
     if n mod 2 = 1 then List.nth sorted (n / 2)
     else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
-
-let write_check_cache_json rows =
-  let heavy = List.filter (fun r -> r.cc_heavy) rows in
-  write_bench_file ~default:check_cache_json_file ~pr:4
-    ~note:(Printf.sprintf " (jobs=%d%s)" !jobs (if !smoke then ", smoke" else ""))
-    (fun oc ->
-      Printf.fprintf oc
-        "  \"jobs\": %d,\n  \"smoke\": %b,\n  \"median_speedup\": %.2f,\n  \
-         \"median_speedup_history_heavy\": %.2f,\n  \"entries\": [\n"
-        !jobs !smoke
-        (median (List.map (fun r -> r.cc_speedup) rows))
-        (median (List.map (fun r -> r.cc_speedup) heavy));
-      List.iteri
-        (fun i r ->
-          let hit_rate =
-            if r.cc_hits + r.cc_misses > 0 then
-              float_of_int r.cc_hits /. float_of_int (r.cc_hits + r.cc_misses)
-            else 0.
-          in
-          Printf.fprintf oc
-            "    {\"workload\": %S, \"history_heavy\": %b, \"max_executions\": %s, \"explored\": \
-             %d, \"feasible\": %d, \"wall_cache_on_s\": %.4f, \"wall_cache_off_s\": %.4f, \
-             \"speedup\": %.2f, \"cache_hits\": %d, \"cache_misses\": %d, \"cache_entries\": %d, \
-             \"hit_rate\": %.3f, \"histories_truncated\": %d, \"prefixes_truncated\": %d}%s\n"
-            r.cc_workload r.cc_heavy
-            (match r.cc_max_execs with None -> "null" | Some m -> string_of_int m)
-            r.cc_explored r.cc_feasible r.cc_wall_on_s r.cc_wall_off_s r.cc_speedup r.cc_hits
-            r.cc_misses r.cc_entries hit_rate r.cc_hist_trunc r.cc_pref_trunc
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n")
-
-let run_check_cache () =
-  section
-    (Printf.sprintf "Check cache: cross-execution verdict memoization (jobs=%d%s)" !jobs
-       (if !smoke then ", smoke subset" else ""));
-  Format.printf "%-36s %9s %10s %10s %8s %9s %8s %8s@." "Workload" "feasible" "off (s)" "on (s)"
-    "speedup" "hits" "misses" "entries";
-  let rows =
-    List.map
-      (fun case ->
-        let r = check_cache_one case in
-        Format.printf "%-36s %9d %10.3f %10.3f %7.2fx %9d %8d %8d%s@." r.cc_workload
-          r.cc_feasible r.cc_wall_off_s r.cc_wall_on_s r.cc_speedup r.cc_hits r.cc_misses
-          r.cc_entries
-          (if r.cc_heavy then "  (history-heavy)" else "");
-        r)
-      (check_cache_cases ())
-  in
-  (match List.filter (fun r -> r.cc_hist_trunc > 0 || r.cc_pref_trunc > 0) rows with
-  | [] -> ()
-  | l ->
-    Format.printf "@.Truncated enumerations (capped checks are partial proofs):@.";
-    List.iter
-      (fun r ->
-        Format.printf "  %-36s max_histories cap hit %d times, max_prefixes %d times@."
-          r.cc_workload r.cc_hist_trunc r.cc_pref_trunc)
-      l);
-  write_check_cache_json rows
 
 (* ------------------------------------------------------------------ *)
 (* Explore: the PR-5 exploration-throughput benchmark. Two sections in
@@ -1930,7 +1713,6 @@ let () =
       | "timing" -> run_timing ()
       | "fuzz" -> run_fuzz ()
       | "lint" -> run_lint ()
-      | "check-cache" -> run_check_cache ()
       | "explore" -> run_explore ()
       | "replay" -> run_replay ()
       | "serve" -> run_serve ()
@@ -1939,6 +1721,6 @@ let () =
       | other ->
         Format.printf
           "unknown job %S \
-           (fig7|fig8|expr|known|ablation|timing|fuzz|lint|check-cache|explore|replay|serve|rf|commit)@."
+           (fig7|fig8|expr|known|ablation|timing|fuzz|lint|explore|replay|serve|rf|commit)@."
           other)
     names

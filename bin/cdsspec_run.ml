@@ -229,9 +229,12 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
 
 let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_prune legacy
     no_rf_kernel profile fuzzing replay store_dir =
-  match find_bench name with
-  | Error e -> e
-  | Ok b -> (
+  let fuzz, seed, time_budget, bias, (checker : Cdsspec.Checker.config), use_cache = fuzzing in
+  match (find_bench name, checker.sample_histories) with
+  | _, Some (n, _) when n < 1 ->
+    `Msg (Printf.sprintf "--sample-histories: N must be at least 1 (got %d)" n)
+  | Error e, _ -> e
+  | Ok b, _ -> (
     (* Override before anything touches [b]: the store keys on
        [b.scheduler], so kernel-off runs get their own entries. *)
     let b =
@@ -242,7 +245,6 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
     match build_ords b weaken overrides with
     | Error e -> e
     | Ok ords -> (
-      let fuzz, seed, time_budget, bias, checker, use_cache = fuzzing in
       let store = Option.map Store.open_dir store_dir in
       let tests =
         match test_filter with

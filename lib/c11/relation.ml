@@ -140,66 +140,94 @@ let topological_sorts ?(max = 20_000) ?sample ~nodes r =
     go [] 0;
     (List.rev !results, !truncated)
 
-(* Prefix-sharing DFS over the same tree [topological_sorts] enumerates
-   (the PR-4 traversal hook). Instead of materializing every linear
-   extension, visit the topological-sort tree once, threading a caller
-   state down the recursion: a shared prefix is presented to [enter]
-   once, not once per extension below it. Child order and the [max] leaf
-   budget mirror [topological_sorts] exactly — a walk that never stops
-   attempts precisely the extensions the enumerator would return, in the
-   same order, and reports truncation under the same condition (a visit
-   attempted after [max] complete extensions). *)
+(* State-merging DFS over the same tree [topological_sorts] enumerates.
+   Instead of materializing every linear extension, visit the
+   topological-sort tree once, threading a caller state down the
+   recursion: a shared prefix is presented to [enter] once, not once per
+   extension below it.
+
+   The subtree below a node depends only on the set of nodes placed so
+   far (which nodes remain available, and in which order they are
+   tried) and on the caller's state there, not on the order the prefix
+   placed them in. So every node is keyed by (done-set bitmask, state),
+   and a child whose key names a subtree already walked to the end with
+   no [`Stop] is skipped: the callbacks are deterministic, so walking it
+   again would replay the same calls and stop nowhere. Its leaves are
+   still charged to the [max] budget — the table remembers how many
+   leaves the first walk counted, which is the down-set's linear
+   extension count — so a skipped subtree truncates the walk exactly
+   where walking it would have. Nodes with fewer than two placed nodes
+   are never keyed (no two prefixes reach them), nor are leaves
+   (skipping one saves a single [leaf] call), so the table is only built
+   for walks over three or more nodes, and not at all once a node id no
+   longer fits in an int mask.
+
+   Child order and the [max] leaf budget mirror [topological_sorts]
+   exactly — a walk that never stops attempts precisely the extensions
+   the enumerator would return, in the same order, and reports
+   truncation under the same condition (a visit attempted after [max]
+   complete extensions). *)
 let walk_linear_extensions ?(max = 20_000) ~nodes r ~init ~enter ~leaf =
+  let order = Array.of_list nodes in
+  let total = Array.length order in
   let in_nodes = Array.make r.n false in
-  List.iter (fun x -> in_nodes.(x) <- true) nodes;
+  Array.iter (fun x -> in_nodes.(x) <- true) order;
+  (* a node is available once every predecessor among [nodes] is placed *)
+  let succs = Array.make r.n [||] in
   let indeg = Array.make r.n 0 in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun a -> if in_nodes.(a) && r.succ.(a).(b) then indeg.(b) <- indeg.(b) + 1)
-        nodes)
-    nodes;
-  let total = List.length nodes in
+  Array.iter
+    (fun x ->
+      succs.(x) <- Array.of_list (List.filter (fun y -> in_nodes.(y) && r.succ.(x).(y)) nodes);
+      Array.iter (fun y -> indeg.(y) <- indeg.(y) + 1) succs.(x))
+    order;
+  let merging = r.n < Sys.int_size in
+  let walked = lazy (Hashtbl.create 64) in
+  let path = Array.make total 0 in
   let count = ref 0 in
   let truncated = ref false in
-  let stopped = ref false in
-  let rec go st picked =
+  let stopped = ref (-1) in  (* length of the stop path once a callback stopped *)
+  let rec go st mask picked =
     if picked = total then begin
       if !count >= max then truncated := true
       else begin
         incr count;
         match leaf st with
-        | `Stop -> stopped := true
+        | `Stop -> stopped := total
         | `Continue -> ()
       end
     end
     else
-      List.iter
-        (fun x ->
-          if (not !truncated) && (not !stopped) && indeg.(x) = 0 then begin
-            if !count >= max then truncated := true
-            else begin
-              match enter st x with
-              | `Stop -> stopped := true
-              | `Enter st' ->
+      for k = 0 to total - 1 do
+        let x = order.(k) in
+        if indeg.(x) = 0 && (not !truncated) && !stopped < 0 then
+          if !count >= max then truncated := true
+          else begin
+            path.(picked) <- x;
+            match enter st x with
+            | `Stop -> stopped := picked + 1
+            | `Enter st' -> (
+              let mask = if merging then mask lor (1 lsl x) else 0 in
+              let keyed = merging && picked >= 1 && picked + 1 < total in
+              let key = (mask, st') in
+              match if keyed then Hashtbl.find_opt (Lazy.force walked) key else None with
+              | Some leaves ->
+                if !count + leaves <= max then count := !count + leaves else truncated := true
+              | None ->
+                let before = !count in
                 indeg.(x) <- -1;
-                let bumped = ref [] in
-                List.iter
-                  (fun y ->
-                    if in_nodes.(y) && r.succ.(x).(y) then begin
-                      indeg.(y) <- indeg.(y) - 1;
-                      bumped := y :: !bumped
-                    end)
-                  nodes;
-                go st' (picked + 1);
-                List.iter (fun y -> indeg.(y) <- indeg.(y) + 1) !bumped;
-                indeg.(x) <- 0
-            end
-          end)
-        nodes
+                Array.iter (fun y -> indeg.(y) <- indeg.(y) - 1) succs.(x);
+                go st' mask (picked + 1);
+                Array.iter (fun y -> indeg.(y) <- indeg.(y) + 1) succs.(x);
+                indeg.(x) <- 0;
+                if keyed && (not !truncated) && !stopped < 0 then
+                  Hashtbl.add (Lazy.force walked) key (!count - before))
+          end
+      done
   in
-  go init 0;
-  !truncated
+  go init 0 0;
+  if !stopped >= 0 then `Stopped (Array.to_list (Array.sub path 0 !stopped))
+  else if !truncated then `Truncated
+  else `Complete
 
 let any_topological_sort ~nodes r =
   match topological_sorts ~max:1 ~nodes r with

@@ -54,10 +54,24 @@ val topological_sorts :
     first violating branch). [leaf st] fires on every complete
     extension; [`Stop] likewise aborts the walk.
 
+    The walk also merges nodes: the subtree below a prefix depends only
+    on which nodes the prefix holds and on the state it reached, so a
+    child whose (node set, state) pair was already walked to the end
+    without a [`Stop] is skipped, and its leaves are charged to the
+    budget as if walked. States are hashed with [Hashtbl.hash] and
+    compared with [=], so they must be immutable data without closures.
+    Both callbacks must be deterministic in their arguments, and may
+    have side effects only when they return [`Stop]: a skipped subtree
+    calls neither. Relations of [Sys.int_size] or more nodes are walked
+    without merging.
+
     Child order and the [max] leaf budget match {!topological_sorts}
     exactly: a walk that never returns [`Stop] attempts precisely the
-    extensions the enumerator returns, in the same order, and the result
-    is [true] iff the enumerator would have reported truncation. *)
+    extensions the enumerator returns, in the same order, and reports
+    [`Truncated] iff the enumerator would have reported truncation.
+    [`Stopped path] gives the nodes of the prefix at which a callback
+    stopped, in order: ending with the node whose [enter] stopped, or
+    the whole extension when [leaf] stopped. *)
 val walk_linear_extensions :
   ?max:int ->
   nodes:int list ->
@@ -65,7 +79,7 @@ val walk_linear_extensions :
   init:'a ->
   enter:('a -> int -> [ `Enter of 'a | `Stop ]) ->
   leaf:('a -> [ `Continue | `Stop ]) ->
-  bool
+  [ `Complete | `Truncated | `Stopped of int list ]
 
 (** One arbitrary linear extension over the given nodes (raises
     [Invalid_argument] on a cycle). *)

@@ -112,58 +112,53 @@ let assertion_violation ~history ~call why =
 (* Def. 6 via prefix sharing: DFS over the topological-sort tree of ⊑r,
    threading the persistent sequential state down the recursion, so a
    prefix shared by many histories is replayed once instead of once per
-   history. The walk stops at the first failing call; the reported
-   history is that prefix completed greedily ([any_topological_sort]
-   picks the first available node, i.e. the leftmost leaf of the failing
-   subtree), which is exactly the first failing history in enumeration
-   order — every leaf left of the failing node passed, so the verdict
-   and message are byte-identical to the legacy path. The [max] budget
-   is charged before entering a node, so no call belonging only to
-   histories beyond the legacy cap is ever replayed. *)
+   history, and a set of calls already replayed to the same state in
+   another order is not replayed again (the walker merges equal
+   (down-set, state) nodes — hence the state alone is threaded, and the
+   failing prefix comes back from the walker). The walk stops at the
+   first failing call; the reported history is that prefix completed
+   greedily ([any_topological_sort] picks the first available node,
+   i.e. the leftmost leaf of the failing subtree), which is exactly the
+   first failing history in enumeration order — every leaf left of the
+   failing node passed, so the verdict and message are byte-identical to
+   the legacy path. The [max] budget is charged before entering a node,
+   so no call belonging only to histories beyond the legacy cap is ever
+   replayed. *)
 let check_histories_shared (type st) ~max (spec : st Spec.t) info_of relation calls find =
   let nodes = List.map (fun (c : Call.t) -> c.id) calls in
-  let failure = ref None in
-  let truncated =
-    C11.Relation.walk_linear_extensions ~max ~nodes relation
-      ~init:(spec.initial (), [])
-      ~enter:(fun (state, rev_prefix) id ->
-        let call = find id in
-        match step spec info_of state call with
-        | Ok state' -> `Enter (state', call :: rev_prefix)
+  let failure = ref "" in
+  match
+    C11.Relation.walk_linear_extensions ~max ~nodes relation ~init:(spec.initial ())
+      ~enter:(fun state id ->
+        match step spec info_of state (find id) with
+        | Ok state' -> `Enter state'
         | Error why ->
-          failure := Some (call :: rev_prefix, call, why);
+          failure := why;
           `Stop)
       ~leaf:(fun _ -> `Continue)
-  in
-  let violation =
-    match !failure with
-    | None -> None
-    | Some (rev_prefix, call, why) ->
-      let prefix = List.rev rev_prefix in
-      let in_prefix = Hashtbl.create 16 in
-      List.iter (fun (c : Call.t) -> Hashtbl.replace in_prefix c.id ()) prefix;
-      let remaining = List.filter (fun id -> not (Hashtbl.mem in_prefix id)) nodes in
-      let completion =
-        if remaining = [] then []
-        else List.map find (C11.Relation.any_topological_sort ~nodes:remaining relation)
-      in
-      Some (assertion_violation ~history:(prefix @ completion) ~call why)
-  in
-  (violation, truncated)
+  with
+  | `Complete -> (None, false)
+  | `Truncated -> (None, true)
+  | `Stopped path ->
+    let remaining = List.filter (fun id -> not (List.mem id path)) nodes in
+    let completion =
+      if remaining = [] then [] else C11.Relation.any_topological_sort ~nodes:remaining relation
+    in
+    let call = find (List.nth path (List.length path - 1)) in
+    (Some (assertion_violation ~history:(List.map find (path @ completion)) ~call !failure), false)
 
 (* Justification of [m] (Defs. 3-4) via prefix sharing: DFS over the
    linearizations of m's strict down-set, threading [Some state] while
    the prefix satisfies the spec and [None] once it has failed. Failed
    prefixes still walk to their leaves so the [max] budget is consumed
    exactly as the legacy enumerate-then-replay path consumes it (one
-   unit per linearization, accepted or not); the walk stops at the
+   unit per linearization, accepted or not) — the walker merges them
+   and charges their leaves without replaying; the walk stops at the
    first accepting subhistory. *)
 let justified_shared (type st) ~max (spec : st Spec.t) info_of relation find (m : Call.t) =
   let nodes = C11.Relation.down_set relation m.id in
-  let accepted = ref false in
-  let truncated =
-    C11.Relation.walk_linear_extensions ~max ~nodes relation
-      ~init:(Some (spec.initial ()))
+  match
+    C11.Relation.walk_linear_extensions ~max ~nodes relation ~init:(Some (spec.initial ()))
       ~enter:(fun state id ->
         match state with
         | None -> `Enter None
@@ -173,15 +168,12 @@ let justified_shared (type st) ~max (spec : st Spec.t) info_of relation find (m 
           | Error _ -> `Enter None))
       ~leaf:(fun state ->
         match state with
-        | None -> `Continue
-        | Some st ->
-          if justify_last spec info_of st m then begin
-            accepted := true;
-            `Stop
-          end
-          else `Continue)
-  in
-  (!accepted, truncated)
+        | Some st when justify_last spec info_of st m -> `Stop
+        | _ -> `Continue)
+  with
+  | `Stopped _ -> (true, false)
+  | `Complete -> (false, false)
+  | `Truncated -> (false, true)
 
 (* ------------------------------------------------------------------ *)
 (* Admissibility                                                       *)
@@ -248,16 +240,18 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
         ];
     }
   else begin
-    let find = History.by_id calls in
-    let info_of =
-      let cache = Hashtbl.create 8 in
-      fun (c : Call.t) ->
-        match Hashtbl.find_opt cache c.id with
-        | Some i -> i
-        | None ->
-          let i = { Spec.call = c; concurrent = History.concurrent relation calls c } in
-          Hashtbl.add cache c.id i;
-          i
+    (* ids are dense and in list order (see [check_spec]), so the
+       walks' per-call lookups are array reads *)
+    let by_id = Array.of_list calls in
+    let find id = by_id.(id) in
+    let infos = Array.make (Array.length by_id) None in
+    let info_of (c : Call.t) =
+      match infos.(c.id) with
+      | Some i -> i
+      | None ->
+        let i = { Spec.call = c; concurrent = History.concurrent relation calls c } in
+        infos.(c.id) <- Some i;
+        i
     in
     let admissibility = check_admissibility spec relation calls in
     if admissibility <> [] then { clean with violations = admissibility }

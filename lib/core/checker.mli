@@ -9,10 +9,15 @@
     History replay shares prefixes: instead of materializing every
     linear extension of ⊑r and replaying each from scratch, the checker
     walks the topological-sort tree once, threading the persistent
-    sequential state down the recursion ({!Spec} states must therefore
-    be persistent values — see HACKING.md). Verdicts and messages are
-    byte-identical to the legacy list-then-replay path, which is kept
-    behind [legacy_replay] for differential testing. *)
+    sequential state down the recursion, and replays a set of calls
+    that already reached the same sequential state in another order
+    only once ({!C11.Relation.walk_linear_extensions} merges equal
+    (down-set, state) nodes). {!Spec} states must therefore be
+    persistent values, hashed and compared structurally: immutable data
+    without closures, and every spec function deterministic in its
+    arguments — see HACKING.md. Verdicts, truncation flags and messages
+    are byte-identical to the legacy list-then-replay path, which is
+    kept behind [legacy_replay] for differential testing. *)
 
 type config = {
   max_histories : int;

@@ -293,6 +293,222 @@ let prop_down_set_closed =
           List.for_all (fun x -> List.for_all (fun (a, b) -> b <> x || List.mem a ds) edges) ds)
         (List.init n (fun i -> i)))
 
+(* ------------------------ walker identity ------------------------ *)
+
+(* The reference for the state-merging walk: the plain prefix-sharing
+   DFS it replaced, which visits every node of the topological-sort
+   tree. It reports only the truncation flag; the callbacks below thread
+   the prefix through the state to recover the stop path. *)
+let reference_walk ~max ~nodes r ~init ~enter ~leaf =
+  let n = Rel.size r in
+  let in_nodes = Array.make n false in
+  List.iter (fun x -> in_nodes.(x) <- true) nodes;
+  let indeg = Array.make n 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun a -> if in_nodes.(a) && Rel.has_edge r a b then indeg.(b) <- indeg.(b) + 1)
+        nodes)
+    nodes;
+  let total = List.length nodes in
+  let count = ref 0 in
+  let truncated = ref false in
+  let stopped = ref false in
+  let rec go st picked =
+    if picked = total then begin
+      if !count >= max then truncated := true
+      else begin
+        incr count;
+        match leaf st with
+        | `Stop -> stopped := true
+        | `Continue -> ()
+      end
+    end
+    else
+      List.iter
+        (fun x ->
+          if (not !truncated) && (not !stopped) && indeg.(x) = 0 then begin
+            if !count >= max then truncated := true
+            else begin
+              match enter st x with
+              | `Stop -> stopped := true
+              | `Enter st' ->
+                indeg.(x) <- -1;
+                let bumped = ref [] in
+                List.iter
+                  (fun y ->
+                    if in_nodes.(y) && Rel.has_edge r x y then begin
+                      indeg.(y) <- indeg.(y) - 1;
+                      bumped := y :: !bumped
+                    end)
+                  nodes;
+                go st' (picked + 1);
+                List.iter (fun y -> indeg.(y) <- indeg.(y) + 1) !bumped;
+                indeg.(x) <- 0
+            end
+          end)
+        nodes
+  in
+  go init 0;
+  !truncated
+
+type instance = {
+  rel : Rel.t;
+  nodes : int list;
+  max : int;
+  next : int -> int -> int;  (* the caller state after entering a node *)
+  stop_enter : int -> int -> bool;
+  stop_leaf : int -> bool;
+}
+
+(* A random walker instance: at most 10 nodes, edges i -> j (i < j) at a
+   random density, a random subset of the nodes in random order, a
+   budget of 1-40 or 20,000 leaves, and callbacks that stop on a seeded
+   hash of (state, node). The state is either order-independent (a sum
+   of node weights, which merges every equal down-set), a small hash of
+   the prefix (which merges by collision) or a large one (which almost
+   never merges). *)
+let random_instance rng =
+  let int k = Random.State.int rng k in
+  let n = 1 + int 10 in
+  let rel = Rel.create n in
+  let density = int 101 in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      if int 100 < density then Rel.add_edge rel a b
+    done
+  done;
+  let keep = int 101 in
+  let nodes = List.filter (fun _ -> int 100 < keep) (List.init n Fun.id) in
+  let nodes =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) nodes))
+  in
+  let max = if int 4 = 0 then 20_000 else 1 + int 40 in
+  let seed = Random.State.bits rng in
+  let next =
+    match int 3 with
+    | 0 ->
+      let weight = Array.init n (fun _ -> int 4) in
+      fun st x -> st + weight.(x)
+    | 1 ->
+      let k = 2 + int 6 in
+      fun st x -> Hashtbl.hash (seed, st, x) mod k
+    | _ -> fun st x -> Hashtbl.hash (seed, st, x)
+  in
+  let stop_rate = [| 0; 0; 5; 20; 100; 1000 |].(int 6) in
+  let hit h = stop_rate > 0 && h mod stop_rate = 0 in
+  {
+    rel;
+    nodes;
+    max;
+    next;
+    stop_enter = (fun st x -> hit (Hashtbl.hash (seed, st, x, 1)));
+    stop_leaf = (fun st -> hit (Hashtbl.hash (seed, st, 2)));
+  }
+
+(* Run both walkers on one instance: (truncated, stop path, enter
+   calls) for the reference, then for the merged walk. *)
+let walk_both i =
+  let ref_enters = ref 0 and ref_stop = ref None in
+  let ref_truncated =
+    reference_walk ~max:i.max ~nodes:i.nodes i.rel ~init:(0, [])
+      ~enter:(fun (st, rev_path) x ->
+        incr ref_enters;
+        if i.stop_enter st x then begin
+          ref_stop := Some (List.rev (x :: rev_path));
+          `Stop
+        end
+        else `Enter (i.next st x, x :: rev_path))
+      ~leaf:(fun (st, rev_path) ->
+        if i.stop_leaf st then begin
+          ref_stop := Some (List.rev rev_path);
+          `Stop
+        end
+        else `Continue)
+  in
+  let enters = ref 0 in
+  let result =
+    Rel.walk_linear_extensions ~max:i.max ~nodes:i.nodes i.rel ~init:0
+      ~enter:(fun st x ->
+        incr enters;
+        if i.stop_enter st x then `Stop else `Enter (i.next st x))
+      ~leaf:(fun st -> if i.stop_leaf st then `Stop else `Continue)
+  in
+  let truncated, stop =
+    match result with
+    | `Complete -> (false, None)
+    | `Truncated -> (true, None)
+    | `Stopped path -> (false, Some path)
+  in
+  ((ref_truncated, !ref_stop, !ref_enters), (truncated, stop, !enters))
+
+let test_walker_identity () =
+  let instances = ref 0 and merged = ref 0 and mismatches = ref [] in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      for k = 1 to 20_000 do
+        let i = random_instance rng in
+        let (ref_trunc, ref_stop, ref_enters), (trunc, stop, enters) = walk_both i in
+        if ref_trunc <> trunc || ref_stop <> stop || enters > ref_enters then
+          mismatches := Printf.sprintf "seed %d instance %d" seed k :: !mismatches;
+        incr instances;
+        if enters < ref_enters then incr merged
+      done)
+    [ 1; 2; 3; 4; 5 ];
+  (* same truncation flag, same stop path, never an extra enter call *)
+  Alcotest.(check (list string)) "instances that differ from the reference" [] !mismatches;
+  (* the identity is vacuous if nothing merges *)
+  Alcotest.(check bool)
+    (Printf.sprintf "merging fired (%d of %d instances)" !merged !instances)
+    true
+    (!merged * 20 > !instances)
+
+(* Merging must charge a skipped subtree's leaves to the budget: four
+   unordered nodes with an order-independent state merge everywhere,
+   and every budget from 1 to 24 truncates exactly as the 24 leaves
+   dictate. *)
+let test_walker_budget () =
+  let r = Rel.create 4 in
+  let nodes = [ 0; 1; 2; 3 ] in
+  for max = 1 to 30 do
+    let leaves = ref 0 in
+    let result =
+      Rel.walk_linear_extensions ~max ~nodes r ~init:0
+        ~enter:(fun st x -> `Enter (st + x))
+        ~leaf:(fun _ ->
+          incr leaves;
+          `Continue)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "max %d: truncated iff fewer than 24" max)
+      (max < 24)
+      (result = `Truncated);
+    Alcotest.(check bool) (Printf.sprintf "max %d: leaves skipped" max) true (!leaves < 24)
+  done
+
+(* Node ids at or past [Sys.int_size] do not fit the done-set mask, so a
+   relation that large walks unmerged: the same enter calls as the
+   reference, where a small relation with the same shape merges. *)
+let test_walker_large_relation () =
+  let walk n nodes =
+    walk_both
+      {
+        rel = Rel.create n;
+        nodes;
+        max = 20_000;
+        next = (fun st x -> st + x);
+        stop_enter = (fun _ _ -> false);
+        stop_leaf = (fun _ -> false);
+      }
+  in
+  let n = Sys.int_size + 1 in
+  let (ref_trunc, _, ref_enters), (trunc, _, enters) = walk n [ n - 4; n - 3; n - 2; n - 1 ] in
+  Alcotest.(check bool) "large: same truncation" ref_trunc trunc;
+  Alcotest.(check int) "large: no merging" ref_enters enters;
+  let _, (_, _, small_enters) = walk 4 [ 0; 1; 2; 3 ] in
+  Alcotest.(check bool) "small: merging" true (small_enters < ref_enters)
+
 (* ----------------------------- vec ------------------------------- *)
 
 let test_vec () =
@@ -376,6 +592,12 @@ let () =
           qt prop_sorts_respect_order;
           qt prop_sorts_distinct;
           qt prop_down_set_closed;
+        ] );
+      ( "walker",
+        [
+          Alcotest.test_case "identity with the unmerged walk" `Quick test_walker_identity;
+          Alcotest.test_case "budget charges skipped leaves" `Quick test_walker_budget;
+          Alcotest.test_case "large relations walk unmerged" `Quick test_walker_large_relation;
         ] );
       ( "vec",
         [

@@ -139,6 +139,205 @@ let test_differential_fuzz () =
       Alcotest.(check (list string)) (label ^ ": fuzz cached = legacy") legacy cached)
     (("default", Structures.Ords.default b.B.sites) :: Structures.Ms_queue.known_bugs)
 
+(* ------------------- differential: 8-call programs ---------------- *)
+
+(* Eight calls over four threads: a check has hundreds of sequential
+   histories, so this is where the walker's merging of equal
+   (down-set, state) nodes does its work. *)
+let ms_8calls =
+  let program ords () =
+    let module Q = Structures.Ms_queue in
+    let q = Q.create () in
+    let producer base =
+      P.spawn (fun () ->
+          Q.enq ords q (base + 1);
+          Q.enq ords q (base + 2))
+    in
+    let consumer () =
+      P.spawn (fun () ->
+          ignore (Q.deq ords q);
+          ignore (Q.deq ords q))
+    in
+    let t1 = producer 10 and t2 = consumer () and t3 = producer 30 and t4 = consumer () in
+    List.iter P.join [ t1; t2; t3; t4 ]
+  in
+  B.make ~name:"M&S Queue (8 calls)" ~spec:Structures.Ms_queue.spec
+    ~sites:Structures.Ms_queue.sites
+    [ ("2x2enq-2x2deq", program) ]
+
+let treiber_8calls =
+  let program ords () =
+    let module S = Structures.Treiber_stack in
+    let s = S.create () in
+    let pusher base =
+      P.spawn (fun () ->
+          S.push ords s (base + 1);
+          S.push ords s (base + 2))
+    in
+    let popper () =
+      P.spawn (fun () ->
+          ignore (S.pop ords s);
+          ignore (S.pop ords s))
+    in
+    let t1 = pusher 10 and t2 = popper () and t3 = pusher 30 and t4 = popper () in
+    List.iter P.join [ t1; t2; t3; t4 ]
+  in
+  B.make ~name:"Treiber Stack (8 calls)" ~spec:Structures.Treiber_stack.spec
+    ~sites:Structures.Treiber_stack.sites
+    [ ("2x2push-2x2pop", program) ]
+
+(* A 300-execution campaign, as [check --fuzz --max-executions 300]
+   runs it. *)
+let campaign ~config ?cache ?(spec = fun s -> s) ~seed (b : B.t) ~ords =
+  let t = List.hd b.B.tests in
+  Fuzz.Engine.run
+    ~config:
+      {
+        Fuzz.Engine.default_config with
+        scheduler = b.B.scheduler;
+        max_executions = Some 300;
+        minimize = false;
+      }
+    ~on_feasible:(Ck.hook ~config ?cache (spec b.B.spec))
+    ~seed (t.B.program ords)
+
+let campaign_keys ~config ?cache ~seed b ~ords =
+  List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) (campaign ~config ?cache ~seed b ~ords).found
+
+(* The default path (merged walk, memoizing cache), the legacy
+   list-then-replay path and the merged walk with memoization off must
+   report the same bugs, under the published orders, under both of
+   M&S's published weakenings (data races), and under one weakening per
+   structure that only the spec catches, so that assertion messages
+   (the failing history and call) are compared too. *)
+let test_differential_8calls () =
+  let found = ref false and spec_found = ref false in
+  List.iter
+    (fun ((b : B.t), cases) ->
+      List.iter
+        (fun (label, ords) ->
+          List.iter
+            (fun seed ->
+              let where = Printf.sprintf "%s[%s] seed %d" b.B.name label seed in
+              let default =
+                campaign_keys ~config:Ck.default_config ~cache:(Ck.create_cache ()) ~seed b ~ords
+              in
+              let legacy = campaign_keys ~config:legacy_config ~seed b ~ords in
+              let unmemoized =
+                campaign_keys ~config:Ck.default_config
+                  ~cache:(Ck.create_cache ~memoize:false ())
+                  ~seed b ~ords
+              in
+              if default <> [] then found := true;
+              if List.exists (fun k -> String.length k > 5 && String.sub k 0 5 = "spec:") default
+              then spec_found := true;
+              Alcotest.(check (list string)) (where ^ ": default = legacy") legacy default;
+              Alcotest.(check (list string)) (where ^ ": memoize:false = legacy") legacy unmemoized)
+            [ 1; 2; 3 ])
+        cases)
+    [
+      ( ms_8calls,
+        [ ("published", Structures.Ords.default ms_8calls.B.sites) ]
+        @ Structures.Ms_queue.known_bugs
+        @ [ ("deq_load_head", Structures.Ords.with_order ms_8calls.B.sites "deq_load_head" Relaxed) ]
+      );
+      ( treiber_8calls,
+        [
+          ("published", Structures.Ords.default treiber_8calls.B.sites);
+          ("push_cas_top", Structures.Ords.with_order treiber_8calls.B.sites "push_cas_top" Release);
+        ] );
+    ];
+  Alcotest.(check bool) "some weakening produced bugs" true !found;
+  Alcotest.(check bool) "some weakening produced spec violations" true !spec_found
+
+(* [spec] with every side effect counted in [steps]: one count per call
+   the checker replays. *)
+let counting steps (Spec.Packed spec) =
+  Spec.Packed
+    {
+      spec with
+      methods =
+        List.map
+          (fun (name, (m : _ Spec.method_spec)) ->
+            ( name,
+              {
+                m with
+                side_effect =
+                  Option.map
+                    (fun f st info ->
+                      incr steps;
+                      f st info)
+                    m.side_effect;
+              } ))
+          spec.methods;
+    }
+
+(* Visiting each (down-set, state) node once bounds the replay work: an
+   8-call check replays under 100 calls on average, where walking every
+   node of the topological-sort tree replays about 1,000 (M&S) or 750
+   (Treiber). *)
+let test_steps_per_miss () =
+  List.iter
+    (fun (b : B.t) ->
+      let steps = ref 0 in
+      let cache = Ck.create_cache () in
+      ignore
+        (campaign ~config:Ck.default_config ~cache ~spec:(counting steps) ~seed:1 b
+           ~ords:(Structures.Ords.default b.B.sites));
+      let misses = (Ck.cache_counters cache).cache_misses in
+      Alcotest.(check bool) (b.B.name ^ ": some checks ran") true (misses > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d spec steps per check, at most 200" b.B.name (!steps / misses))
+        true
+        (!steps <= 200 * misses))
+    [ ms_8calls; treiber_8calls ]
+
+(* Cache and truncation counters of 300-execution campaigns on the
+   fuzz-only oversized workloads, as the unmerged walk reported them:
+   (seed, feasible, hits, misses, histories truncated, prefixes
+   truncated). Merging skips replay work; it must not change which
+   checks hit the max_histories cap. *)
+let oversized_golden =
+  [
+    ( "M&S Queue (oversized)",
+      [ (1, 53, 0, 53, 53, 0); (2, 55, 0, 55, 55, 0); (3, 62, 0, 62, 62, 0) ] );
+    ( "Treiber Stack (oversized)",
+      [ (1, 41, 0, 41, 0, 0); (2, 43, 0, 43, 0, 0); (3, 53, 0, 53, 0, 0) ] );
+    ("Lockfree Set (oversized)", [ (1, 4, 0, 4, 1, 0); (2, 4, 0, 4, 2, 0); (3, 3, 0, 3, 3, 0) ]);
+    ( "SPSC Queue (oversized)",
+      [ (1, 300, 28, 272, 295, 0); (2, 300, 28, 272, 296, 0); (3, 300, 38, 262, 296, 0) ] );
+    ( "Bounded Queue (oversized)",
+      [ (1, 297, 0, 297, 252, 0); (2, 298, 0, 298, 258, 0); (3, 295, 0, 295, 253, 0) ] );
+  ]
+
+let test_oversized_truncation () =
+  let pp = Alcotest.(list (pair int (list int))) in
+  List.iter
+    (fun (name, golden) ->
+      let b = bench name in
+      let got =
+        List.map
+          (fun (seed, _, _, _, _, _) ->
+            let cache = Ck.create_cache () in
+            let r =
+              campaign ~config:Ck.default_config ~cache ~seed b
+                ~ords:(Structures.Ords.default b.B.sites)
+            in
+            let c = Ck.cache_counters cache in
+            ( seed,
+              [
+                r.stats.feasible;
+                c.cache_hits;
+                c.cache_misses;
+                c.histories_truncated;
+                c.prefixes_truncated;
+              ] ))
+          golden
+      in
+      let want = List.map (fun (seed, f, h, m, ht, pt) -> (seed, [ f; h; m; ht; pt ])) golden in
+      Alcotest.check pp (name ^ ": counters") want got)
+    oversized_golden
+
 (* ---------------------- OP annotation semantics ------------------- *)
 
 let one_execution program =
@@ -351,6 +550,48 @@ let test_strict_prefixes () =
          | _ -> false)
        vs)
 
+(* A violation in the middle of a history. Three concurrent calls, and
+   a spec whose second call always fails: the reported history is the
+   failing prefix (two calls) completed in enumeration order, exactly as
+   the legacy list-then-replay path reports it. *)
+let test_violation_message () =
+  let program () =
+    let x = P.malloc ~init:0 1 in
+    let call name v =
+      P.spawn (fun () ->
+          A.api_proc ~name ~args:[] (fun () ->
+              P.store Relaxed x v;
+              A.op_define ()))
+    in
+    List.iter P.join [ call "a" 1; call "b" 2; call "c" 3 ]
+  in
+  let exec, annots = one_execution program in
+  let second_fails =
+    {
+      Spec.default_method with
+      side_effect = Some (fun n _ -> (n + 1, None));
+      postcondition = Some (fun n _ ~s_ret:_ -> n <> 2);
+    }
+  in
+  let spec =
+    Spec.Packed
+      {
+        Spec.name = "second-fails";
+        initial = (fun () -> 0);
+        methods = [ ("a", second_fails); ("b", second_fails); ("c", second_fails) ];
+        admissibility = [];
+        accounting;
+      }
+  in
+  let messages config =
+    List.map (fun (v : Ck.violation) -> v.message) (Ck.check_execution ~config spec exec annots)
+  in
+  let legacy = messages legacy_config in
+  Alcotest.(check int) "one violation" 1 (List.length legacy);
+  Alcotest.(check bool) "the history names all three calls" true
+    (List.for_all (fun name -> contains_substring (List.hd legacy) (name ^ "(")) [ "a"; "b"; "c" ]);
+  Alcotest.(check (list string)) "same message as legacy" legacy (messages Ck.default_config)
+
 (* ------------------------- fingerprints --------------------------- *)
 
 let test_fingerprint () =
@@ -400,6 +641,13 @@ let () =
           Alcotest.test_case "serial: known-buggy orders" `Slow test_differential_buggy;
           Alcotest.test_case "parallel (-j2)" `Slow test_differential_parallel;
           Alcotest.test_case "seeded fuzz" `Slow test_differential_fuzz;
+          Alcotest.test_case "8-call fuzz campaigns" `Slow test_differential_8calls;
+        ] );
+      ( "merged walk",
+        [
+          Alcotest.test_case "spec steps per check" `Quick test_steps_per_miss;
+          Alcotest.test_case "oversized truncation counters" `Quick test_oversized_truncation;
+          Alcotest.test_case "violation message" `Quick test_violation_message;
         ] );
       ( "op annotations",
         [

@@ -89,11 +89,18 @@ let with_server ?store_dir ~jobs f =
   let socket = Printf.sprintf "serve-test-%d.sock" !socket_counter in
   if Sys.file_exists socket then Sys.remove socket;
   let d = Domain.spawn (fun () -> Serve.Server.serve ~socket ~jobs ?store_dir ()) in
+  (* The socket file appears at bind, a moment before the daemon
+     listens, so wait for a connect to succeed rather than for the file. *)
   let deadline = Unix.gettimeofday () +. 10. in
-  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
-  Alcotest.(check bool) "server socket appears" true (Sys.file_exists socket);
+  let rec listening () =
+    match Serve.Client.connect socket with
+    | c ->
+      Serve.Client.close c;
+      true
+    | exception Unix.Unix_error (_, _, _) ->
+      Unix.gettimeofday () < deadline && (Unix.sleepf 0.01; listening ())
+  in
+  Alcotest.(check bool) "server socket accepts connections" true (listening ());
   Fun.protect
     ~finally:(fun () ->
       (let c = Serve.Client.connect socket in
@@ -360,6 +367,60 @@ let test_raising_job_reports_error () =
           | _ -> Alcotest.fail "no pong after the failed job"));
   rm_rf dir
 
+(* A request line over the daemon's 1 MiB cap ends that connection with
+   exactly one error event, and the daemon keeps serving others. The
+   2 MiB line is written from its own domain: past the cap the daemon
+   stops reading and closes the connection, which fails the write. *)
+let test_oversized_line () =
+  with_server ~jobs:1 (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let writer =
+        Domain.spawn (fun () ->
+            let chunk = Bytes.make 65536 'x' in
+            try
+              for _ = 1 to 32 do
+                let off = ref 0 in
+                while !off < Bytes.length chunk do
+                  off := !off + Unix.write fd chunk !off (Bytes.length chunk - !off)
+                done
+              done
+            with Unix.Unix_error (_, _, _) -> ())
+      in
+      (* everything the daemon sends until it closes, or 20 s pass *)
+      let received = Buffer.create 256 in
+      let deadline = Unix.gettimeofday () +. 20. in
+      let buf = Bytes.create 4096 in
+      let rec drain () =
+        let left = deadline -. Unix.gettimeofday () in
+        if left > 0. then
+          match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> ()
+          | _ -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+              Buffer.add_subbytes received buf 0 n;
+              drain ()
+            | exception Unix.Unix_error (_, _, _) -> ())
+      in
+      drain ();
+      Domain.join writer;
+      Unix.close fd;
+      let events =
+        List.filter_map
+          (fun line -> if line = "" then None else Result.to_option (J.of_string line))
+          (String.split_on_char '\n' (Buffer.contents received))
+      in
+      Alcotest.(check (list (option string))) "one error event" [ Some "error" ] (List.map ev events);
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+          match Serve.Client.recv ~timeout:30. c with
+          | Serve.Client.Msg j ->
+            Alcotest.(check (option string)) "daemon still answers" (Some "pong") (ev j)
+          | _ -> Alcotest.fail "no pong after the oversized line"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -377,5 +438,6 @@ let () =
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
           Alcotest.test_case "raising job reports error" `Quick test_raising_job_reports_error;
+          Alcotest.test_case "oversized request line" `Quick test_oversized_line;
         ] );
     ]
