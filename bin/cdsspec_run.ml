@@ -227,21 +227,14 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
     closed = [];
   }
 
-let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_prune legacy
-    no_rf_kernel profile fuzzing replay store_dir =
+let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_prune profile
+    fuzzing replay store_dir =
   let fuzz, seed, time_budget, bias, (checker : Cdsspec.Checker.config), use_cache = fuzzing in
   match (find_bench name, checker.sample_histories) with
   | _, Some (n, _) when n < 1 ->
     `Msg (Printf.sprintf "--sample-histories: N must be at least 1 (got %d)" n)
   | Error e, _ -> e
   | Ok b, _ -> (
-    (* Override before anything touches [b]: the store keys on
-       [b.scheduler], so kernel-off runs get their own entries. *)
-    let b =
-      if no_rf_kernel then
-        { b with B.scheduler = { b.B.scheduler with Mc.Scheduler.rf_kernel = false } }
-      else b
-    in
     match build_ords b weaken overrides with
     | Error e -> e
     | Ok ords -> (
@@ -262,7 +255,7 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
           else
             Ok
               (exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune:(not no_prune)
-                 ~engine:(if legacy then `Legacy else `Arena) ~profile)
+                 ~engine:E.default_config.engine ~profile)
       in
       match run with
       | Error e -> e
@@ -529,6 +522,13 @@ let exit_of = function
     prerr_endline m;
     2
 
+(* [--max-executions N] takes N >= 1: a smaller cap would explore one
+   run, report it truncated and exit 0. *)
+let with_cap max_execs run =
+  match max_execs with
+  | Some n when n < 1 -> `Msg (Printf.sprintf "--max-executions: N must be at least 1 (got %d)" n)
+  | _ -> run ()
+
 let ord_conv =
   let parse s =
     match String.index_opt s '=' with
@@ -684,26 +684,6 @@ let check_term =
              equivalence is tested); this is the escape hatch for differential debugging and for \
              exact interleaving counts.")
   in
-  let legacy_engine =
-    Arg.(
-      value & flag
-      & info [ "legacy-engine" ]
-          ~doc:
-            "Explore with the pre-arena engine (a fresh scheduler run per execution, rebuilding \
-             from action zero) instead of the arena engine's copy-free snapshot restore. Both \
-             produce bit-identical verdicts, graph sets, bug lists and traces; this is the \
-             differential oracle.")
-  in
-  let no_rf_kernel =
-    Arg.(
-      value & flag
-      & info [ "no-rf-kernel" ]
-          ~doc:
-            "Disable the incremental rf-consistency kernel: read candidates are recomputed from \
-             scratch by the full per-rule scan instead of the kernel's saturated summaries. \
-             Graph sets, bug lists and verdicts are identical either way (that equivalence is \
-             tested); this is the escape hatch for differential debugging.")
-  in
   let profile =
     Arg.(
       value & flag
@@ -726,13 +706,14 @@ let check_term =
   in
   Term.(
     const
-      (fun name test weaken overrides max_execs verbose dot jobs no_prune legacy no_rf_kernel
-           profile fuzzing replay store_dir ->
+      (fun name test weaken overrides max_execs verbose dot jobs no_prune profile fuzzing replay
+           store_dir ->
         exit_of
-          (check_cmd name test weaken overrides max_execs verbose dot jobs no_prune legacy
-             no_rf_kernel profile fuzzing replay store_dir))
+          (with_cap max_execs (fun () ->
+               check_cmd name test weaken overrides max_execs verbose dot jobs no_prune profile
+                 fuzzing replay store_dir)))
     $ bench_arg $ test $ weaken $ overrides $ max_execs $ verbose $ dot $ jobs_term $ no_prune
-    $ legacy_engine $ no_rf_kernel $ profile $ fuzzing_term $ replay $ store_dir)
+    $ profile $ fuzzing_term $ replay $ store_dir)
 
 let lint_term =
   let bench = Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK") in
@@ -790,7 +771,9 @@ let lint_term =
   Term.(
     const (fun name all json advise max_execs time_budget jobs sites dot_dir ->
         let only_sites = match sites with [] -> None | l -> Some l in
-        exit_of (lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir))
+        exit_of
+          (with_cap max_execs (fun () ->
+               lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir)))
     $ bench $ all $ json $ advise $ max_execs $ time_budget $ jobs_term $ sites $ dot_dir)
 
 let serve_term =
@@ -851,7 +834,9 @@ let client_term =
   in
   Term.(
     const (fun socket op bench test overrides max_execs json ->
-        exit_of (client_cmd socket op bench test overrides max_execs json))
+        exit_of
+          (with_cap max_execs (fun () ->
+               client_cmd socket op bench test overrides max_execs json)))
     $ socket $ op $ bench $ test $ overrides $ max_execs $ json)
 
 let cmds =

@@ -22,9 +22,9 @@ type config = {
           arena-backed graph is rewound by snapshot restore on each
           backtrack instead of re-running the program prefix. [`Legacy]:
           a fresh {!Scheduler.run} per execution, rebuilding from action
-          zero — the differential oracle ([--legacy-engine] in
-          [cdsspec_run]). Both produce bit-identical verdicts, graph
-          sets, bug lists and traces. *)
+          zero — the differential oracle the tests compare against.
+          Both produce bit-identical verdicts, graph sets, bug lists and
+          traces. *)
 }
 
 val default_config : config

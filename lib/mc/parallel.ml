@@ -1,44 +1,5 @@
 module Vec = C11.Vec
 
-let copy_decision = Explorer.copy_decision
-
-(* ------------------------------------------------------------------ *)
-(* Decision prefixes (static split)                                    *)
-
-(* Enumerate every realizable decision prefix of length <= [depth], in
-   DFS (lexicographic) order: run once to materialize the current path,
-   snapshot its first [depth] decisions, then truncate the trace to the
-   prefix and backtrack *within it*. Each snapshot pins a subtree; the
-   subtrees are pairwise disjoint (two prefixes differ at some frozen
-   decision) and jointly cover the tree (every run's first [depth]
-   decisions are one of them). Costs one full run per prefix. *)
-let prefixes ~config ~depth main =
-  let trace : Scheduler.decision Vec.t = Vec.create () in
-  let acc = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    ignore (Scheduler.run ~config ~trace main);
-    let k = min depth (Vec.length trace) in
-    acc := Array.init k (fun i -> copy_decision (Vec.get trace i)) :: !acc;
-    Vec.truncate trace k;
-    if not (Explorer.backtrack trace) then continue_ := false
-  done;
-  List.rev !acc
-
-(* Split-depth heuristic: deepen until there are enough subtrees to keep
-   every domain busy (so one slow subtree does not serialize the pool),
-   stopping once the count plateaus — at that point every prefix is a
-   full path and deepening only re-runs the whole tree. Each probe costs
-   one run per prefix, negligible against full exploration. *)
-let auto_split ~config ~jobs main =
-  let target = 4 * jobs in
-  let rec go depth prev =
-    let ps = prefixes ~config ~depth main in
-    let n = List.length ps in
-    if n >= target || depth >= 16 || n = prev then ps else go (depth + 3) n
-  in
-  go 3 (-1)
-
 (* ------------------------------------------------------------------ *)
 (* Merging                                                             *)
 
@@ -159,56 +120,6 @@ let make_stop ~halted = function
         else Atomic.get halted)
 
 (* ------------------------------------------------------------------ *)
-(* Static split: enumerate prefixes up front, drain them from a pool.   *)
-
-let explore_static ~config ?on_feasible ?check ?warm ~jobs ~split_depth main =
-  let t0 = Monotonic.now () in
-  let work =
-    Array.of_list
-      (match split_depth with
-      | Some depth -> prefixes ~config:config.Explorer.scheduler ~depth main
-      | None -> auto_split ~config:config.Explorer.scheduler ~jobs main)
-  in
-  let n = Array.length work in
-  (* Results indexed by prefix: merge order is the DFS order of the
-     enumeration, never completion order. *)
-  let results : Explorer.result option array = Array.make n None in
-  let halted = Atomic.make false in
-  let stop = make_stop ~halted config.Explorer.max_executions in
-  let subtree_config = { config with Explorer.max_executions = None } in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      if not (Atomic.get halted) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let trace = Vec.create () in
-          Array.iter (fun d -> Vec.push trace (copy_decision d)) work.(i);
-          let r =
-            Explorer.explore_subtree ~config:subtree_config ?on_feasible ?stop ?warm ~trace
-              ~frozen:(Array.length work.(i))
-              main
-          in
-          results.(i) <- Some r;
-          loop ()
-        end
-      end
-    in
-    loop ()
-  in
-  let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join domains;
-  let final_check = match check with Some f -> f () | None -> Explorer.no_check_counters in
-  let stopped = Atomic.get halted in
-  (* A None slot means the cap halted the pool before that subtree ran:
-     the merged result is truncated either way. *)
-  let ordered =
-    Array.to_list results |> List.filter_map (fun r -> r)
-  in
-  merge ~t0 ~stopped ~check:final_check ordered
-
-(* ------------------------------------------------------------------ *)
 (* Work stealing                                                       *)
 
 (* A unit of work: a frozen decision prefix pinning one subtree, plus its
@@ -294,7 +205,7 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
         if Atomic.get halted then finish item.key None
         else begin
           let trace = Vec.create () in
-          Array.iter (fun d -> Vec.push trace (copy_decision d)) item.prefix;
+          Array.iter (fun d -> Vec.push trace (Explorer.copy_decision d)) item.prefix;
           let r =
             Explorer.explore_subtree ~config:subtree_config ?on_feasible ?stop ?warm ~want_split
               ~on_split:give ~trace ~frozen:item.frozen main
@@ -314,13 +225,9 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
   in
   merge ~t0 ~stopped:(Atomic.get halted) ~check:final_check ordered
 
-let explore ?(config = Explorer.default_config) ?on_feasible ?check ?warm ?(jobs = 1)
-    ?split_depth ?(strategy = `Steal) main =
+let explore ?(config = Explorer.default_config) ?on_feasible ?check ?warm ?(jobs = 1) main =
   if jobs <= 1 then Explorer.explore ~config ?on_feasible ?check ?warm main
-  else
-    match strategy with
-    | `Static -> explore_static ~config ?on_feasible ?check ?warm ~jobs ~split_depth main
-    | `Steal -> explore_steal ~config ?on_feasible ?check ?warm ~jobs main
+  else explore_steal ~config ?on_feasible ?check ?warm ~jobs main
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                       *)

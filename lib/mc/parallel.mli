@@ -1,49 +1,30 @@
-(** Parallel state-space exploration across OCaml 5 domains.
-
-    Two partitioning strategies:
-
-    - [`Steal] (the default): the whole tree starts as one work item on a
-      shared queue; whenever a domain is starving, a busy domain donates
-      the shallowest unexplored sibling branches of its current DFS path
-      as a new item and freezes that level, so donated subtrees are
-      always DFS-after everything the donor keeps. The split adapts to
-      the actual tree shape — skewed trees that defeat a static prefix
-      split stay balanced.
-    - [`Static]: enumerate every realizable decision prefix up to a split
-      depth (one scheduler run per prefix, reusing the replay machinery)
-      and drain the fixed subtree list from a pool. Kept as the baseline
-      the work-stealing benchmarks compare against.
+(** Parallel state-space exploration across OCaml 5 domains, by work
+    stealing: the whole tree starts as one work item on a shared queue;
+    whenever a domain is starving, a busy domain donates the shallowest
+    unexplored sibling branches of its current DFS path as a new item
+    and freezes that level, so donated subtrees are always DFS-after
+    everything the donor keeps. The split adapts to the actual tree
+    shape, so skewed trees stay balanced.
 
     Determinism contract: for exhaustive runs ([max_executions = None])
     with pruning off, [explore ~jobs:n] reports exactly the serial
-    explorer's [stats] (modulo [time]) under either strategy — work
-    items partition the decision tree, and every run's outcome is a
-    function of its decision path alone. With [config.prune] on, each
-    work item keeps its own visited-state table, so [explored] and
-    [pruned_equiv] depend on where the tree was split; the *semantic*
-    outputs are still deterministic and identical to the serial pruned
-    run: the distinct-graph set ([graphs] / [distinct_graphs]), the
-    deduplicated bug list in the same order, the first buggy trace, and
-    hence all checker verdicts. Both guarantees rest on merging
-    per-subtree results in canonical prefix (DFS) order — work-item keys
-    are chosen-index paths, and their lexicographic order is DFS order —
+    explorer's [stats] (modulo [time]) — work items partition the
+    decision tree, and every run's outcome is a function of its decision
+    path alone. With [config.prune] on, each work item keeps its own
+    visited-state table, so [explored] and [pruned_equiv] depend on
+    where the tree was split; the *semantic* outputs are still
+    deterministic and identical to the serial pruned run: the
+    distinct-graph set ([graphs] / [distinct_graphs]), the deduplicated
+    bug list in the same order, the first buggy trace, and hence all
+    checker verdicts. Both guarantees rest on merging per-subtree
+    results in canonical prefix (DFS) order — work-item keys are
+    chosen-index paths, and their lexicographic order is DFS order —
     never completion order. With a [max_executions] cap the global cut
     point depends on domain interleaving, so truncated parallel runs may
     differ from truncated serial runs. *)
 
-(** [prefixes ~config ~depth main] enumerates every realizable decision
-    prefix of length <= [depth] in DFS order. The subtrees the prefixes
-    pin are pairwise disjoint and cover the whole tree. Exposed for the
-    coverage tests and the static split-depth heuristic. *)
-val prefixes :
-  config:Scheduler.config -> depth:int -> (unit -> unit) -> Scheduler.decision array list
-
-(** [explore ?jobs ?split_depth ?strategy main] explores like
-    {!Explorer.explore}. [jobs <= 1] (the default) is exactly the serial
-    explorer. [split_depth] only affects [`Static]; it defaults to a
-    heuristic that deepens until there are at least [4 * jobs] subtrees
-    (or the prefix count plateaus), so the queue stays long enough to
-    balance uneven subtree sizes.
+(** [explore ?jobs main] explores like {!Explorer.explore}. [jobs <= 1]
+    (the default) is exactly the serial explorer.
 
     [check] is snapshotted exactly once, after every domain has joined,
     and lands in the merged [stats.check]: the checking hook's counters
@@ -62,8 +43,6 @@ val explore :
   ?check:(unit -> Explorer.check_counters) ->
   ?warm:(Scheduler.prune_key, unit) Hashtbl.t ->
   ?jobs:int ->
-  ?split_depth:int ->
-  ?strategy:[ `Static | `Steal ] ->
   (unit -> unit) ->
   Explorer.result
 

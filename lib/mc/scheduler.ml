@@ -44,7 +44,6 @@ type config = {
   sleep_sets : bool;
   rf_kernel : bool;
   inline_visible : bool;
-  replay_finished : bool;
 }
 
 let default_config =
@@ -54,7 +53,6 @@ let default_config =
     sleep_sets = true;
     rf_kernel = true;
     inline_visible = true;
-    replay_finished = true;
   }
 
 type outcome =
@@ -167,7 +165,6 @@ type state = {
   mutable last_atomic : int option array;
   counters : counters;
   mutable values : int Vec.t array;  (* per-thread log of the values ops returned *)
-  mutable parents : int array;  (* spawning thread of each tid (-1 for main) *)
   mutable step_footprints : footprint list;  (* footprints of the current step *)
   mutable replaying : bool;  (* inside [replay_threads]: feed logged values, no commits *)
   mutable cur_tid : int;  (* thread whose fiber the scheduler is currently driving *)
@@ -204,11 +201,6 @@ let add_thread st status =
     let n = Array.length st.values in
     let values = Array.init (2 * (tid + 1)) (fun i -> if i < n then st.values.(i) else Vec.create ()) in
     st.values <- values
-  end;
-  if tid >= Array.length st.parents then begin
-    let parents = Array.make (2 * (tid + 1)) (-1) in
-    Array.blit st.parents 0 parents 0 st.nthreads;
-    st.parents <- parents
   end;
   st.threads.(tid) <- status;
   st.nthreads <- tid + 1;
@@ -516,7 +508,6 @@ let exec_invisible st tid (op : Program.op) =
   | Alloc { count; init } -> Execution.alloc st.exec ~tid ~count ~init
   | Spawn f ->
     let child = add_thread st (Not_started f) in
-    st.parents.(child) <- tid;
     ignore (Execution.commit_create st.exec ~tid ~child);
     child
   | Annotate annotation ->
@@ -788,7 +779,6 @@ let mk_state ?pick ?prune ~config ~trace main =
       last_atomic = Array.make 4 None;
       counters = counters_create ();
       values = Array.init 4 (fun _ -> Vec.create ());
-      parents = Array.make 4 (-1);
       step_footprints = [];
       replaying = false;
       cur_tid = 0;
@@ -853,34 +843,14 @@ type session = {
    guarantees each child's closure is registered before its own
    turn. *)
 let replay_threads st main (snap : snapshot) =
-  let n = snap.s_nthreads in
-  (* need_run: the closure re-executes, replayed up to its snapshot
-     position — always for paused threads (they resume live later) and,
-     under [replay_finished] (the default — see the config doc), for
-     finished threads too, so closure side effects the main closure's
-     replay reset are re-applied. With the flag off a finished thread
-     re-runs only when a descendant still needs its closure
-     re-registered by the finished thread's replayed [Spawn]s; one with
-     no such descendant is simply left [Finished] and its whole value
-     log is skipped. Not-started threads are merely re-registered by
-     their parent. [st.parents] needs no snapshotting: tids below
-     [s_nthreads] were spawned in the prefix shared by every run under
-     this snapshot, so their entries are never rewritten. *)
-  let need_run = Array.make n false in
-  for tid = 0 to n - 1 do
-    need_run.(tid) <-
-      (match snap.s_stat.(tid) with 1 -> true | 2 -> st.config.replay_finished | _ -> false)
-  done;
-  for tid = n - 1 downto 1 do
-    if need_run.(tid) || snap.s_stat.(tid) = 0 then need_run.(st.parents.(tid)) <- true
-  done;
+  let started tid = snap.s_stat.(tid) <> 0 in
   (* every fiber is stale (threads spawned after the snapshot are
      simply gone); parents re-register their children *)
   for tid = 0 to Array.length st.threads - 1 do
     drop_fiber st.threads.(tid);
     st.threads.(tid) <- Finished
   done;
-  if need_run.(0) then st.threads.(0) <- Not_started main;
+  if started 0 then st.threads.(0) <- Not_started main;
   (* Value feeding happens in the dispatcher's replay feed (no effect —
      and no [op] record — per replayed operation); a perform only
      reaches this handler when the thread's log is exhausted, i.e. at
@@ -924,12 +894,7 @@ let replay_threads st main (snap : snapshot) =
   let d = Domain.DLS.get Program.dispatch in
   let saved = d.Program.hook in
   d.Program.hook <- Some st.hook;
-  (* Replayed [Spawn]s re-register only children whose closure is still
-     needed; a skipped finished child must stay [Finished], not be
-     resurrected as runnable. *)
-  d.Program.rp_spawn <-
-    (fun child f ->
-      if need_run.(child) || snap.s_stat.(child) = 0 then st.threads.(child) <- Not_started f);
+  d.Program.rp_spawn <- (fun child f -> st.threads.(child) <- Not_started f);
   st.replaying <- true;
   Fun.protect
     ~finally:(fun () ->
@@ -937,8 +902,8 @@ let replay_threads st main (snap : snapshot) =
       d.Program.rp_limit <- 0;
       d.Program.hook <- saved)
     (fun () ->
-      for tid = 0 to n - 1 do
-        if need_run.(tid) then begin
+      for tid = 0 to snap.s_nthreads - 1 do
+        if started tid then begin
           match st.threads.(tid) with
           | Not_started f ->
             st.cur_tid <- tid;

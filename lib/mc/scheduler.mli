@@ -64,7 +64,7 @@ type config = {
       (** Route rf-candidate filtering through the incremental
           {!C11.Rf_kernel} fast path (see {!C11.Execution.create}).
           Graph sets, bug lists and verdicts are identical either way;
-          off exists as the escape hatch / differential baseline. *)
+          off is the reference the tests compare against. *)
   inline_visible : bool;
       (** Commit a visible operation inside the running fiber — no
           effect round-trip — when no other thread is enabled, i.e. when
@@ -72,20 +72,8 @@ type config = {
           decision recorded, no prune-key check). Value-level choices the
           commit makes (reads-from, CAS direction) are still recorded in
           the trace, so explored graph sets, decision traces, bug lists
-          and prune behaviour are identical either way; off exists as
-          the escape hatch / differential baseline. *)
-  replay_finished : bool;
-      (** Re-run the closures of threads that had already finished at
-          the restore point of a session restore (the default). The
-          engine itself never needs this — graphs, traces, annotations
-          and bugs are all restored engine-side — but user closures may
-          publish observations through shared mutable state that the
-          main closure's replay resets, and only a full re-run
-          reconstructs them (the SC-oracle observation pattern). Turn
-          it off — skipping each such thread's whole replay — only when
-          every consumer of the run (feasible callbacks, verdicts)
-          reads engine state alone, as annotation-based
-          specification checking does. *)
+          and prune behaviour are identical either way; off is the
+          plain fiber path the tests compare against. *)
 }
 
 val default_config : config

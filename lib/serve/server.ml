@@ -66,6 +66,13 @@ let str_field j name = Option.bind (J.member name j) J.to_str
 
 let int_field j name = Option.bind (J.member name j) J.to_int
 
+(* A job's [max_executions] cap must be at least 1: a smaller one would
+   explore one run and report it truncated. *)
+let cap_error j =
+  match int_field j "max_executions" with
+  | Some n when n < 1 -> Some (Printf.sprintf "max_executions must be at least 1 (got %d)" n)
+  | _ -> None
+
 let bool_field j name =
   match J.member name j with Some (J.Bool b) -> Some b | _ -> None
 
@@ -290,7 +297,10 @@ let submit_job server conn ~op run req =
           (* A job that raises (say, its store directory vanished) still
              ends with a structured event: the pool would only log the
              exception, leaving the client waiting for a [done]. *)
-          try run server conn ~job req
+          try
+            match cap_error req with
+            | Some m -> send_error conn ~job m
+            | None -> run server conn ~job req
           with e -> send_error conn ~job (Printf.sprintf "%s failed: %s" op (Printexc.to_string e))))
 
 let handle_request server conn line =

@@ -91,62 +91,60 @@ let test_parallel_differential () =
     [ "Lazy Init"; "Seqlock"; "Treiber Stack" ]
 
 (* Commit-path mode identity: the first-run direct-dispatch hook
-   ([inline_visible]) and the finished-thread replay skip
-   ([replay_finished = false], sound here because registry programs
-   publish observations only through the execution graph) are pure
-   optimizations — every combination must produce the same stats, graph
-   sets, bug lists and first traces as the plain fiber path. *)
-let run_modes ~inline ~replay_finished ~prune ~jobs ~cap (b : B.t) (t : B.test) =
-  let scheduler = { b.scheduler with S.inline_visible = inline; replay_finished } in
+   ([inline_visible]) is a pure optimization — with the specification
+   checker on, both settings must produce the same stats, graph sets,
+   bug lists and first traces. *)
+let run_modes ?loop_bound ~inline ~prune ~jobs ~cap (b : B.t) (t : B.test) =
+  let scheduler = { b.scheduler with S.inline_visible = inline } in
+  let scheduler =
+    match loop_bound with None -> scheduler | Some loop_bound -> { scheduler with loop_bound }
+  in
   E.(
     Mc.Parallel.explore ~jobs
       ~config:{ default_config with scheduler; engine = `Arena; prune; max_executions = cap }
+      ~on_feasible:(Cdsspec.Checker.hook b.spec)
       (t.program (Structures.Ords.default b.sites)))
 
-let mode_combos =
-  [ (false, true); (true, true); (false, false); (true, false) ]
-
+(* Serial DFS is deterministic and the dispatch mode never changes a
+   decision, so capped rows compare byte-for-byte too. *)
 let test_commit_mode_identity () =
   List.iter
-    (fun name ->
-      let b = find name in
+    (fun (b : B.t) ->
       let t = List.hd b.tests in
       List.iter
         (fun prune ->
-          let base =
-            run_modes ~inline:false ~replay_finished:true ~prune ~jobs:1 ~cap:(Some 10_000) b t
-          in
-          List.iter
-            (fun (inline, rf) ->
-              let m = run_modes ~inline ~replay_finished:rf ~prune ~jobs:1 ~cap:(Some 10_000) b t in
-              let n =
-                Printf.sprintf "%s/%s inline=%b replay_finished=%b prune=%b" name t.test_name
-                  inline rf prune
-              in
-              check_identical n m base)
-            mode_combos)
+          let off = run_modes ~inline:false ~prune ~jobs:1 ~cap:(Some 10_000) b t in
+          let on = run_modes ~inline:true ~prune ~jobs:1 ~cap:(Some 10_000) b t in
+          check_identical (Printf.sprintf "%s/%s prune=%b" b.name t.test_name prune) on off)
         [ true; false ])
-    [ "MCS Lock"; "Chase-Lev Deque"; "Seqlock"; "Bounded Queue" ]
+    Structures.Registry.exhaustive
 
-(* The same four mode combinations under -j2 work stealing: donation
-   timing varies the counters, so compare the order-independent
-   outputs. *)
+(* Spin-heavy rows with pruning off: long per-location histories and a
+   restore before almost every run, the regime where inline commits
+   and their mid-step snapshots do the most work. *)
+let test_commit_mode_identity_spin () =
+  List.iter
+    (fun (name, test_name, loop_bound) ->
+      let b = find name in
+      let t = List.find (fun (t : B.test) -> t.test_name = test_name) b.tests in
+      let off = run_modes ?loop_bound ~inline:false ~prune:false ~jobs:1 ~cap:(Some 20_000) b t in
+      let on = run_modes ?loop_bound ~inline:true ~prune:false ~jobs:1 ~cap:(Some 20_000) b t in
+      check_identical (Printf.sprintf "%s/%s prune=false" name test_name) on off)
+    [ ("MCS Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
+
+(* Under -j2 work stealing donation timing varies the counters, so
+   compare the order-independent outputs. *)
 let test_commit_mode_identity_parallel () =
   let b = find "MCS Lock" in
   let t = List.hd b.tests in
-  let base = run_modes ~inline:false ~replay_finished:true ~prune:true ~jobs:2 ~cap:None b t in
-  List.iter
-    (fun (inline, rf) ->
-      let m = run_modes ~inline ~replay_finished:rf ~prune:true ~jobs:2 ~cap:None b t in
-      let n = Printf.sprintf "-j2 inline=%b replay_finished=%b" inline rf in
-      Alcotest.(check bool) (n ^ ": graph set") true (m.graphs = base.graphs);
-      Alcotest.(check (list string))
-        (n ^ ": bug keys")
-        (List.map Mc.Bug.key base.bugs)
-        (List.map Mc.Bug.key m.bugs);
-      Alcotest.(check (option string)) (n ^ ": first trace") base.first_buggy_trace
-        m.first_buggy_trace)
-    mode_combos
+  let off = run_modes ~inline:false ~prune:true ~jobs:2 ~cap:None b t in
+  let on = run_modes ~inline:true ~prune:true ~jobs:2 ~cap:None b t in
+  Alcotest.(check bool) "-j2: graph set" true (on.graphs = off.graphs);
+  Alcotest.(check (list string))
+    "-j2: bug keys"
+    (List.map Mc.Bug.key off.bugs)
+    (List.map Mc.Bug.key on.bugs);
+  Alcotest.(check (option string)) "-j2: first trace" off.first_buggy_trace on.first_buggy_trace
 
 (* Seeded fuzz campaigns ride the identical decision stream whatever the
    dispatch mode: inline commits never consume a pick, so bugs, coverage
@@ -154,34 +152,28 @@ let test_commit_mode_identity_parallel () =
 let test_commit_mode_identity_fuzz () =
   let b = find "Seqlock" in
   let t = List.hd b.tests in
-  let campaign ~inline ~replay_finished =
+  let campaign ~inline =
     Fuzz.Engine.run
       ~config:
         {
           Fuzz.Engine.default_config with
-          scheduler =
-            { b.scheduler with S.sleep_sets = false; inline_visible = inline; replay_finished };
+          scheduler = { b.scheduler with S.sleep_sets = false; inline_visible = inline };
           max_executions = Some 2_000;
         }
       ~seed:42
       (t.program (Structures.Ords.default b.sites))
   in
-  let base = campaign ~inline:false ~replay_finished:true in
-  List.iter
-    (fun (inline, rf) ->
-      let r = campaign ~inline ~replay_finished:rf in
-      let n = Printf.sprintf "fuzz inline=%b replay_finished=%b" inline rf in
-      Alcotest.(check int) (n ^ ": feasible") base.stats.feasible r.stats.feasible;
-      Alcotest.(check int) (n ^ ": coverage") base.stats.coverage r.stats.coverage;
-      Alcotest.(check (list string))
-        (n ^ ": found bugs")
-        (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) base.found)
-        (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) r.found);
-      Alcotest.(check (list string))
-        (n ^ ": reproducer traces")
-        (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) base.found)
-        (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) r.found))
-    mode_combos
+  let off = campaign ~inline:false and on = campaign ~inline:true in
+  Alcotest.(check int) "fuzz: feasible" off.stats.feasible on.stats.feasible;
+  Alcotest.(check int) "fuzz: coverage" off.stats.coverage on.stats.coverage;
+  Alcotest.(check (list string))
+    "fuzz: found bugs"
+    (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) off.found)
+    (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) on.found);
+  Alcotest.(check (list string))
+    "fuzz: reproducer traces"
+    (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) off.found)
+    (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) on.found)
 
 (* Same seed, same campaign: the fuzzer rides the same commit path as
    the engines (direct-dispatch hook included), so a seeded campaign
@@ -404,6 +396,7 @@ let () =
       ( "commit-modes",
         [
           Alcotest.test_case "serial" `Quick test_commit_mode_identity;
+          Alcotest.test_case "spin rows, prune off" `Quick test_commit_mode_identity_spin;
           Alcotest.test_case "work stealing -j2" `Quick test_commit_mode_identity_parallel;
           Alcotest.test_case "seeded fuzz" `Quick test_commit_mode_identity_fuzz;
         ] );

@@ -1,12 +1,11 @@
 (* The parallel explorer's determinism contract: for exhaustive runs
    with pruning off, [Parallel.explore ~jobs:n] must report exactly the
    serial explorer's stats, bug list (same keys, same order) and first
-   buggy trace under both partitioning strategies — and the prefix
-   partition the static strategy parallelizes over must cover the
-   decision tree with no duplicates. With pruning on, the run-count
-   stats are split-dependent by design, but the semantic outputs
-   (distinct-graph set, bug list, first buggy trace) must still match
-   the serial pruned run. *)
+   buggy trace — and subtrees pinned by frozen decision prefixes, the
+   unit work stealing donates, must cover the decision tree with no
+   duplicates. With pruning on, the run-count stats are split-dependent
+   by design, but the semantic outputs (distinct-graph set, bug list,
+   first buggy trace) must still match the serial pruned run. *)
 
 module P = Mc.Program
 module E = Mc.Explorer
@@ -19,9 +18,9 @@ let bench name =
   | Some b -> b
   | None -> Alcotest.fail ("unknown benchmark " ^ name)
 
-let explore_bench ?(prune = false) ?strategy ~jobs (b : Structures.Benchmark.t) ords
+let explore_bench ?(prune = false) ~jobs (b : Structures.Benchmark.t) ords
     (t : Structures.Benchmark.test) =
-  Par.explore ~jobs ?strategy
+  Par.explore ~jobs
     ~config:{ E.default_config with scheduler = b.scheduler; prune }
     ~on_feasible:(Cdsspec.Checker.hook b.spec)
     (t.program ords)
@@ -29,13 +28,13 @@ let explore_bench ?(prune = false) ?strategy ~jobs (b : Structures.Benchmark.t) 
 (* ------------------------ determinism ----------------------------- *)
 
 (* Pruning off: runs partition exactly across work items, so every
-   counter must match the serial explorer under either strategy. *)
-let check_deterministic ?ords ?strategy name =
+   counter must match the serial explorer. *)
+let check_deterministic ?ords name =
   let b = bench name in
   let t = List.hd b.tests in
   let ords = match ords with Some o -> o | None -> Structures.Ords.default b.sites in
   let s = explore_bench ~jobs:1 b ords t in
-  let p = explore_bench ?strategy ~jobs:4 b ords t in
+  let p = explore_bench ~jobs:4 b ords t in
   Alcotest.(check int) (name ^ ": explored") s.stats.explored p.stats.explored;
   Alcotest.(check int) (name ^ ": feasible") s.stats.feasible p.stats.feasible;
   Alcotest.(check int) (name ^ ": buggy") s.stats.buggy p.stats.buggy;
@@ -58,11 +57,6 @@ let check_deterministic ?ords ?strategy name =
 let test_registry_determinism () =
   List.iter check_deterministic
     [ "Treiber Stack"; "SPSC Queue"; "Ticket Lock"; "Seqlock"; "M&S Queue" ]
-
-let test_registry_determinism_static () =
-  List.iter
-    (check_deterministic ~strategy:`Static)
-    [ "Treiber Stack"; "Ticket Lock"; "Seqlock" ]
 
 (* Pruning on: semantic outputs only — graph set, bug keys in order,
    first buggy trace. Run counts are split-dependent (each work item has
@@ -93,7 +87,6 @@ let test_pruned_determinism () =
 let test_buggy_determinism () =
   let ords = snd (List.hd Structures.Ms_queue.known_bugs) in
   check_deterministic ~ords "M&S Queue";
-  check_deterministic ~ords ~strategy:`Static "M&S Queue";
   let b = bench "M&S Queue" in
   let t = List.hd b.Structures.Benchmark.tests in
   let r = explore_bench ~jobs:4 b ords t in
@@ -152,6 +145,23 @@ let sb_program () =
   P.join t1;
   P.join t2
 
+(* Every realizable decision prefix of length <= [depth], in DFS order:
+   run once to materialize the current path, snapshot its first [depth]
+   decisions, then truncate the trace to the prefix and backtrack
+   within it. *)
+let prefixes ~config ~depth main =
+  let trace : Mc.Scheduler.decision Vec.t = Vec.create () in
+  let acc = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    ignore (Mc.Scheduler.run ~config ~trace main);
+    let k = min depth (Vec.length trace) in
+    acc := Array.init k (fun i -> E.copy_decision (Vec.get trace i)) :: !acc;
+    Vec.truncate trace k;
+    if not (E.backtrack trace) then continue_ := false
+  done;
+  List.rev !acc
+
 let prefix_key p =
   Array.to_list
     (Array.map (fun d -> (Mc.Scheduler.decision_arity d, Mc.Scheduler.decision_chosen d)) p)
@@ -165,7 +175,7 @@ let test_prefix_cover () =
   Alcotest.(check bool) "tree is nontrivial" true (serial.stats.explored > 10);
   List.iter
     (fun depth ->
-      let ps = Par.prefixes ~config:config.scheduler ~depth sb_program in
+      let ps = prefixes ~config:config.scheduler ~depth sb_program in
       let keys = List.map prefix_key ps in
       Alcotest.(check int)
         (Printf.sprintf "depth %d: prefixes distinct" depth)
@@ -214,8 +224,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "registry benchmarks (steal)" `Quick test_registry_determinism;
-          Alcotest.test_case "registry benchmarks (static)" `Quick
-            test_registry_determinism_static;
           Alcotest.test_case "pruned semantic determinism" `Quick test_pruned_determinism;
           Alcotest.test_case "buggy configuration" `Quick test_buggy_determinism;
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;

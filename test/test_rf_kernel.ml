@@ -135,9 +135,9 @@ let checker = Cdsspec.Checker.default_config
 let with_kernel (b : B.t) on =
   { b with B.scheduler = { b.B.scheduler with Mc.Scheduler.rf_kernel = on } }
 
-let runk b on jobs ords t =
+let runk ?(prune = true) ?(cap = cap) b on jobs ords t =
   fst
-    (Store.explore_checked ~checker ~use_cache:true ~max_execs:(Some cap) ~jobs ~prune:true
+    (Store.explore_checked ~checker ~use_cache:true ~max_execs:(Some cap) ~jobs ~prune
        ~engine:`Arena (with_kernel b on) ~ords t)
 
 let keys (r : Mc.Explorer.result) = List.map Mc.Bug.key r.bugs
@@ -166,16 +166,44 @@ let test_explorer_equivalence () =
       Alcotest.(check int) (where ^ ": rf rejected") off.stats.rf_rejected on.stats.rf_rejected;
       Alcotest.(check int) (where ^ ": kernel-off takes no fast path") 0 off.stats.rf_fast;
       fast_total := !fast_total + on.stats.rf_fast;
-      (* parallel kernel-on run agrees with the serial pair *)
-      if not on.stats.truncated then begin
-        let on2 = runk b true 2 ords t in
-        Alcotest.(check bool) (where ^ ": -j2 graph sets identical") true (on.graphs = on2.graphs);
-        Alcotest.(check (list string)) (where ^ ": -j2 bug keys") (keys on) (keys on2)
-      end)
+      (* parallel runs in both modes agree with the serial pair *)
+      if not on.stats.truncated then
+        List.iter
+          (fun kernel ->
+            let r = runk b kernel 2 ords t in
+            let leg = Printf.sprintf "%s: -j2 kernel %s" where (if kernel then "on" else "off") in
+            Alcotest.(check bool) (leg ^ " graph sets identical") true (on.graphs = r.graphs);
+            Alcotest.(check (list string)) (leg ^ " bug keys") (keys on) (keys r))
+          [ true; false ])
     Structures.Registry.exhaustive;
   Alcotest.(check bool)
     (Printf.sprintf "fast path not vacuous (%d memo hits)" !fast_total)
     true (!fast_total > 0)
+
+(* Spin-heavy rows with pruning off: long per-location histories
+   rescanned on every read, the regime the kernel's summaries target.
+   Serial DFS with a cap truncates deterministically, so the capped
+   prefixes compare exactly. *)
+let test_spin_rows () =
+  List.iter
+    (fun (name, test_name, loop_bound) ->
+      let b = Option.get (Structures.Registry.find name) in
+      let b =
+        match loop_bound with
+        | None -> b
+        | Some loop_bound -> { b with B.scheduler = { b.B.scheduler with loop_bound } }
+      in
+      let t = List.find (fun (t : B.test) -> t.B.test_name = test_name) b.B.tests in
+      let ords = Ords.default b.B.sites in
+      let where = name ^ "/" ^ test_name in
+      let on = runk ~prune:false ~cap:20_000 b true 1 ords t in
+      let off = runk ~prune:false ~cap:20_000 b false 1 ords t in
+      Alcotest.(check int) (where ^ ": explored") off.stats.explored on.stats.explored;
+      Alcotest.(check bool) (where ^ ": graph sets identical") true (on.graphs = off.graphs);
+      Alcotest.(check (list string)) (where ^ ": bug keys") (keys off) (keys on);
+      Alcotest.(check int) (where ^ ": rf queries") off.stats.rf_queries on.stats.rf_queries;
+      Alcotest.(check int) (where ^ ": rf rejected") off.stats.rf_rejected on.stats.rf_rejected)
+    [ ("MCS Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
 
 let () =
   Alcotest.run "rf-kernel"
@@ -183,5 +211,8 @@ let () =
       ( "window",
         [ Alcotest.test_case "randomized window differential" `Quick test_window_differential ] );
       ( "explorer",
-        [ Alcotest.test_case "kernel on/off equivalence" `Slow test_explorer_equivalence ] );
+        [
+          Alcotest.test_case "kernel on/off equivalence" `Slow test_explorer_equivalence;
+          Alcotest.test_case "spin rows, prune off" `Slow test_spin_rows;
+        ] );
     ]

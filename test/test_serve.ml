@@ -251,6 +251,34 @@ let test_bad_override () =
           | Serve.Client.Msg j -> Alcotest.(check (option string)) "error" (Some "error") (ev j)
           | _ -> Alcotest.fail "no error event"))
 
+(* A cap below 1 would explore one run and report it truncated: every
+   job op answers it with one structured error carrying the job id. *)
+let test_bad_cap () =
+  with_server ~jobs:1 (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          List.iter
+            (fun (op, n) ->
+              let job =
+                submit c
+                  (J.Obj
+                     [
+                       ("op", J.Str op);
+                       ("bench", J.Str "Treiber Stack");
+                       ("max_executions", J.Int n);
+                     ])
+              in
+              match wait_job c ~job with
+              | [ j ] ->
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s max_executions=%d: error" op n)
+                  (Some "error") (ev j)
+              | evs ->
+                Alcotest.fail
+                  (Printf.sprintf "%s max_executions=%d: expected one error event, got %d events"
+                     op n (List.length evs)))
+            [ ("check", 0); ("check", -5); ("lint", 0) ]))
+
 let test_concurrent_clients () =
   (* two clients with overlapping jobs on a 2-worker pool; each client's
      verdicts must match a direct run of the same job *)
@@ -434,6 +462,7 @@ let () =
           Alcotest.test_case "ping and list" `Quick test_ping_and_list;
           Alcotest.test_case "unknown bench suggestions" `Quick test_unknown_bench_suggestions;
           Alcotest.test_case "bad override" `Quick test_bad_override;
+          Alcotest.test_case "max_executions below 1" `Quick test_bad_cap;
           Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
