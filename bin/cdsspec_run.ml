@@ -134,9 +134,9 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
                    ops (%.1f/exec)@."
       s.commits (per s.commits) s.fiber_switches (per s.fiber_switches) s.inline_ops
       (per s.inline_ops);
-    Format.printf "  profile: %d rf queries (%d fast, %d rejected), %d snapshots, %d restores, \
+    Format.printf "  profile: %d rf queries (%d rejected), %d snapshots, %d restores, \
                    check cache %d/%d@."
-      s.rf_queries s.rf_fast s.rf_rejected s.snapshots s.restores s.check.cache_hits
+      s.rf_queries s.rf_rejected s.snapshots s.restores s.check.cache_hits
       (s.check.cache_hits + s.check.cache_misses)
   end;
   r
@@ -149,7 +149,7 @@ let fuzz_one ~checker ~use_cache ~max_execs ~seed ~time_budget ~bias (b : B.t) ~
       ~config:
         {
           Fuzz.Engine.default_config with
-          scheduler = { b.scheduler with Mc.Scheduler.sleep_sets = false };
+          scheduler = b.scheduler;
           bias;
           max_executions = max_execs;
           time_budget;
@@ -180,7 +180,7 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
   let cache = Cdsspec.Checker.create_cache ~memoize:use_cache () in
   let run_r, bugs =
     Fuzz.Engine.replay
-      ~scheduler:{ b.scheduler with Mc.Scheduler.sleep_sets = false }
+      ~scheduler:b.scheduler
       ~on_feasible:(Cdsspec.Checker.hook ~config:checker ~cache b.spec)
       ~decisions (t.program ords)
   in

@@ -26,10 +26,9 @@
      pointwise scan.
    - physical equality still implies [equal]: for arrays as before
      (joins return an argument unchanged when nothing grew), for packed
-     unconditionally. The journal-on-[!=] checks in [Execution] and the
-     [==]-certified foreign-floor memo in [Rf_kernel] therefore stay
-     sound and only gain hits — two packed clocks that happen to agree
-     now certify each other even when built independently.
+     unconditionally. The journal-on-[!=] checks in [Execution]
+     therefore stay sound: [!=] only ever means a possible change, and
+     skipping a journal entry for an unchanged value loses nothing.
 
    A second invariant keeps [pp] canonical: every array form has a
    nonzero last entry (constructors size arrays to the highest nonzero

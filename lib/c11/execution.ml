@@ -68,12 +68,6 @@ type thread_state = {
   mutable release_fence : Clock.t option;  (* clock at the latest release fence *)
   mutable sc_fences : (int * int) list;  (* (seq, commit id), newest first *)
   mutable inherited : Clock.t;  (* parent clock at Create, joined at Start *)
-  mutable fclock : Clock.t;
-      (* foreign-knowledge clock: agrees with [clock] on every entry but
-         the thread's own, and — the property the rf-kernel memo keys
-         on — changes object identity only when a join actually adds
-         foreign knowledge. Own-seq bumps leave it untouched, so a
-         spin-loop re-reading the same store keeps the same object. *)
   mutable fp_chain : int;  (* fingerprint chain over this thread's actions *)
   chain : int Vec.t;  (* this thread's action ids, in commit order *)
   fp_hist : int Vec.t;  (* fp_chain value before each of this thread's actions *)
@@ -88,7 +82,6 @@ type jentry =
   | J_pending of int * Clock.t  (* tid, previous pending_acquire *)
   | J_release_fence of int * Clock.t option  (* tid, previous release_fence *)
   | J_inherited of int * Clock.t  (* tid, previous inherited *)
-  | J_fclock of int * Clock.t  (* tid, previous foreign-knowledge clock *)
   | J_next_loc of int  (* previous next_loc *)
 
 type loc_state = {
@@ -121,18 +114,17 @@ type t = {
   mutable fp_sc : int;  (* fingerprint chain over the SC order *)
   fp_sc_hist : int Vec.t;  (* fp_sc value before each seq_cst action *)
   journal : jentry Vec.t;
-  use_kernel : bool;  (* route candidate floors through the rf kernel *)
   mutable sc_fence_live : int;
       (* committed seq_cst fences across all threads. Zero means the
-         fence-mediated SC rules (29.3p5/p6/p7) are all vacuous, which
-         is what licenses the kernel's O(1) fast path. *)
+         fence-mediated SC rules (29.3p5/p6/p7) are all vacuous, so the
+         kernel's floor skips them. *)
   rfc : Rf_kernel.counters;
   mutable n_commits : int;
       (* cumulative actions committed, never rewound by [restore] —
          a phase counter, like [rfc], not graph state *)
 }
 
-let create ?(rf_kernel = true) () =
+let create () =
   {
     actions = Vec.create ();
     mo_idx = Vec.create ();
@@ -143,13 +135,12 @@ let create ?(rf_kernel = true) () =
     fp_sc = 0;
     fp_sc_hist = Vec.create ();
     journal = Vec.create ();
-    use_kernel = rf_kernel;
     sc_fence_live = 0;
     rfc = Rf_kernel.counters_create ();
     n_commits = 0;
   }
 
-let rf_counters t = (t.rfc.Rf_kernel.queries, t.rfc.Rf_kernel.fast, t.rfc.Rf_kernel.rejected)
+let rf_counters t = (t.rfc.Rf_kernel.queries, t.rfc.Rf_kernel.rejected)
 let commit_count t = t.n_commits
 
 let new_thread_state () =
@@ -160,7 +151,6 @@ let new_thread_state () =
     release_fence = None;
     sc_fences = [];
     inherited = Clock.empty;
-    fclock = Clock.empty;
     fp_chain = 0;
     chain = Vec.create ();
     fp_hist = Vec.create ();
@@ -340,7 +330,7 @@ let store_index t (w : Action.t) =
    Reference implementation: rescans the full store and read lists per
    query. Kept verbatim as the oracle for the differential tests of the
    incremental version below. *)
-let min_readable_index_ref t ~tid ~mo (ls : loc_state) =
+let min_readable_ref t ~tid ~mo (ls : loc_state) =
   let ts = thread t tid in
   let n = Vec.length ls.stores in
   let min_idx = ref 0 in
@@ -409,102 +399,25 @@ let min_readable_index_ref t ~tid ~mo (ls : loc_state) =
     with Exit -> ());
   !min_idx
 
-(* Incremental version: every rule reduces to "newest store (or read)
-   of thread [u] with seq below a bound", answered by binary search on
-   the kernel's per-(location, thread) monotone columns —
-   O(threads * log stores) per query instead of O(stores + reads).
-   This is the full-rule path; it stays correct with live seq_cst
-   fences, which the memoized fast path below does not handle. *)
-let min_readable_index t ~tid ~mo (ls : loc_state) =
-  let ts = thread t tid in
-  let k = ls.rfk in
-  let min_idx = ref 0 in
-  let raise_to i = if i > !min_idx then min_idx := i in
-  let ntl = Array.length k.Rf_kernel.per_tid in
-  (* CoWR/CoRW + CoRR: newest hb-visible write, and the newest mo index
-     observed by an hb-visible read, per committing thread *)
-  for u = 0 to ntl - 1 do
-    match k.Rf_kernel.per_tid.(u) with
-    | None -> ()
-    | Some tl ->
-      let bound = Clock.get ts.clock u in
-      if bound > 0 then begin
-        (match Rf_kernel.bsearch_le tl.Rf_kernel.w_seq bound with
-        | -1 -> ()
-        | j -> raise_to (Vec.get tl.Rf_kernel.w_idx j));
-        match Rf_kernel.bsearch_le tl.Rf_kernel.r_seq bound with
-        | -1 -> ()
-        | j -> raise_to (Vec.get tl.Rf_kernel.r_idx j)
-      end
-  done;
-  let nthreads = Array.length t.threads in
-  (* seq_cst load: at least the newest seq_cst store (29.3p3), and the
-     newest store sequenced before any seq_cst fence (29.3p6) *)
-  if Memory_order.is_seq_cst mo then begin
-    if not (Vec.is_empty k.Rf_kernel.sc_idx) then raise_to (Vec.last k.Rf_kernel.sc_idx);
-    for u = 0 to ntl - 1 do
-      match k.Rf_kernel.per_tid.(u) with
-      | None -> ()
-      | Some tl when u < nthreads -> (
-        match t.threads.(u).sc_fences with
-        | [] -> ()
-        | (fence_seq, _) :: _ -> (
-          (* newest store by [u] sequenced before u's newest sc fence *)
-          match Rf_kernel.bsearch_le tl.Rf_kernel.w_seq (fence_seq - 1) with
-          | -1 -> ()
-          | j -> raise_to (Vec.get tl.Rf_kernel.w_idx j)))
-      | Some _ -> ()
-    done
-  end;
-  (match ts.sc_fences with
-  | [] -> ()
-  | (_, fence_id) :: _ ->
-    (* seq_cst fence sequenced before the load (29.3p5): newest seq_cst
-       store committed before that fence *)
-    (match Rf_kernel.bsearch_le k.Rf_kernel.sc_ids (fence_id - 1) with
-    | -1 -> ()
-    | j -> raise_to (Vec.get k.Rf_kernel.sc_idx j));
-    (* fence-to-fence (29.3p7): store before fence X, X before our fence.
-       Per thread, seq and commit id grow together along its fence list,
-       so the newest fence with id < fence_id also has the largest seq. *)
-    for u = 0 to ntl - 1 do
-      match k.Rf_kernel.per_tid.(u) with
-      | None -> ()
-      | Some tl when u < nthreads -> (
-        match List.find_opt (fun (_, id) -> id < fence_id) t.threads.(u).sc_fences with
-        | None -> ()
-        | Some (fence_seq, _) -> (
-          match Rf_kernel.bsearch_le tl.Rf_kernel.w_seq (fence_seq - 1) with
-          | -1 -> ()
-          | j -> raise_to (Vec.get tl.Rf_kernel.w_idx j)))
-      | Some _ -> ()
-    done);
-  !min_idx
+(* A thread's seq_cst fences, for the kernel's fence rules. Top-level
+   and closed, so passing it to [Rf_kernel.floor] allocates nothing. *)
+let sc_fences threads u = if u < Array.length threads then threads.(u).sc_fences else []
 
-(* Dispatching floor query: with the kernel enabled and no live seq_cst
-   fence, every fence-mediated SC rule is vacuous and the floor
-   decomposes into three O(1)-or-memoized parts — the reader's own
-   column, the memoized foreign floor under its foreign-knowledge
-   clock, and (for seq_cst loads) the newest seq_cst store. That
-   computes the same value [min_readable_index] would; the differential
-   tests and the kernel-on/off bench gate hold the two paths to bit
-   identity. *)
+(* The floor query of the load path: the kernel's binary searches over
+   its per-(location, thread) coherence columns (see rf_kernel.mli),
+   O(threads * log stores) instead of the reference's O(stores + reads)
+   rescan. *)
 let min_readable t ~tid ~mo (ls : loc_state) =
+  let ts = thread t tid in
+  let floor =
+    Rf_kernel.floor ls.rfk ~tid ~clock:ts.clock ~sc:(Memory_order.is_seq_cst mo)
+      ~sc_fence_live:(t.sc_fence_live > 0) ~fences:sc_fences t.threads
+  in
   let c = t.rfc in
   c.Rf_kernel.queries <- c.Rf_kernel.queries + 1;
-  let min_idx =
-    if t.use_kernel && t.sc_fence_live = 0 then begin
-      let k = ls.rfk in
-      let ts = thread t tid in
-      let floor = max (Rf_kernel.own_floor k ~tid) (Rf_kernel.foreign_floor c k ~tid ~fclock:ts.fclock) in
-      if Memory_order.is_seq_cst mo then max floor (Vec.last_or k.Rf_kernel.sc_idx 0)
-      else floor
-    end
-    else min_readable_index t ~tid ~mo ls
-  in
   (* every unit of floor is one store excluded before replay *)
-  c.Rf_kernel.rejected <- c.Rf_kernel.rejected + min_idx;
-  min_idx
+  c.Rf_kernel.rejected <- c.Rf_kernel.rejected + floor;
+  floor
 
 let read_candidates_of min_readable t ~tid ~mo ~loc =
   let ls = loc_state t loc in
@@ -518,7 +431,7 @@ let read_candidates_of min_readable t ~tid ~mo ~loc =
   end
 
 let read_candidates t ~tid ~mo ~loc = read_candidates_of min_readable t ~tid ~mo ~loc
-let read_candidates_ref t ~tid ~mo ~loc = read_candidates_of min_readable_index_ref t ~tid ~mo ~loc
+let read_candidates_ref t ~tid ~mo ~loc = read_candidates_of min_readable_ref t ~tid ~mo ~loc
 
 (* Allocation-free variant for the hot load path: the candidate set is a
    contiguous mo-order suffix, so its size plus newest-first indexing
@@ -597,19 +510,6 @@ let mk_action t ts ~tid ~kind ~loc ~mo ?read_value ?written_value ?rf ?site ~clo
 
 let[@inline] base_clock ts tid = Clock.set ts.clock tid (ts.seq + 1)
 
-(* Fold newly-acquired knowledge into the thread's foreign-knowledge
-   clock, journaling only on a physical change ([Clock.join] returns its
-   first argument untouched when the second adds nothing — the common
-   spin-loop case). Called at exactly the sites where [clock] gains
-   foreign entries, which keeps the invariant that [fclock] and [clock]
-   agree outside the thread's own entry. *)
-let join_fclock t ts tid c =
-  let fc = Clock.join ts.fclock c in
-  if fc != ts.fclock then begin
-    Vec.push t.journal (J_fclock (tid, ts.fclock));
-    ts.fclock <- fc
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Monomorphic commit kernels                                          *)
 
@@ -618,10 +518,10 @@ let join_fclock t ts tid c =
    [commit_store]/[commit_rmw] respectively. The relaxed-class read
    kernel only feeds the pending-acquire accumulator (29.8p3); the
    acquire-class kernel additionally publishes the acquired clock into
-   the reader's clock and foreign-knowledge clock. Every kernel journals
-   only on a physical change: with packed clocks a join that adds
-   nothing returns (a value [==] to) its first operand, so spin-loop
-   re-reads of the same store touch neither the journal nor the heap. *)
+   the reader's clock. Every kernel journals only on a physical change:
+   with packed clocks a join that adds nothing returns (a value [==]
+   to) its first operand, so spin-loop re-reads of the same store touch
+   neither the journal nor the heap. *)
 
 let[@inline] read_half_pending t ts tid acquired =
   let pending = Clock.join ts.pending_acquire acquired in
@@ -635,7 +535,6 @@ let[@inline] read_half_relaxed t ts tid base acquired =
   base
 
 let[@inline] read_half_acquire t ts tid base acquired =
-  join_fclock t ts tid acquired;
   read_half_pending t ts tid acquired;
   Clock.join base acquired
 
@@ -764,11 +663,7 @@ let commit_fence t ~tid ~mo =
   let ts = thread t tid in
   let base = base_clock ts tid in
   let clock =
-    if Memory_order.is_acquire mo then begin
-      join_fclock t ts tid ts.pending_acquire;
-      Clock.join base ts.pending_acquire
-    end
-    else base
+    if Memory_order.is_acquire mo then Clock.join base ts.pending_acquire else base
   in
   let a =
     mk_action t ts ~tid ~kind:Action.Fence ~loc:Action.no_loc ~mo ~clock ~release_clock:None ()
@@ -797,7 +692,6 @@ let commit_create t ~tid ~child =
 
 let commit_start t ~tid =
   let ts = thread t tid in
-  join_fclock t ts tid ts.inherited;
   let clock = Clock.join (base_clock ts tid) ts.inherited in
   mk_action t ts ~tid ~kind:Action.Start ~loc:Action.no_loc ~mo:Memory_order.Relaxed ~clock
     ~release_clock:None ()
@@ -811,7 +705,6 @@ let commit_finish t ~tid =
 let commit_join t ~tid ~target =
   let ts = thread t tid in
   let target_clock = (thread t target).clock in
-  join_fclock t ts tid target_clock;
   let clock = Clock.join (base_clock ts tid) target_clock in
   mk_action t ts ~tid ~kind:(Action.Join target) ~loc:Action.no_loc ~mo:Memory_order.Relaxed ~clock
     ~release_clock:None ()
@@ -913,7 +806,6 @@ let restore t m =
     | J_pending (tid, c) -> t.threads.(tid).pending_acquire <- c
     | J_release_fence (tid, rf) -> t.threads.(tid).release_fence <- rf
     | J_inherited (tid, c) -> t.threads.(tid).inherited <- c
-    | J_fclock (tid, c) -> t.threads.(tid).fclock <- c
     | J_next_loc n -> t.next_loc <- n
   done
 
@@ -926,7 +818,6 @@ let copy t =
       release_fence = ts.release_fence;
       sc_fences = ts.sc_fences;
       inherited = ts.inherited;
-      fclock = ts.fclock;
       fp_chain = ts.fp_chain;
       chain = Vec.copy ts.chain;
       fp_hist = Vec.copy ts.fp_hist;
@@ -956,7 +847,6 @@ let copy t =
     fp_sc = t.fp_sc;
     fp_sc_hist = Vec.copy t.fp_sc_hist;
     journal = Vec.copy t.journal;
-    use_kernel = t.use_kernel;
     sc_fence_live = t.sc_fence_live;
     rfc = Rf_kernel.copy_counters t.rfc;
     n_commits = t.n_commits;

@@ -18,21 +18,17 @@ type problem =
   | Data_race of { first : Action.t; second : Action.t }
   | Uninitialized_load of Action.t
 
-(** [create ?rf_kernel ()]: [rf_kernel] (default on) routes candidate
-    filtering through the incremental {!Rf_kernel} fast path — the
-    memoized coherence floors that reject incoherent rf choices before
-    replay. With it off every query takes the full binary-search rule
-    walk; both paths compute identical floors, so graph sets, bug lists
-    and verdicts are bit-identical either way (the differential tests
-    and the bench equivalence gate enforce this). *)
-val create : ?rf_kernel:bool -> unit -> t
+(** An empty execution. Candidate filtering goes through the
+    incremental {!Rf_kernel}: its per-(location, thread) coherence
+    columns are fed on every commit and undo, and one {!Rf_kernel.floor}
+    query rejects incoherent rf choices before replay. *)
+val create : unit -> t
 
-(** [(queries, fast, rejected)] accumulated by candidate filtering on
-    this execution arena: floor queries answered, memoized O(1) answers
-    among them, and the total number of stores excluded before replay
-    (the sum of returned floors). Cumulative — never rewound by
-    {!restore}. *)
-val rf_counters : t -> int * int * int
+(** [(queries, rejected)] accumulated by candidate filtering on this
+    execution arena: floor queries answered, and the total number of
+    stores excluded before replay (the sum of returned floors).
+    Cumulative — never rewound by {!restore}. *)
+val rf_counters : t -> int * int
 
 (** Total actions committed on this arena since creation — the commit
     phase counter. Cumulative like {!rf_counters}: never rewound by

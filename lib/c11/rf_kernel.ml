@@ -3,78 +3,37 @@
    The per-location saturation state of the Tunç-style rf-consistency
    check, maintained on every [Execution] commit: per-(location, thread)
    write/read coherence orders (parallel monotone (seq, mo index)
-   columns) plus the per-location SC-store order. The state answers the
-   "smallest readable modification-order index" query the candidate
-   filters need, and memoizes its expensive half — the foreign-thread
-   coherence floor — so that the dominant spin-loop shape (a thread
-   re-polling a location without acquiring new foreign knowledge)
-   answers in O(1) instead of O(threads * log stores).
-
-   Memo soundness. The foreign floor of a reading thread [tid] at one
-   location is a pure function of
-     (a) the reader's foreign-knowledge clock (its vector clock
-         restricted to other threads), and
-     (b) the other threads' per-location coherence columns.
-   (a) is tracked physically: [Execution] maintains a per-thread
-   [fclock] that only changes object identity when a join actually adds
-   foreign knowledge, so pointer equality of the clock the memo was
-   computed from certifies (a) unchanged. (b) cannot be certified by
-   appends — but appends never matter: a clock entry for thread [u] is
-   always <= [u]'s committed seq, so any *new* entry of [u] has a seq
-   strictly above the memo clock's bound and falls outside every
-   binary-search window. Only *undos* can change (b) under the memo, and
-   those are counted: [era] on the location counts every undo event at
-   the location, [era] on each per-thread column counts that thread's
-   own undo events, and the memo stores their difference
-   [fera = loc.era - column(tid).era] — the number of *foreign* undo
-   events at memo time. Both counters are monotone (never journaled),
-   so [fera] is too: it increases exactly when a foreign undo occurs and
-   can never return to a previous value. A memo is therefore valid iff
-   its clock is pointer-equal and its [fera] is unchanged. Own-thread
-   undos bump both counters equally, so backtracking over the reader's
-   own tail — the common DFS sibling re-run — preserves its memos. *)
+   columns) plus the per-location SC-store order. Every rule of the
+   "smallest readable modification-order index" query reduces to "the
+   newest entry of thread [u]'s column with seq below a bound", one
+   binary search per column. *)
 
 type lt = {
   w_seq : int Vec.t;  (* seqs of this thread's writes here, ascending *)
   w_idx : int Vec.t;  (* their mo indices, ascending in lockstep *)
   r_seq : int Vec.t;  (* seqs of this thread's atomic reads here *)
   r_idx : int Vec.t;  (* the mo indices those reads observed *)
-  mutable era : int;  (* undo events of this thread's entries here *)
-  mutable memo_floor : int;  (* memoized foreign floor; -1 = none *)
-  mutable memo_fclock : Clock.t;  (* fclock the memo was computed from *)
-  mutable memo_fera : int;  (* foreign undo count at memo time *)
 }
 
 type loc = {
   mutable per_tid : lt option array;  (* grown on demand *)
   sc_ids : int Vec.t;  (* commit ids of seq_cst stores, increasing *)
   sc_idx : int Vec.t;  (* their mo indices, increasing *)
-  mutable era : int;  (* undo events at this location *)
 }
 
 (* Pre-replay rejection statistics, shared across a whole execution
    arena (one record per [Execution.t]): [queries] counts candidate
-   floor computations, [fast] the memoized O(1) answers among them, and
-   [rejected] the total number of stores excluded before replay — each
-   floor of [k] rejects the [k] oldest stores a full rescan would have
-   had to re-filter or a naive enumerator would have replayed into. *)
-type counters = { mutable queries : int; mutable fast : int; mutable rejected : int }
+   floor computations and [rejected] the total number of stores
+   excluded before replay — each floor of [k] rejects the [k] oldest
+   stores a full rescan would have had to re-filter or a naive
+   enumerator would have replayed into. *)
+type counters = { mutable queries : int; mutable rejected : int }
 
-let counters_create () = { queries = 0; fast = 0; rejected = 0 }
+let counters_create () = { queries = 0; rejected = 0 }
 
-let loc_create () = { per_tid = [||]; sc_ids = Vec.create (); sc_idx = Vec.create (); era = 0 }
+let loc_create () = { per_tid = [||]; sc_ids = Vec.create (); sc_idx = Vec.create () }
 
-let lt_create () =
-  {
-    w_seq = Vec.create ();
-    w_idx = Vec.create ();
-    r_seq = Vec.create ();
-    r_idx = Vec.create ();
-    era = 0;
-    memo_floor = -1;
-    memo_fclock = Clock.empty;
-    memo_fera = 0;
-  }
+let lt_create () = { w_seq = Vec.create (); w_idx = Vec.create (); r_seq = Vec.create (); r_idx = Vec.create () }
 
 let loc_tid k tid =
   let n = Array.length k.per_tid in
@@ -104,15 +63,6 @@ let on_read k ~tid ~seq ~idx =
   Vec.push tl.r_seq seq;
   Vec.push tl.r_idx idx
 
-(* Undo hooks: pop the columns the matching on_write/on_read pushed and
-   bump both era counters — the location's and the undoing thread's —
-   so every *other* thread's memoized floor at this location is
-   invalidated while the undoing thread's own memo survives. *)
-
-let bump_eras k (tl : lt) =
-  k.era <- k.era + 1;
-  tl.era <- tl.era + 1
-
 let undo_write k ~tid ~sc =
   let tl = loc_tid k tid in
   ignore (Vec.pop tl.w_seq);
@@ -120,14 +70,12 @@ let undo_write k ~tid ~sc =
   if sc then begin
     ignore (Vec.pop k.sc_ids);
     ignore (Vec.pop k.sc_idx)
-  end;
-  bump_eras k tl
+  end
 
 let undo_read k ~tid =
   let tl = loc_tid k tid in
   ignore (Vec.pop tl.r_seq);
-  ignore (Vec.pop tl.r_idx);
-  bump_eras k tl
+  ignore (Vec.pop tl.r_idx)
 
 (* Largest index [j] with [v.(j) <= x] in an ascending vector, or -1. *)
 let bsearch_le (v : int Vec.t) x =
@@ -139,69 +87,70 @@ let bsearch_le (v : int Vec.t) x =
   done;
   !lo - 1
 
-(* Coherence floor contributed by the reader's own column: a thread's
-   clock always covers every seq it has committed, so its newest write
-   and newest observed read index are unconditionally hb-visible —
-   O(1), no search and no memo needed. *)
-let own_floor k ~tid =
-  match if tid < Array.length k.per_tid then k.per_tid.(tid) else None with
-  | None -> 0
-  | Some tl -> max (Vec.last_or tl.w_idx 0) (Vec.last_or tl.r_idx 0)
+(* [floor] raised to the index paired with the newest entry of the
+   (keys, idxs) column whose key is at most [bound]. The floor is
+   threaded through as an argument, never a captured ref: a local
+   helper closing over one would allocate on every query. *)
+let raise_le keys idxs bound floor =
+  let j = bsearch_le keys bound in
+  if j >= 0 then Int.max floor (Vec.get idxs j) else floor
 
-(* Coherence floor contributed by every other thread's column under the
-   reader's foreign-knowledge clock [fclock]: for each thread [u], the
-   newest write (CoWR/CoRW) and the newest observed read index (CoRR)
-   with seq <= fclock[u]. Memoized per (location, reader) — see the
-   header comment for the validity argument. *)
-let foreign_floor c k ~tid ~fclock =
-  let tl = loc_tid k tid in
-  let fera = k.era - tl.era in
-  if tl.memo_floor >= 0 && tl.memo_fclock == fclock && tl.memo_fera = fera then begin
-    c.fast <- c.fast + 1;
-    tl.memo_floor
-  end
-  else begin
-    let floor = ref 0 in
-    let raise_to i = if i > !floor then floor := i in
-    for u = 0 to Array.length k.per_tid - 1 do
-      if u <> tid then
-        match k.per_tid.(u) with
-        | None -> ()
-        | Some ul ->
-          let bound = Clock.get fclock u in
-          if bound > 0 then begin
-            (match bsearch_le ul.w_seq bound with
-            | -1 -> ()
-            | j -> raise_to (Vec.get ul.w_idx j));
-            match bsearch_le ul.r_seq bound with
-            | -1 -> ()
-            | j -> raise_to (Vec.get ul.r_idx j)
-          end
-    done;
-    tl.memo_floor <- !floor;
-    tl.memo_fclock <- fclock;
-    tl.memo_fera <- fera;
-    !floor
-  end
+(* Seq of the newest fence in [fences] (newest first) whose commit id
+   is below [id], or 0 when there is none. *)
+let rec fence_seq_before fences id =
+  match fences with
+  | [] -> 0
+  | (seq, fid) :: rest -> if fid < id then seq else fence_seq_before rest id
+
+(* The 29.3p5–p7 rules, on top of the coherence floor [floor]. Per
+   thread, seq and commit id grow together along its fence list, so the
+   newest fence with a commit id below the reader's fence also has the
+   largest seq. *)
+let fence_floor k ~tid ~sc ~fences x floor =
+  let floor = ref floor in
+  let reader_fence = match fences x tid with (_, id) :: _ -> id | [] -> -1 in
+  (* 29.3p5: a seq_cst fence sequenced before the load reads at least
+     the newest seq_cst store committed before that fence *)
+  if reader_fence >= 0 then floor := raise_le k.sc_ids k.sc_idx (reader_fence - 1) !floor;
+  for u = 0 to Array.length k.per_tid - 1 do
+    match k.per_tid.(u) with
+    | None -> ()
+    | Some tl ->
+      let fs = fences x u in
+      (* 29.3p6: seq_cst load; the newest store of [u] sequenced before
+         [u]'s newest seq_cst fence *)
+      (if sc then
+         match fs with
+         | (fence_seq, _) :: _ -> floor := raise_le tl.w_seq tl.w_idx (fence_seq - 1) !floor
+         | [] -> ());
+      (* 29.3p7 (fence-to-fence): a store before fence X of [u], X
+         before the reader's fence *)
+      if reader_fence >= 0 then begin
+        let fence_seq = fence_seq_before fs reader_fence in
+        if fence_seq > 0 then floor := raise_le tl.w_seq tl.w_idx (fence_seq - 1) !floor
+      end
+  done;
+  !floor
+
+let floor k ~tid ~clock ~sc ~sc_fence_live ~fences x =
+  (* 29.3p3: a seq_cst load reads at least the newest seq_cst store *)
+  let floor = ref (if sc then Vec.last_or k.sc_idx 0 else 0) in
+  (* CoWR/CoRW + CoRR: per thread, the newest hb-visible write and the
+     newest mo index observed by an hb-visible read *)
+  for u = 0 to Array.length k.per_tid - 1 do
+    match k.per_tid.(u) with
+    | None -> ()
+    | Some tl ->
+      let bound = Clock.get clock u in
+      if bound > 0 then
+        floor := raise_le tl.r_seq tl.r_idx bound (raise_le tl.w_seq tl.w_idx bound !floor)
+  done;
+  if sc_fence_live then fence_floor k ~tid ~sc ~fences x !floor else !floor
 
 let copy_lt tl =
-  {
-    w_seq = Vec.copy tl.w_seq;
-    w_idx = Vec.copy tl.w_idx;
-    r_seq = Vec.copy tl.r_seq;
-    r_idx = Vec.copy tl.r_idx;
-    era = tl.era;
-    memo_floor = tl.memo_floor;
-    memo_fclock = tl.memo_fclock;
-    memo_fera = tl.memo_fera;
-  }
+  { w_seq = Vec.copy tl.w_seq; w_idx = Vec.copy tl.w_idx; r_seq = Vec.copy tl.r_seq; r_idx = Vec.copy tl.r_idx }
 
 let copy_loc k =
-  {
-    per_tid = Array.map (Option.map copy_lt) k.per_tid;
-    sc_ids = Vec.copy k.sc_ids;
-    sc_idx = Vec.copy k.sc_idx;
-    era = k.era;
-  }
+  { per_tid = Array.map (Option.map copy_lt) k.per_tid; sc_ids = Vec.copy k.sc_ids; sc_idx = Vec.copy k.sc_idx }
 
-let copy_counters (c : counters) = { queries = c.queries; fast = c.fast; rejected = c.rejected }
+let copy_counters (c : counters) = { queries = c.queries; rejected = c.rejected }

@@ -3,53 +3,29 @@
     Per-location saturation state for candidate filtering: the
     coherence orders each thread's writes and atomic reads induce at a
     location, as parallel monotone (seq, mo index) columns, plus the
-    SC-store order. [Execution] feeds the state on every commit/undo
-    and asks it for the smallest modification-order index a new load
-    may read — rejecting incoherent rf choices {e before} replay.
+    SC-store order. [Execution] feeds the state on every commit and undo
+    and asks {!floor} for the smallest modification-order index a new
+    load may read, rejecting incoherent rf choices {e before} replay.
 
-    The types are transparent: [Execution] owns the only instances and
-    its slow-path query (the one that handles live SC fences) walks the
-    columns directly. Invariants:
+    Invariant: the (seq, idx) columns are ascending in lockstep — seq by
+    construction, write idx because commit order restricted to one
+    location is modification order, read idx by CoRR. Every rule of
+    {!floor} is therefore one binary search per thread column, and the
+    columns are the only state: an undo pops exactly what its commit
+    pushed, so a restored arena answers every query as a fresh one
+    would. *)
 
-    - The (seq, idx) columns are ascending in lockstep: seq by
-      construction, write idx because commit order restricted to one
-      location is modification order, read idx by CoRR.
-    - [era] counters are monotone — undos bump them, nothing restores
-      them — which is what makes the memoized foreign floor sound
-      across arena [mark]/[restore] (see rf_kernel.ml's header).
-    - A memoized floor is valid iff its source clock is pointer-equal
-      to the reader's current foreign-knowledge clock and the foreign
-      undo count [loc.era - column(reader).era] is unchanged. *)
+type loc
 
-type lt = {
-  w_seq : int Vec.t;
-  w_idx : int Vec.t;
-  r_seq : int Vec.t;
-  r_idx : int Vec.t;
-  mutable era : int;
-  mutable memo_floor : int;
-  mutable memo_fclock : Clock.t;
-  mutable memo_fera : int;
-}
-
-type loc = {
-  mutable per_tid : lt option array;
-  sc_ids : int Vec.t;
-  sc_idx : int Vec.t;
-  mutable era : int;
-}
-
-(** Query statistics for one execution arena: total floor queries, the
-    memoized O(1) answers among them, and the cumulative number of
-    stores rejected before replay (the sum of returned floors). *)
-type counters = { mutable queries : int; mutable fast : int; mutable rejected : int }
+(** Query statistics for one execution arena: total floor queries, and
+    the cumulative number of stores rejected before replay (the sum of
+    returned floors). *)
+type counters = { mutable queries : int; mutable rejected : int }
 
 val counters_create : unit -> counters
 val copy_counters : counters -> counters
 val loc_create : unit -> loc
-
-(** The per-thread column at a location, created on first touch. *)
-val loc_tid : loc -> int -> lt
+val copy_loc : loc -> loc
 
 (** Commit hooks: append to the (ascending) columns. [idx] is the mo
     index of the store / the mo index a read observed; [id] the commit
@@ -58,22 +34,38 @@ val loc_tid : loc -> int -> lt
 val on_write : loc -> tid:int -> seq:int -> id:int -> idx:int -> sc:bool -> unit
 val on_read : loc -> tid:int -> seq:int -> idx:int -> unit
 
-(** Undo hooks: pop what the matching commit hook pushed and bump the
-    era counters, invalidating every {e other} thread's memo here. *)
+(** Undo hooks: pop what the matching commit hook pushed. *)
 
 val undo_write : loc -> tid:int -> sc:bool -> unit
 val undo_read : loc -> tid:int -> unit
 
-(** Largest index [j] with [v.(j) <= x] in an ascending vector, or -1. *)
-val bsearch_le : int Vec.t -> int -> int
+(** [floor k ~tid ~clock ~sc ~sc_fence_live ~fences x] is the smallest
+    modification-order index at [k] that a new load by thread [tid]
+    may read, given the reader's vector clock [clock]. It is the
+    maximum of three rules:
 
-(** Floor from the reader's own column — unconditionally hb-visible,
-    O(1). *)
-val own_floor : loc -> tid:int -> int
+    - coherence (CoWR/CoRW/CoRR): for every thread [u], its newest
+      write here with seq [<= clock[u]], and the newest index observed
+      by one of its reads here with such a seq;
+    - 29.3p3: when the load is seq_cst ([sc]), the newest seq_cst
+      store;
+    - 29.3p5–p7, applied only when [sc_fence_live]: [fences x u] lists
+      thread [u]'s seq_cst fences as (seq, commit id), newest first.
+      A seq_cst fence before the load bounds it below by the newest
+      seq_cst store committed before that fence (p5) and by every
+      store sequenced before an earlier seq_cst fence of any thread
+      (p7); a seq_cst load is bounded by every store sequenced before a
+      seq_cst fence (p6).
 
-(** Floor from every other thread's column under the reader's
-    foreign-knowledge clock; memoized per (location, reader), bumping
-    [counters.fast] on a memo hit. *)
-val foreign_floor : counters -> loc -> tid:int -> fclock:Clock.t -> int
-
-val copy_loc : loc -> loc
+    O(threads * log stores), and allocation-free: [fences] is a
+    function and [x] its argument rather than one closure, so callers
+    pass a top-level function and build nothing per query. *)
+val floor :
+  loc ->
+  tid:int ->
+  clock:Clock.t ->
+  sc:bool ->
+  sc_fence_live:bool ->
+  fences:('a -> int -> (int * int) list) ->
+  'a ->
+  int

@@ -13,7 +13,7 @@ type config = {
 
 let default_config =
   {
-    scheduler = { S.default_config with sleep_sets = false };
+    scheduler = S.default_config;
     bias = Bias.Prefer_stale_rf;
     max_executions = Some 10_000;
     time_budget = None;

@@ -16,9 +16,10 @@
 
 type config = {
   scheduler : Mc.Scheduler.config;
-      (** [sleep_sets] is forcibly disabled: sleep sets encode "earlier
-          siblings were explored", which is false under random sampling
-          and would mis-prune. *)
+      (** [sleep_sets] is ignored: {!run} and {!replay} force it off, so
+          callers pass a benchmark's scheduler as it is. Sleep sets
+          encode "earlier siblings were explored", which is false under
+          random sampling and would mis-prune. *)
   bias : Bias.policy;
   max_executions : int option;  (** stop after this many runs *)
   time_budget : float option;  (** stop after this many seconds *)
@@ -90,7 +91,7 @@ val run :
     identified by [decisions] (missing decisions default to index 0,
     out-of-range ones clamp) and returns the scheduler result plus the
     bugs of that single run — built-in bugs, or [on_feasible]'s findings
-    when there are none. *)
+    when there are none. Sleep sets are forced off, as in {!run}. *)
 val replay :
   ?scheduler:Mc.Scheduler.config ->
   ?on_feasible:(C11.Execution.t -> Mc.Scheduler.annot list -> Mc.Bug.t list) ->

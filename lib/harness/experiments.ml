@@ -5,8 +5,6 @@ type limits = {
   max_executions : int;
   checker : Cdsspec.Checker.config;
   jobs : int;
-  check_cache : bool;  (* memoize per-object check verdicts across executions *)
-  prune : bool;  (* execution-graph equivalence pruning *)
 }
 
 let default_limits =
@@ -14,8 +12,6 @@ let default_limits =
     max_executions = 150_000;
     checker = Cdsspec.Checker.default_config;
     jobs = 1;
-    check_cache = true;
-    prune = true;
   }
 
 let jobs_of_env () =
@@ -29,17 +25,15 @@ let jobs_of_env () =
 
 (* One check cache per exploration run: the memoization is
    cross-execution (that is the point) but never crosses a test, a
-   config or an ords choice. With [check_cache = false] the cache still
-   counts hits/misses/truncations, it just stores no verdicts. *)
+   config or an ords choice. *)
 let explore ~limits (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache ~memoize:limits.check_cache () in
+  let cache = Cdsspec.Checker.create_cache () in
   Mc.Parallel.explore ~jobs:limits.jobs
     ~config:
       {
         E.default_config with
         scheduler = b.scheduler;
         max_executions = Some limits.max_executions;
-        prune = limits.prune;
       }
     ~on_feasible:(Cdsspec.Checker.hook ~config:limits.checker ~cache b.spec)
     ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
@@ -208,7 +202,7 @@ let fuzz ~limits ~seed (b : B.t) ~ords (t : B.test) =
     ~config:
       {
         Fuzz.Engine.default_config with
-        scheduler = { b.scheduler with Mc.Scheduler.sleep_sets = false };
+        scheduler = b.scheduler;
         bias = limits.fuzz_bias;
         max_executions = limits.fuzz_executions;
         time_budget = limits.fuzz_time_budget;

@@ -10,14 +10,6 @@ type limits = {
   max_executions : int;
   checker : Cdsspec.Checker.config;
   jobs : int;  (** exploration domains per unit test; 1 = serial explorer *)
-  check_cache : bool;
-      (** memoize per-object check verdicts across executions (one fresh
-          cache per exploration run); [false] keeps the counters but
-          stores nothing — the benchmark baseline *)
-  prune : bool;
-      (** execution-graph equivalence pruning ({!Mc.Explorer.config}'s
-          [prune]); [false] restores exact interleaving counts — the
-          pruning benchmark's baseline *)
 }
 
 val default_limits : limits

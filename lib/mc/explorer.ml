@@ -52,7 +52,7 @@ type stats = {
   fiber_switches : int;  (* ops that suspended their fiber via an effect *)
   inline_ops : int;  (* ops committed in the dispatch hook, no suspension *)
   rf_queries : int;  (* rf-candidate floor queries answered *)
-  rf_fast : int;  (* memoized O(1) answers among them (0 with the kernel off) *)
+  rf_fast : int;  (* always 0: the memoized floor it counted is gone *)
   rf_rejected : int;  (* stores rejected before replay, summed over queries *)
   check : check_counters;
 }
@@ -199,7 +199,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
      execution accumulates them for the whole search (read once at the
      end); the legacy engine builds a fresh execution per run, so each
      run's totals are summed as they go. *)
-  let rf_q = ref 0 and rf_f = ref 0 and rf_r = ref 0 in
+  let rf_q = ref 0 and rf_r = ref 0 in
   (* Same split for the phase counters: [switches]/[inline_ops] are
      cumulative across a session but per-run under the legacy engine, and
      the arena's single execution accumulates commits for the whole
@@ -215,9 +215,8 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     incr explored;
     (match session with
     | None ->
-      let q, f, rej = C11.Execution.rf_counters r.exec in
+      let q, rej = C11.Execution.rf_counters r.exec in
       rf_q := !rf_q + q;
-      rf_f := !rf_f + f;
       rf_r := !rf_r + rej;
       commits := !commits + C11.Execution.commit_count r.exec;
       switches := !switches + r.switches;
@@ -293,9 +292,8 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   in
   (match session with
   | Some s ->
-    let q, f, rej = C11.Execution.rf_counters (Scheduler.session_exec s) in
+    let q, rej = C11.Execution.rf_counters (Scheduler.session_exec s) in
     rf_q := q;
-    rf_f := f;
     rf_r := rej;
     commits := C11.Execution.commit_count (Scheduler.session_exec s)
   | None -> ());
@@ -319,7 +317,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         fiber_switches = !switches;
         inline_ops = !inlined;
         rf_queries = !rf_q;
-        rf_fast = !rf_f;
+        rf_fast = 0;
         rf_rejected = !rf_r;
         check = check ();
       };

@@ -92,8 +92,9 @@ type stats = {
       (** rf-candidate floor queries ({!C11.Execution.rf_counters})
           answered during the search *)
   rf_fast : int;
-      (** memoized O(1) answers among [rf_queries]; 0 with
-          [scheduler.rf_kernel] off *)
+      (** always 0. It counted the answers of a memoized floor that
+          the rf kernel no longer has; kept only because the benchmark
+          reads it *)
   rf_rejected : int;
       (** stores rejected {e before} replay by candidate filtering —
           the pre-replay half of the pruning ledger; the post-replay

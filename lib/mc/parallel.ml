@@ -66,7 +66,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
           fiber_switches = s.fiber_switches + r.stats.fiber_switches;
           inline_ops = s.inline_ops + r.stats.inline_ops;
           rf_queries = s.rf_queries + r.stats.rf_queries;
-          rf_fast = s.rf_fast + r.stats.rf_fast;
+          rf_fast = 0;
           rf_rejected = s.rf_rejected + r.stats.rf_rejected;
           check = s.check;
         };

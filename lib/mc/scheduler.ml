@@ -42,7 +42,6 @@ type config = {
   loop_bound : int;
   max_actions : int;
   sleep_sets : bool;
-  rf_kernel : bool;
   inline_visible : bool;
 }
 
@@ -51,7 +50,6 @@ let default_config =
     loop_bound = 8;
     max_actions = 4000;
     sleep_sets = true;
-    rf_kernel = true;
     inline_visible = true;
   }
 
@@ -767,7 +765,7 @@ let mk_state ?pick ?prune ~config ~trace main =
   let st =
     {
       config;
-      exec = Execution.create ~rf_kernel:config.rf_kernel ();
+      exec = Execution.create ();
       threads = Array.make 4 Finished;
       nthreads = 0;
       trace;

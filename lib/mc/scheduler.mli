@@ -60,11 +60,6 @@ type config = {
           spin loops; branches exceeding it are pruned as redundant. *)
   max_actions : int;  (** Backstop on total committed actions per run. *)
   sleep_sets : bool;  (** Enable sleep-set partial-order reduction. *)
-  rf_kernel : bool;
-      (** Route rf-candidate filtering through the incremental
-          {!C11.Rf_kernel} fast path (see {!C11.Execution.create}).
-          Graph sets, bug lists and verdicts are identical either way;
-          off is the reference the tests compare against. *)
   inline_visible : bool;
       (** Commit a visible operation inside the running fiber — no
           effect round-trip — when no other thread is enabled, i.e. when

@@ -239,7 +239,7 @@ let run_fuzz _server conn ~job req =
                   ~config:
                     {
                       Fuzz.Engine.default_config with
-                      scheduler = { b.scheduler with Mc.Scheduler.sleep_sets = false };
+                      scheduler = b.scheduler;
                       max_executions = Some max_execs;
                     }
                   ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)

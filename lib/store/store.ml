@@ -94,7 +94,6 @@ let job_key ~kind ~bench ~test ~ords ~sched ~prune ~engine ~max_execs ~checker ~
   add (string_of_int sched.Mc.Scheduler.loop_bound);
   add (string_of_int sched.Mc.Scheduler.max_actions);
   add (string_of_bool sched.Mc.Scheduler.sleep_sets);
-  add (string_of_bool sched.Mc.Scheduler.rf_kernel);
   add (string_of_bool prune);
   add (match engine with `Arena -> "arena" | `Legacy -> "legacy");
   (* Check entries are cap-agnostic: the cap lives in the entry's

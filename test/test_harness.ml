@@ -10,8 +10,6 @@ let cheap_limits =
     X.max_executions = 20_000;
     checker = Cdsspec.Checker.default_config;
     jobs = 1;
-    check_cache = true;
-    prune = true;
   }
 
 (* ------------------------------ Ords ----------------------------- *)

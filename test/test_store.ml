@@ -91,8 +91,6 @@ let test_fingerprint_stability () =
   differs "test name" (default_key ~test:"other" ords);
   differs "ords table" (default_key [ ("a", C11.Memory_order.Relaxed); ("b", C11.Memory_order.Acquire) ]);
   differs "prune flag" (default_key ~prune:false ords);
-  differs "rf_kernel flag"
-    (default_key ~sched:{ Mc.Scheduler.default_config with rf_kernel = false } ords);
   (* check keys are cap-agnostic (the cap lives in the entry's partial
      flag); advisor keys keep the cap *)
   Alcotest.(check string) "check keys ignore max_executions" base
@@ -160,19 +158,18 @@ let test_entry_roundtrip () =
 let golden_hex =
   String.concat ""
     [
-      "43445353316000000000000000636865636b1f676f6c64656e1f741f611f7365";
+      "43445353315b00000000000000636865636b1f676f6c64656e1f741f611f7365";
       "715f6373741f621f72656c617865641f321f3330301f747275651f747275651f";
-      "747275651f6172656e611f616e791f313030301f6e6f6e651f36341f66616c73";
-      "651f66616c73651f747275651f03000000000000000300000000000000110000";
-      "0000000000000000000000008002000000000000002a00000000000000020000";
-      "0000000000010000000000000003000000000000000700000000000000f7ffff";
-      "ffffffffff000000000000000000000000000000000100000000000000020000";
-      "00000000006b310200000000000000000000000000000002000000000000006d";
-      "31020000000000000011000000000000006d322077697468200a206e65776c69";
-      "6e65010002000000000000000200000000000000743102000000000000000500";
-      "0000000000000600000000000000020000000000000074320000000000000000";
-      "3930000000000000000000000000f83f01410100000000000068a81b48e34318";
-      "9c";
+      "6172656e611f616e791f313030301f6e6f6e651f36341f66616c73651f66616c";
+      "73651f747275651f030000000000000003000000000000001100000000000000";
+      "000000000000008002000000000000002a000000000000000200000000000000";
+      "010000000000000003000000000000000700000000000000f7ffffffffffffff";
+      "0000000000000000000000000000000001000000000000000200000000000000";
+      "6b310200000000000000000000000000000002000000000000006d3102000000";
+      "0000000011000000000000006d322077697468200a206e65776c696e65010002";
+      "0000000000000002000000000000007431020000000000000005000000000000";
+      "0006000000000000000200000000000000743200000000000000003930000000";
+      "000000000000000000f83f01410100000000000054a0290445c17348";
     ]
 
 let test_encode_golden () =
@@ -186,7 +183,6 @@ let test_encode_golden () =
       loop_bound = 2;
       max_actions = 300;
       sleep_sets = true;
-      rf_kernel = true;
     }
   in
   let checker =
@@ -203,7 +199,7 @@ let test_encode_golden () =
       ~ords:[ ("a", C11.Memory_order.Seq_cst); ("b", C11.Memory_order.Relaxed) ]
       ~sched ~prune:true ~engine:`Arena ~max_execs:None ~checker ~use_cache:true
   in
-  Alcotest.(check string) "golden key fingerprint" "0061782bd9e7a2d3" (Store.fingerprint key);
+  Alcotest.(check string) "golden key fingerprint" "537fd4513d4f77be" (Store.fingerprint key);
   Store.save s key sample_entry;
   let raw = read_bytes (Filename.concat dir (Store.fingerprint key ^ ".bin")) in
   let hex =
