@@ -65,7 +65,7 @@ let run_fig7 () =
   X.pp_figure7 Format.std_formatter (X.figure7 ~limits:(limits ()) extra_benches)
 
 let run_fig8 () =
-  section "Figure 8: bug-injection detection (paper: 93%% overall, MPMC the outlier)";
+  section "Figure 8: bug-injection detection (paper: 93% overall, MPMC the outlier)";
   let rows = X.figure8 ~limits:(limits ()) fig7_benches in
   X.pp_figure8 Format.std_formatter rows;
   (match X.undetected rows with

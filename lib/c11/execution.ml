@@ -109,7 +109,7 @@ type t = {
   mo_idx : int Vec.t;  (* action id -> mo index of the store, or -1 *)
   mutable threads : thread_state array;
   locs : loc_state option Vec.t;  (* dense: indexed by location id *)
-  mutable next_loc : int;
+  mutable next_loc : int;  (* starts at 1: location 0 is the null pointer *)
   mutable fp : int;  (* XOR-fold of all fingerprint chains *)
   mutable fp_sc : int;  (* fingerprint chain over the SC order *)
   fp_sc_hist : int Vec.t;  (* fp_sc value before each seq_cst action *)
@@ -130,7 +130,7 @@ let create () =
     mo_idx = Vec.create ();
     threads = [||];
     locs = Vec.create ();
-    next_loc = 0;
+    next_loc = 1;
     fp = 0;
     fp_sc = 0;
     fp_sc_hist = Vec.create ();

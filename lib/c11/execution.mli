@@ -39,10 +39,11 @@ val commit_count : t -> int
 (** {1 Locations} *)
 
 (** [alloc t ~tid ~count ~init] reserves [count] fresh consecutive
-    locations and returns the first. With [init = Some v] each cell is
-    initialized by a committed non-atomic store of [v] (making subsequent
-    loads defined); with [None] the cells start uninitialized, as malloc'd
-    C memory does. *)
+    locations and returns the first, which is never [0]: location [0] is
+    the null pointer, so no allocation can be mistaken for it. With
+    [init = Some v] each cell is initialized by a committed non-atomic
+    store of [v] (making subsequent loads defined); with [None] the cells
+    start uninitialized, as malloc'd C memory does. *)
 val alloc : t -> tid:int -> count:int -> init:int option -> int
 
 (** {1 Threads} *)

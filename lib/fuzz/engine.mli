@@ -67,8 +67,11 @@ type result = {
   found : found list;  (** deduplicated by {!Mc.Bug.key}, discovery order *)
   graphs : int64 list;
       (** sorted distinct {!Fingerprint.execution} values seen — the
-          campaign's coverage set, comparable against the exhaustive
-          explorer's [graphs] (same canonical fingerprint) *)
+          campaign's coverage set: a subset of the [graphs] of an
+          exhaustive exploration with sleep sets off (same canonical
+          fingerprint), but not necessarily of one with sleep sets on,
+          which explores one order of independent operations that the
+          fingerprint tells apart *)
   first_buggy_trace : string option;
   first_buggy_exec : C11.Execution.t option;
 }

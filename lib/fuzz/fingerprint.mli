@@ -8,8 +8,12 @@
 
 (** Canonical hash of the committed execution graph — an alias for
     {!C11.Execution.fingerprint}, the same hash the exhaustive explorer's
-    equivalence pruning and [distinct_graphs] counter use, so fuzz
-    coverage and exhaustive graph counts share a denominator. O(1): the
+    equivalence pruning and [distinct_graphs] counter use. Fuzz coverage
+    is a subset of the graph set of an exhaustive run with sleep sets
+    off; with sleep sets on (the default) the explorer visits one order
+    of independent seq_cst actions and of concurrent allocations, which
+    this hash distinguishes, so its [distinct_graphs] can be smaller
+    than a campaign's coverage. O(1): the
     hash is maintained incrementally as actions commit. Deterministic
     across runs and processes (no randomized hashing). *)
 val execution : C11.Execution.t -> int64

@@ -62,7 +62,13 @@ type stats = {
   distinct_graphs : int;
       (** distinct feasible execution graphs, by canonical fingerprint
           ({!C11.Execution.fingerprint}); the coverage denominator
-          [pruned_equiv] trades interleavings against *)
+          [pruned_equiv] trades interleavings against. The fingerprint
+          distinguishes the SC order of seq_cst actions on different
+          locations and the ids concurrent allocations receive, while
+          sleep sets explore one order of such independent operations:
+          with [sleep_sets] on this counts the graphs of the orders
+          explored, and the same program with sleep sets off can count
+          more (the set a fuzz campaign's coverage is a subset of) *)
   buggy : int;  (** feasible executions on which at least one bug fired *)
   truncated : bool;  (** true when max_executions stopped the search *)
   time : float;

@@ -13,6 +13,7 @@ type annotation =
 
 type op =
   | Load of { mo : mo; loc : loc; site : string option }
+  | Await of { mo : mo; loc : loc; until : int -> bool; site : string option }
   | Store of { mo : mo; loc : loc; value : int; site : string option }
   | Cas of { mo : mo; fail_mo : mo; loc : loc; expected : int; desired : int; site : string option }
   | Fetch_add of { mo : mo; loc : loc; delta : int; site : string option }
@@ -87,6 +88,15 @@ let do_op op =
 let load ?site mo loc =
   let d = Domain.DLS.get dispatch in
   if d.rp_next < d.rp_limit then rp_take d else slow_op d (Load { mo; loc; site })
+
+(* The scheduler only hands an await a value [until] accepts, except
+   when it reads uninitialized memory (0, reported as an uninitialized
+   load); re-issuing then keeps the spin's semantics: wait again, within
+   the loop bound. *)
+let rec await ?site mo loc ~until =
+  let d = Domain.DLS.get dispatch in
+  let v = if d.rp_next < d.rp_limit then rp_take d else slow_op d (Await { mo; loc; until; site }) in
+  if until v then v else await ?site mo loc ~until
 
 let store ?site mo loc value =
   let d = Domain.DLS.get dispatch in

@@ -31,6 +31,9 @@ type annotation =
     can interpret them; programs use the wrapper functions below. *)
 type op =
   | Load of { mo : mo; loc : loc; site : string option }
+  | Await of { mo : mo; loc : loc; until : int -> bool; site : string option }
+      (** a load that blocks until it can read a value [until] accepts;
+          see {!await} *)
   | Store of { mo : mo; loc : loc; value : int; site : string option }
   | Cas of { mo : mo; fail_mo : mo; loc : loc; expected : int; desired : int; site : string option }
   | Fetch_add of { mo : mo; loc : loc; delta : int; site : string option }
@@ -71,6 +74,26 @@ val dispatch : dispatcher Domain.DLS.key
 val load : ?site:string -> mo -> loc -> int
 val store : ?site:string -> mo -> loc -> int -> unit
 
+(** [await ?site mo loc ~until] is the spin loop
+    [while not (until (load mo loc)) do () done], returning the value
+    that ended it, with the waiting made explicit: the scheduler treats
+    the thread as blocked while no store it may read satisfies [until],
+    and as enabled (reading one of those stores) once one does. A spin
+    iteration that re-reads a rejected store adds no behaviour, so the
+    explorer enumerates none of them, and a state in which every
+    unfinished thread is blocked is reported as a deadlock — the
+    infinite spin that the loop bound would otherwise prune silently.
+
+    [until] must be pure and total: the scheduler calls it any number of
+    times, on any value, to decide whether the thread can run. Use it
+    only for a loop whose body is this one load (annotations after the
+    loop are fine); a loop that reads two locations, or whose retry path
+    writes, stays a [load] loop under the loop bound. Each issue counts
+    as one load against the loop bound. A read of uninitialized memory
+    (0, reported as an uninitialized load) that [until] rejects waits
+    again, as the spin would. *)
+val await : ?site:string -> mo -> loc -> until:(int -> bool) -> int
+
 (** [cas ?fail_mo mo loc ~expected ~desired] is
     [compare_exchange_strong]: returns [true] iff the observed value
     equalled [expected] and the write was performed. [fail_mo] defaults to
@@ -95,9 +118,10 @@ val na_store : ?site:string -> loc -> int -> unit
 
 (** {1 Memory and threads} *)
 
-(** [malloc ?init n] returns the base of [n] fresh cells. With [init]
-    they are initialized non-atomically (like calloc); without, loading
-    them before storing is an uninitialized load. *)
+(** [malloc ?init n] returns the base of [n] fresh cells, never [0]
+    (the null pointer). With [init] they are initialized non-atomically
+    (like calloc); without, loading them before storing is an
+    uninitialized load. *)
 val malloc : ?init:int -> int -> loc
 
 val spawn : (unit -> unit) -> int

@@ -321,7 +321,7 @@ let choose_sched st ~sleep ~avail ~nav =
   (d.candidates.(d.sched_chosen), slept)
 
 let kind_tag : Program.op -> int = function
-  | Load _ -> 0
+  | Load _ | Await _ -> 0
   | Store _ -> 1
   | Cas _ -> 2
   | Fetch_add _ -> 3
@@ -334,6 +334,7 @@ let kind_tag : Program.op -> int = function
    back to (location, op-kind). This is what makes spin loops finite. *)
 let op_site : Program.op -> string option = function
   | Load { site; _ }
+  | Await { site; _ }
   | Store { site; _ }
   | Cas { site; _ }
   | Fetch_add { site; _ }
@@ -362,7 +363,7 @@ let add_footprint st f = st.step_footprints <- f :: st.step_footprints
 (* The footprint a *pending* operation will have, for wake-up tests.
    CAS counts as a write (it may become one). *)
 let op_footprint : Program.op -> footprint = function
-  | Load { loc; _ } | Na_load { loc; _ } -> Mem { loc; write = false }
+  | Load { loc; _ } | Await { loc; _ } | Na_load { loc; _ } -> Mem { loc; write = false }
   | Store { loc; _ } | Cas { loc; _ } | Fetch_add { loc; _ } | Exchange { loc; _ } | Na_store { loc; _ }
     ->
     Mem { loc; write = true }
@@ -381,12 +382,39 @@ let dependent f1 f2 =
   | Global, _ | _, Global -> true
   | Mem a, Mem b -> a.loc = b.loc && (a.write || b.write)
 
+(* An await may read the stores of its read window that [until] accepts,
+   and poison ones (uninitialized memory: the spin would read garbage
+   there, and the load reports it). A window with no store at all
+   (memory never allocated) reads uninitialized too, as a load does. *)
+let await_accepts until (w : C11.Action.t) =
+  match w.written_value with Some v -> until v | None -> true
+
+(* The await's enabledness test — shared by [is_enabled] and
+   [can_inline_visible], so a thread is schedulable exactly when its
+   step can commit. The mo-latest store is in every read window, so
+   when it is accepted no floor query is needed. *)
+let await_enabled st tid ~mo ~loc ~until =
+  match Execution.rmw_candidate st.exec ~loc with
+  | None -> true
+  | Some newest when await_accepts until newest -> true
+  | Some _ ->
+    let n = Execution.read_window st.exec ~tid ~mo ~loc in
+    let rec any i =
+      i < n && (await_accepts until (Execution.read_candidate st.exec ~loc i) || any (i + 1))
+    in
+    any 1
+
 (* Execute a visible operation for [tid] and return the value to resume
    the thread with. *)
 let exec_visible st tid (op : Program.op) =
   add_footprint st (op_footprint op);
   (match op with
-  | Load { loc; _ } | Store { loc; _ } | Cas { loc; _ } | Fetch_add { loc; _ } | Exchange { loc; _ } ->
+  | Load { loc; _ }
+  | Await { loc; _ }
+  | Store { loc; _ }
+  | Cas { loc; _ }
+  | Fetch_add { loc; _ }
+  | Exchange { loc; _ } ->
     bump_op_count st tid loc op
   (* fences are not bounded: a loop always contains a bounded load/RMW,
      and straight-line code may legitimately fence often *)
@@ -395,6 +423,30 @@ let exec_visible st tid (op : Program.op) =
   | Program.Load { mo; loc; site } ->
     let n = Execution.read_window st.exec ~tid ~mo ~loc in
     let rf = if n = 0 then None else Some (Execution.read_candidate st.exec ~loc (choose st n)) in
+    let a, problems = Execution.commit_load st.exec ~tid ~mo ~loc ~rf ?site () in
+    record_problems st problems;
+    note_atomic st tid a;
+    (match a.read_value with Some v -> v | None -> 0)
+  | Await { mo; loc; until; site } ->
+    (* Only reached when enabled: a reads-from choice over the accepted
+       candidates, newest first, like a load's over its whole window. *)
+    let n = Execution.read_window st.exec ~tid ~mo ~loc in
+    let rf =
+      if n = 0 then None
+      else begin
+        let num = ref 0 in
+        for i = 0 to n - 1 do
+          if await_accepts until (Execution.read_candidate st.exec ~loc i) then incr num
+        done;
+        let rec nth i k =
+          let w = Execution.read_candidate st.exec ~loc i in
+          if not (await_accepts until w) then nth (i + 1) k
+          else if k = 0 then w
+          else nth (i + 1) (k - 1)
+        in
+        Some (nth 0 (choose st !num))
+      end
+    in
     let a, problems = Execution.commit_load st.exec ~tid ~mo ~loc ~rf ?site () in
     record_problems st problems;
     note_atomic st tid a;
@@ -520,20 +572,27 @@ let exec_invisible st tid (op : Program.op) =
   | Check { cond; message } ->
     if not cond then st.bugs <- Bug.Assertion_failure { tid; message } :: st.bugs;
     0
-  | Load _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ ->
+  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ ->
     invalid_arg "exec_invisible: visible op"
 
 let is_invisible : Program.op -> bool = function
   | Program.Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ -> true
-  | Load _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ -> false
+  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ -> false
+
+(* Whether [tid]'s pending operation [op] can commit now: a [Join] once
+   its target has finished, an [Await] once its window holds a store it
+   accepts; everything else always. *)
+let op_enabled st tid : Program.op -> bool = function
+  | Join target ->
+    target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
+  | Await { mo; loc; until; _ } -> await_enabled st tid ~mo ~loc ~until
+  | _ -> true
 
 let is_enabled st tid =
   match get_status st tid with
   | Not_started _ -> true
   | Finished -> false
-  | Paused (Program.Join target, _) ->
-    target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
-  | Paused _ -> true
+  | Paused (op, _) -> op_enabled st tid op
 
 (* A sleeping thread stays asleep while every footprint of the committed
    step is independent of its pending operation. Threads without a known
@@ -617,7 +676,7 @@ let assign_snaps st snaps c0 sn =
    wrong here costs performance, not soundness: an unsnapshotted
    decision falls back to the enclosing step's snapshot. *)
 let may_decide : Program.op -> bool = function
-  | Program.Load _ | Cas _ -> true
+  | Program.Load _ | Await _ | Cas _ -> true
   | _ -> false
 
 (* First-run direct dispatch of a *visible* operation: sound exactly when
@@ -631,8 +690,10 @@ let may_decide : Program.op -> bool = function
    - The running thread itself cannot be asleep here: a thread is put to
      sleep only as an unchosen sibling, and a sleeping thread is never
      stepped, so the fiber being live implies [tid] is awake.
-   - [op] itself is enabled — a [Join] commits only once its target has
-     finished; inlining a blocked [Join] would skip deadlock detection.
+   - [op] itself is enabled ([op_enabled], the test [is_enabled] uses)
+     — a [Join] commits only once its target has finished and an
+     [Await] only once it has a store to read; inlining a blocked one
+     would skip deadlock detection.
 
    Value-level choices the commit makes (reads-from, CAS direction) are
    NOT elided: [exec_visible] records them in the trace as usual, and the
@@ -641,10 +702,7 @@ let may_decide : Program.op -> bool = function
    rewind, so the gate is deterministic across restore-replays: a prefix
    that inlined an op on the fresh run inlines it again after restore. *)
 let can_inline_visible st tid (op : Program.op) =
-  (match op with
-  | Program.Join target ->
-    target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
-  | _ -> true)
+  op_enabled st tid op
   &&
   let rec no_other u =
     u >= st.nthreads || ((u = tid || not (is_enabled st u)) && no_other (u + 1))

@@ -9,7 +9,15 @@
     Two operations are dependent when they touch the same location and at
     least one writes (committing a write enables new reads-from options
     for a pending read, so it must wake sleeping readers), or when either
-    is a fence (fences read global state — the SC order). *)
+    is a fence (fences read global state — the SC order).
+
+    A thread paused at {!Program.await} is enabled only while its read
+    window holds a store its [until] test accepts, or a poison
+    (uninitialized) one; stepping it is a reads-from choice over exactly
+    those stores, newest first. It has a load's footprint, so the write
+    that enables it wakes it, and counts as a load against the loop
+    bound. When no unfinished thread is enabled — each waits at an
+    [await] or a [join] — the run completes with a {!Bug.Deadlock}. *)
 
 (** Canonical state key of a scheduling decision point: the
     execution-graph fingerprint ({!C11.Execution.fingerprint}), the
@@ -57,7 +65,8 @@ type annot = {
 type config = {
   loop_bound : int;
       (** Max commits of one operation kind per (thread, location): bounds
-          spin loops; branches exceeding it are pruned as redundant. *)
+          the spin loops that are not awaits; branches exceeding it are
+          pruned as redundant. *)
   max_actions : int;  (** Backstop on total committed actions per run. *)
   sleep_sets : bool;  (** Enable sleep-set partial-order reduction. *)
   inline_visible : bool;

@@ -29,10 +29,9 @@ let await ords b =
         (* last arrival: release everyone *)
         P.store ~site:"await_store_sense" (o ords "await_store_sense") b.sense 1
       else begin
-        let rec spin () =
-          if P.load ~site:"await_spin_sense" (o ords "await_spin_sense") b.sense = 0 then spin ()
-        in
-        spin ()
+        ignore
+          (P.await ~site:"await_spin_sense" (o ords "await_spin_sense") b.sense
+             ~until:(fun s -> s <> 0))
       end;
       prior)
 

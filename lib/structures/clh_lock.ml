@@ -35,12 +35,9 @@ let lock ords l =
       (* busy *)
       let pred = P.exchange ~site:"lock_xchg_tail" (o ords "lock_xchg_tail") l.tail mine in
       A.op_define ();
-      let rec spin () =
-        let busy = P.load ~site:"lock_spin_pred" (o ords "lock_spin_pred") pred in
-        A.op_clear_define ();
-        if busy = 1 then spin ()
-      in
-      spin ();
+      ignore
+        (P.await ~site:"lock_spin_pred" (o ords "lock_spin_pred") pred ~until:(fun busy -> busy <> 1));
+      A.op_clear_define ();
       Some mine)
   |> function
   | Some mine -> { mine }

@@ -43,11 +43,9 @@ let lock ords t ~slot =
             (* not our turn: back off politely *)
             P.store ~site:"lock_backoff_store_flag" (o ords "lock_backoff_store_flag")
               (my_flag t slot) 0;
-            let rec wait_turn () =
-              if P.load ~site:"lock_spin_turn" (o ords "lock_spin_turn") t.turn <> slot then
-                wait_turn ()
-            in
-            wait_turn ();
+            ignore
+              (P.await ~site:"lock_spin_turn" (o ords "lock_spin_turn") t.turn
+                 ~until:(fun v -> v = slot));
             P.store ~site:"lock_restore_flag" (o ords "lock_restore_flag") (my_flag t slot) 1
           end;
           contend ()

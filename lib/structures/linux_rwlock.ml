@@ -36,10 +36,8 @@ let read_lock ords l =
         if prior > 0 then A.op_clear_define ()
         else begin
           ignore (P.fetch_add ~site:"readlock_restore" (o ords "readlock_restore") l.lock 1);
-          let rec spin () =
-            if P.load ~site:"readlock_spin" (o ords "readlock_spin") l.lock <= 0 then spin ()
-          in
-          spin ();
+          ignore
+            (P.await ~site:"readlock_spin" (o ords "readlock_spin") l.lock ~until:(fun v -> v > 0));
           attempt ()
         end
       in
@@ -60,11 +58,9 @@ let write_lock ords l =
         else begin
           ignore
             (P.fetch_add ~site:"writelock_restore" (o ords "writelock_restore") l.lock rw_lock_bias);
-          let rec spin () =
-            if P.load ~site:"writelock_spin" (o ords "writelock_spin") l.lock <> rw_lock_bias then
-              spin ()
-          in
-          spin ();
+          ignore
+            (P.await ~site:"writelock_spin" (o ords "writelock_spin") l.lock
+               ~until:(fun v -> v = rw_lock_bias));
           attempt ()
         end
       in

@@ -45,12 +45,10 @@ let lock ords l me =
       if pred = 0 then A.op_define () (* uncontended: the exchange is the OP *)
       else begin
         P.store ~site:"lock_store_prednext" (o ords "lock_store_prednext") (f_next pred) me;
-        let rec spin () =
-          let locked = P.load ~site:"lock_spin_locked" (o ords "lock_spin_locked") (f_locked me) in
-          A.op_clear_define ();
-          if locked = 1 then spin ()
-        in
-        spin ()
+        ignore
+          (P.await ~site:"lock_spin_locked" (o ords "lock_spin_locked") (f_locked me)
+             ~until:(fun locked -> locked <> 1));
+        A.op_clear_define ()
       end)
 
 let unlock ords l me =
@@ -62,11 +60,10 @@ let unlock ords l me =
         then A.op_define () (* no successor: the CAS is the OP *)
         else begin
           (* a successor is linking itself in: wait for the pointer *)
-          let rec spin () =
-            let n = P.load ~site:"unlock_spin_next" (o ords "unlock_spin_next") (f_next me) in
-            if n = 0 then spin () else n
+          let next =
+            P.await ~site:"unlock_spin_next" (o ords "unlock_spin_next") (f_next me)
+              ~until:(fun n -> n <> 0)
           in
-          let next = spin () in
           release_to next;
           A.op_define ()
         end

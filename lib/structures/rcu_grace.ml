@@ -48,11 +48,9 @@ let read ords t ~slot =
 
 let synchronize ords t =
   for slot = 0 to t.readers - 1 do
-    let rec quiesce () =
-      if P.load ~site:"sync_load_active" (o ords "sync_load_active") (t.active + slot) = 1 then
-        quiesce ()
-    in
-    quiesce ()
+    ignore
+      (P.await ~site:"sync_load_active" (o ords "sync_load_active") (t.active + slot)
+         ~until:(fun v -> v <> 1))
   done
 
 let write ords t v =

@@ -37,9 +37,10 @@ let o = Ords.get
 let write ords l value =
   A.api_proc ~obj:l.seq ~name:"write" ~args:[ value ] (fun () ->
       let rec acquire_seq () =
-        let s = P.load ~site:"write_load_seq" (o ords "write_load_seq") l.seq in
-        if s mod 2 = 1 then acquire_seq ()
-        else if P.cas ~site:"write_cas_seq" (o ords "write_cas_seq") l.seq ~expected:s ~desired:(s + 1)
+        let s =
+          P.await ~site:"write_load_seq" (o ords "write_load_seq") l.seq ~until:(fun s -> s mod 2 <> 1)
+        in
+        if P.cas ~site:"write_cas_seq" (o ords "write_cas_seq") l.seq ~expected:s ~desired:(s + 1)
         then s
         else acquire_seq ()
       in
@@ -52,17 +53,16 @@ let write ords l value =
 let read ords l =
   A.api_fun ~obj:l.seq ~name:"read" ~args:[] (fun () ->
       let rec attempt () =
-        let s1 = P.load ~site:"read_load_seq1" (o ords "read_load_seq1") l.seq in
-        if s1 mod 2 = 1 then attempt ()
-        else begin
-          let a = P.load ~site:"read_load_a" (o ords "read_load_a") l.data_a in
-          let b = P.load ~site:"read_load_b" (o ords "read_load_b") l.data_b in
-          A.op_clear_define ();
-          let s2 = P.load ~site:"read_load_seq2" (o ords "read_load_seq2") l.seq in
-          (* return the snapshot as a pair encoding so the specification
-             sees both words: a consistent snapshot has a = b *)
-          if s1 = s2 then (a * 16) + b else attempt ()
-        end
+        let s1 =
+          P.await ~site:"read_load_seq1" (o ords "read_load_seq1") l.seq ~until:(fun s -> s mod 2 <> 1)
+        in
+        let a = P.load ~site:"read_load_a" (o ords "read_load_a") l.data_a in
+        let b = P.load ~site:"read_load_b" (o ords "read_load_b") l.data_b in
+        A.op_clear_define ();
+        let s2 = P.load ~site:"read_load_seq2" (o ords "read_load_seq2") l.seq in
+        (* return the snapshot as a pair encoding so the specification
+           sees both words: a consistent snapshot has a = b *)
+        if s1 = s2 then (a * 16) + b else attempt ()
       in
       attempt ())
 

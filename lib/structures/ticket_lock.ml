@@ -24,12 +24,10 @@ let create () =
 let lock ords l =
   A.api_proc ~obj:l.cur_ticket ~name:"lock" ~args:[] (fun () ->
       let my = P.fetch_add ~site:"lock_fa_ticket" (Ords.get ords "lock_fa_ticket") l.cur_ticket 1 in
-      let rec spin () =
-        let s = P.load ~site:"lock_load_serving" (Ords.get ords "lock_load_serving") l.now_serving in
-        A.op_clear_define ();
-        if s <> my then spin ()
-      in
-      spin ())
+      ignore
+        (P.await ~site:"lock_load_serving" (Ords.get ords "lock_load_serving") l.now_serving
+           ~until:(fun s -> s = my));
+      A.op_clear_define ())
 
 let unlock ords l =
   A.api_proc ~obj:l.cur_ticket ~name:"unlock" ~args:[] (fun () ->

@@ -201,7 +201,7 @@ let golden_register_json =
           "severity": "info",
           "site": "reg_store",
           "message": "relaxed store read cross-thread 377 time(s) with no sw edge (e.g. action #6 read by #10); fine if the value is self-contained, an ordering bug if it publishes an object",
-          "evidence": "#0 T0.1 start relaxed\n#1 T0.2 store relaxed @0 [<alloc>]\n#2 T0.3 store relaxed @0 w=0\n#3 T0.4 create(1) relaxed\n#4 T0.5 create(2) relaxed\n#5 T1.1 start relaxed\n#6 T1.2 store relaxed @0 w=1 [reg_store]\n#7 T1.3 finish relaxed\n#8 T0.6 join(1) relaxed\n#9 T2.1 start relaxed\n#10 T2.2 load relaxed @0 r=1 rf=#6 [reg_load]\n#11 T2.3 finish relaxed\n#12 T0.7 join(2) relaxed\n#13 T0.8 finish relaxed\n"
+          "evidence": "#0 T0.1 start relaxed\n#1 T0.2 store relaxed @1 [<alloc>]\n#2 T0.3 store relaxed @1 w=0\n#3 T0.4 create(1) relaxed\n#4 T0.5 create(2) relaxed\n#5 T1.1 start relaxed\n#6 T1.2 store relaxed @1 w=1 [reg_store]\n#7 T1.3 finish relaxed\n#8 T0.6 join(1) relaxed\n#9 T2.1 start relaxed\n#10 T2.2 load relaxed @1 r=1 rf=#6 [reg_load]\n#11 T2.3 finish relaxed\n#12 T0.7 join(2) relaxed\n#13 T0.8 finish relaxed\n"
         }
       ],
       "advice": null

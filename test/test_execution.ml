@@ -18,6 +18,20 @@ let test_alloc_and_init () =
   let loc2 = E.alloc x ~tid:0 ~count:1 ~init:None in
   Alcotest.(check bool) "distinct locations" true (loc2 <> loc && loc2 <> loc + 1)
 
+(* Location 0 is the null pointer: no allocation may return it — not the
+   first one of an execution, and not the first one after a restore
+   rewinds past every allocation. *)
+let test_alloc_never_null () =
+  let x = E.create () in
+  let m = E.mark x in
+  let first = E.alloc x ~tid:0 ~count:1 ~init:None in
+  Alcotest.(check bool) "first allocation is not null" true (first <> 0);
+  let second = E.alloc x ~tid:0 ~count:2 ~init:(Some 0) in
+  Alcotest.(check bool) "later allocations are not null" true (second <> 0 && second + 1 <> 0);
+  E.restore x m;
+  Alcotest.(check int) "restored allocator reuses the same base" first
+    (E.alloc x ~tid:0 ~count:1 ~init:(Some 3))
+
 let test_poison_reported () =
   let x = E.create () in
   let loc = E.alloc x ~tid:0 ~count:1 ~init:None in
@@ -121,7 +135,8 @@ let test_rmw_uninitialized () =
     List.exists (function E.Uninitialized_load _ -> true | _ -> false) p
   in
   let x = E.create () in
-  (* loc 0 is never allocated: zero stores, not even a poison write *)
+  (* loc 0 is the null pointer, which no allocation returns: zero
+     stores, not even a poison write *)
   let loc = 0 in
   let m = E.mark x in
   let a, problems = E.commit_rmw x ~tid:0 ~mo:Acq_rel ~loc ~value:7 () in
@@ -261,6 +276,7 @@ let () =
       ( "graph",
         [
           Alcotest.test_case "alloc and init" `Quick test_alloc_and_init;
+          Alcotest.test_case "alloc never null" `Quick test_alloc_never_null;
           Alcotest.test_case "poison" `Quick test_poison_reported;
           Alcotest.test_case "CoWR filter" `Quick test_cowr_filters_candidates;
           Alcotest.test_case "unrelated sees all" `Quick test_unrelated_thread_sees_all;

@@ -187,7 +187,8 @@ let test_replay_tolerates_garbage () =
 let test_fingerprint_coverage_bounds () =
   (* coverage counts distinct execution graphs (the canonical
      fingerprint the explorer's equivalence pruning uses): positive, a
-     subset of the exhaustive graph set, and bounded by its size *)
+     subset of the exhaustive graph set with sleep sets off, and bounded
+     by its size *)
   let exhaustive =
     E.explore
       ~config:
@@ -209,6 +210,47 @@ let test_fingerprint_coverage_bounds () =
   Alcotest.(check bool)
     "most behaviours covered" true
     (r.stats.coverage * 2 >= exhaustive.stats.distinct_graphs)
+
+(* Sleep sets explore one order of independent operations, and the
+   fingerprint tells some of those orders apart: it hashes the SC order
+   of seq_cst actions on different locations, and the ids concurrent
+   mallocs receive. Fuzz runs keep sleep sets off, so a campaign's
+   coverage is a subset of the sleep-sets-off graph set — which can be
+   larger than the default exploration's [distinct_graphs]. *)
+let test_coverage_within_sleep_off_set () =
+  let graphs ~sleep_sets (scheduler : Mc.Scheduler.config) main =
+    E.explore ~config:{ E.default_config with scheduler = { scheduler with sleep_sets } } main
+  in
+  let check name scheduler ~on ~off (campaign : F.result) main =
+    let with_ss = graphs ~sleep_sets:true scheduler main in
+    let without = graphs ~sleep_sets:false scheduler main in
+    Alcotest.(check int) (name ^ ": graphs with sleep sets") on with_ss.stats.distinct_graphs;
+    Alcotest.(check int) (name ^ ": graphs without") off without.stats.distinct_graphs;
+    Alcotest.(check bool)
+      (name ^ ": coverage within the sleep-off set")
+      true
+      (List.for_all (fun fp -> List.mem fp without.graphs) campaign.graphs)
+  in
+  (* the second thread's store lands before, between or after the
+     first's two: three SC orders, one graph per order *)
+  let sc_order () =
+    let base = P.malloc ~init:0 2 in
+    let t1 =
+      P.spawn (fun () ->
+          P.store Seq_cst (base + 1) 2;
+          P.store Seq_cst (base + 1) 1)
+    in
+    let t2 = P.spawn (fun () -> P.store Seq_cst base 1) in
+    P.join t1;
+    P.join t2
+  in
+  let campaign = F.run ~config:{ F.default_config with max_executions = Some 200 } ~seed:3 sc_order in
+  check "sc order" Mc.Scheduler.default_config ~on:2 ~off:3 campaign sc_order;
+  Alcotest.(check int) "sc order: fuzz covers all three" 3 campaign.stats.coverage;
+  let b = bench "MCS Lock" in
+  let t = find_test b "handoff" in
+  let ords = Structures.Ords.default b.sites in
+  check "MCS Lock/handoff" b.scheduler ~on:30 ~off:36 (fuzz_bench ~seed:1 b ords t) (t.program ords)
 
 (* ------------------------ minimization ---------------------------- *)
 
@@ -327,7 +369,10 @@ let () =
           Alcotest.test_case "tolerates garbage" `Quick test_replay_tolerates_garbage;
         ] );
       ( "coverage",
-        [ Alcotest.test_case "fingerprint bounds" `Quick test_fingerprint_coverage_bounds ] );
+        [
+          Alcotest.test_case "fingerprint bounds" `Quick test_fingerprint_coverage_bounds;
+          Alcotest.test_case "within the sleep-off set" `Quick test_coverage_within_sleep_off_set;
+        ] );
       ( "minimization",
         [
           Alcotest.test_case "pure ddmin" `Quick test_minimize_pure;

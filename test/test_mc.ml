@@ -517,6 +517,112 @@ let test_spin_loop_terminates () =
   Alcotest.(check (list int)) "spin exits" [ 1 ] outs;
   Alcotest.(check bool) "some branches pruned" true (result.stats.pruned_loop_bound > 0)
 
+(* The spin above as an await: the waiter blocks instead of spinning, so
+   no run reaches the loop bound and the flag is read exactly once. *)
+let test_await_blocks () =
+  let r = ref (-1) in
+  let main () =
+    let flag = P.malloc ~init:0 1 in
+    let t1 = P.spawn (fun () -> P.store Release flag 1) in
+    let t2 = P.spawn (fun () -> r := P.await Acquire flag ~until:(fun v -> v = 1)) in
+    P.join t1;
+    P.join t2
+  in
+  let outs, result = outcomes_of main (fun () -> !r) in
+  Alcotest.(check (list int)) "await returns the accepted value" [ 1 ] outs;
+  Alcotest.(check int) "no loop-bound prunes" 0 result.stats.pruned_loop_bound;
+  Alcotest.(check (list string)) "no bugs" [] (List.map Mc.Bug.key result.bugs)
+
+(* An await no store ever satisfies spins forever: the loop bound used to
+   prune those runs silently, an await reports them as a deadlock of the
+   waiter and of the main thread joining it. *)
+let test_await_forever_is_deadlock () =
+  let main () =
+    let flag = P.malloc ~init:0 1 in
+    let t1 = P.spawn (fun () -> P.store Release flag 1) in
+    let t2 = P.spawn (fun () -> ignore (P.await Acquire flag ~until:(fun v -> v = 2))) in
+    P.join t1;
+    P.join t2
+  in
+  let r = E.explore main in
+  Alcotest.(check (list string)) "deadlock reported" [ "deadlock:0,2" ] (List.map Mc.Bug.key r.bugs);
+  Alcotest.(check int) "no loop-bound prunes" 0 r.stats.pruned_loop_bound
+
+(* The await reads only the stores it accepts: racing a writer that
+   stores 1, 2, 3, it returns 0, 1 or 3 after exactly one load — it is
+   never handed the rejected 2 to re-issue on. *)
+let test_await_branches_over_accepted () =
+  let r = ref (-1) in
+  let main () =
+    let x = P.malloc ~init:0 1 in
+    let t1 =
+      P.spawn (fun () ->
+          P.store Relaxed x 1;
+          P.store Relaxed x 2;
+          P.store Relaxed x 3)
+    in
+    let t2 =
+      P.spawn (fun () -> r := P.await Relaxed x ~until:(fun v -> v <> 2))
+    in
+    P.join t1;
+    P.join t2
+  in
+  let acc = ref [] in
+  ignore
+    (E.explore
+       ~on_feasible:(fun exec _ ->
+         let n = ref 0 in
+         for i = 0 to C11.Execution.num_actions exec - 1 do
+           let a = C11.Execution.action exec i in
+           if a.tid = 2 && a.kind = C11.Action.Load then incr n
+         done;
+         if not (List.mem (!r, !n) !acc) then acc := (!r, !n) :: !acc;
+         [])
+       main);
+  Alcotest.(check (list (pair int int)))
+    "accepted values, one load each" [ (0, 1); (1, 1); (3, 1) ] (List.sort Stdlib.compare !acc)
+
+(* A relaxed await's read is a reads-from choice like a load's: after
+   waiting for [y = 1] without synchronizing, the waiter may still read
+   a stale [x], although [x = 1] and [x = 2] were stored first. With the
+   newest store rejected it must neither block (0 and 1 are readable)
+   nor settle for the newest accepted store: no schedule has [x = 0] as
+   the newest store at that point, so only the rf branch produces it. *)
+let test_await_reads_stale () =
+  let r = ref (-1) in
+  let main () =
+    let x = P.malloc ~init:0 1 in
+    let y = P.malloc ~init:0 1 in
+    let t1 =
+      P.spawn (fun () ->
+          P.store Relaxed x 1;
+          P.store Relaxed x 2;
+          P.store Relaxed y 1)
+    in
+    let t2 =
+      P.spawn (fun () ->
+          ignore (P.await Relaxed y ~until:(fun v -> v = 1));
+          r := P.await Relaxed x ~until:(fun v -> v <> 2))
+    in
+    P.join t1;
+    P.join t2
+  in
+  let outs, result = outcomes_of main (fun () -> !r) in
+  Alcotest.(check (list int)) "stale accepted values" [ 0; 1 ] outs;
+  Alcotest.(check (list string)) "never blocked" [] (List.map Mc.Bug.key result.bugs)
+
+(* [malloc] never returns the null pointer, even for the first cell a
+   program allocates. *)
+let test_malloc_not_null () =
+  let seen = ref [] in
+  let main () =
+    let a = P.malloc 1 in
+    let b = P.malloc ~init:0 2 in
+    seen := [ a; b ]
+  in
+  ignore (E.explore main);
+  Alcotest.(check bool) "no allocation is 0" true (!seen <> [] && not (List.mem 0 !seen))
+
 (* ------------------------------------------------------------------ *)
 (* Bug.key deduplication: the explorer folds per-execution reports into
    one list keyed by Bug.key, so the key must identify "the same bug
@@ -651,6 +757,14 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_exploration_counts;
           Alcotest.test_case "spin loop terminates" `Quick test_spin_loop_terminates;
+          Alcotest.test_case "malloc never returns null" `Quick test_malloc_not_null;
+        ] );
+      ( "await",
+        [
+          Alcotest.test_case "blocks instead of spinning" `Quick test_await_blocks;
+          Alcotest.test_case "waiting forever is a deadlock" `Quick test_await_forever_is_deadlock;
+          Alcotest.test_case "branches over accepted stores" `Quick test_await_branches_over_accepted;
+          Alcotest.test_case "reads stale accepted stores" `Quick test_await_reads_stale;
         ] );
       ( "bug-dedup",
         [

@@ -58,6 +58,70 @@ let test_ms_known_bugs () =
   in
   Alcotest.(check bool) "combined buggy port detected" true detected
 
+(* MCS Lock/handoff must finish, untruncated and clean, under
+   [cdsspec_run check]'s default cap ([--max-executions 500000]): its
+   waits are awaits, so no spin iteration is enumerated and no run ends
+   at the loop bound. *)
+let test_mcs_handoff_completes () =
+  let b = Structures.Mcs_lock.benchmark in
+  let t = List.find (fun (t : B.test) -> t.test_name = "handoff") b.tests in
+  let r =
+    E.explore
+      ~config:{ E.default_config with scheduler = b.scheduler; max_executions = Some 500_000 }
+      ~on_feasible:(Cdsspec.Checker.hook b.spec)
+      (t.program (Structures.Ords.default b.sites))
+  in
+  Alcotest.(check bool) "not truncated" false r.stats.truncated;
+  Alcotest.(check (list string)) "no bugs" [] (List.map Mc.Bug.key r.bugs);
+  Alcotest.(check int) "no loop-bound prunes" 0 r.stats.pruned_loop_bound
+
+(* A lock one thread takes and never releases: the next acquirer waits
+   forever, which each await pattern must report as a deadlock of that
+   thread and of the main thread joining it (a spin loop's endless runs
+   were cut at the loop bound, so no bug was reported). *)
+let test_unreleased_lock_deadlocks () =
+  let module P = Mc.Program in
+  let expect (b : B.t) setup =
+    let main () =
+      let hold, wait = setup (Structures.Ords.default b.sites) in
+      let t1 = P.spawn hold in
+      let t2 = P.spawn wait in
+      P.join t1;
+      P.join t2
+    in
+    let r = E.explore ~config:{ E.default_config with scheduler = b.scheduler } main in
+    Alcotest.(check (list string))
+      (b.name ^ ": the waiter blocks forever")
+      [ "deadlock:0,2" ]
+      (List.map Mc.Bug.key r.bugs)
+  in
+  let module Mcs = Structures.Mcs_lock in
+  expect Mcs.benchmark (fun o ->
+      let l = Mcs.create () in
+      ( (fun () -> Mcs.lock o l (Mcs.make_node ())),
+        fun () ->
+          let me = Mcs.make_node () in
+          Mcs.lock o l me;
+          Mcs.unlock o l me ));
+  let module Clh = Structures.Clh_lock in
+  expect Clh.benchmark (fun o ->
+      let l = Clh.create () in
+      ((fun () -> ignore (Clh.lock o l)), fun () -> Clh.unlock o l (Clh.lock o l)));
+  let module Ticket = Structures.Ticket_lock in
+  expect Ticket.benchmark (fun o ->
+      let l = Ticket.create () in
+      ( (fun () -> Ticket.lock o l),
+        fun () ->
+          Ticket.lock o l;
+          Ticket.unlock o l ));
+  let module Rw = Structures.Linux_rwlock in
+  expect Rw.benchmark (fun o ->
+      let l = Rw.create () in
+      ( (fun () -> Rw.write_lock o l),
+        fun () ->
+          Rw.write_lock o l;
+          Rw.write_unlock o l ))
+
 let benchmark_cases (b : B.t) ~expect_at_least =
   [
     Alcotest.test_case (b.name ^ " correct") `Quick (test_correct_passes b);
@@ -96,4 +160,8 @@ let () =
       ("clh-lock", with_rate "CLH Lock" 100);
       ("lazy-init", with_rate "Lazy Init" 100);
       ("ms-known-bugs", [ Alcotest.test_case "known bugs" `Quick test_ms_known_bugs ]);
+      ( "mcs-handoff",
+        [ Alcotest.test_case "completes under the CLI cap" `Quick test_mcs_handoff_completes ] );
+      ( "liveness",
+        [ Alcotest.test_case "unreleased lock deadlocks" `Quick test_unreleased_lock_deadlocks ] );
     ]
