@@ -86,14 +86,13 @@ type stats = {
           ({!C11.Execution.commit_count}) — the commit-kernel phase's
           work unit *)
   fiber_switches : int;
-      (** operations that suspended their fiber with an effect
-          round-trip ({!Scheduler.run_result.switches} totalled over
-          the search) *)
+      (** fiber suspensions ({!Scheduler.run_result.switches} totalled
+          over the search): every visible operation the programs
+          reached, plus the pause each restore-replayed thread ends on *)
   inline_ops : int;
-      (** operations committed inside the direct-dispatch hook without
-          suspending ({!Scheduler.run_result.inline_ops} totalled);
-          [fiber_switches + inline_ops] is every operation the programs
-          issued outside restore-replay *)
+      (** invisible operations committed inside the dispatch hook
+          without suspending ({!Scheduler.run_result.inline_ops}
+          totalled); visible operations always suspend *)
   rf_queries : int;
       (** rf-candidate floor queries ({!C11.Execution.rf_counters})
           answered during the search *)

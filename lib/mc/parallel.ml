@@ -200,7 +200,7 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
       match take () with
       | None -> ()
       | Some item ->
-        (* After a global halt, drain remaining items without exploring
+        (* After a global halt, finish remaining items without exploring
            them — the merged result is truncated either way. *)
         if Atomic.get halted then finish item.key None
         else begin
@@ -235,7 +235,7 @@ let explore ?(config = Explorer.default_config) ?on_feasible ?check ?warm ?(jobs
 (* A long-lived domain pool for callers that process many independent
    explorations over time (the serve daemon shards client jobs across
    one of these instead of spawning domains per request). Tasks are
-   plain thunks drained FIFO; a task that raises is contained — the
+   plain thunks run FIFO; a task that raises is contained — the
    exception is reported on stderr and the worker moves on, so one bad
    job can never wedge the pool. *)
 

@@ -51,7 +51,7 @@ val explore :
     A long-lived pool of worker domains for callers that process many
     independent explorations over time — the serve daemon shards client
     jobs across one of these instead of paying a domain spawn per
-    request. Tasks are plain thunks drained FIFO. A task that raises is
+    request. Tasks are plain thunks run FIFO. A task that raises is
     contained (logged to stderr, worker moves on), so one bad job never
     wedges the pool. Tasks that themselves call {!explore} with
     [jobs > 1] would nest domain pools; the intended pattern is

@@ -33,9 +33,11 @@ type _ Effect.t += Do : op -> int Effect.t
    per-domain dispatcher with two tiers:
 
    - [hook]: a general hook consulted before performing {!Do} — it
-     commits invisible operations (and, when sound, visible ones)
-     without suspending the fiber, returning [None] for operations that
-     need a real scheduling decision, which fall back to the effect.
+     commits invisible operations (allocation, spawn, non-atomic
+     accesses, annotations, checks) without suspending the fiber, since
+     none of them is a scheduling point. It returns [None] for every
+     visible operation, which performs the effect: the fiber pauses and
+     the scheduler commits the operation when it next steps the thread.
    - [rp_*]: the restore-replay value feed. While a snapshot restore
      re-runs a thread's closure, every operation's result is the next
      entry of its logged value stream; the wrappers below consume it
@@ -44,7 +46,7 @@ type _ Effect.t += Do : op -> int Effect.t
      irrelevant except for [Spawn], which must also re-register the
      child's closure via [rp_spawn] (fibers are rebuilt from scratch
      after a restore). [rp_limit = 0] (the default) disables the tier;
-     a thread's feed drains exactly at the operation it was paused at
+     a thread's feed runs out exactly at the operation it was paused at
      when the snapshot was taken, and that operation then performs the
      effect as usual.
 

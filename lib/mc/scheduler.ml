@@ -42,16 +42,9 @@ type config = {
   loop_bound : int;
   max_actions : int;
   sleep_sets : bool;
-  inline_visible : bool;
 }
 
-let default_config =
-  {
-    loop_bound = 8;
-    max_actions = 4000;
-    sleep_sets = true;
-    inline_visible = true;
-  }
+let default_config = { loop_bound = 8; max_actions = 4000; sleep_sets = true }
 
 type outcome =
   | Complete
@@ -132,11 +125,8 @@ let counter_cell table key idx =
   end;
   !cells.(idx)
 
-(* Scheduler scalars + arena watermark captured at a decision's step (or,
-   for decisions recorded by hook-inlined operations, just before the
-   inlined operation commits — see [capture_inline]). Defined here, ahead
-   of the session machinery that stores them, because the dispatch hook
-   captures mid-step snapshots itself. *)
+(* Scheduler scalars + arena watermark captured at the start of a step
+   that may record decisions; the session machinery below stores them. *)
 type snapshot = {
   s_mark : Execution.mark;
   s_nthreads : int;
@@ -166,18 +156,9 @@ type state = {
   mutable step_footprints : footprint list;  (* footprints of the current step *)
   mutable replaying : bool;  (* inside [replay_threads]: feed logged values, no commits *)
   mutable cur_tid : int;  (* thread whose fiber the scheduler is currently driving *)
-  mutable hook : Program.op -> int option;  (* direct-dispatch hook, closed over this state *)
+  mutable hook : Program.op -> int option;  (* invisible-op dispatch hook, closed over this state *)
   mutable n_switches : int;  (* fiber suspensions: operations that performed an effect *)
-  mutable n_inline : int;  (* operations committed inside the hook, no effect round-trip *)
-  (* Session plumbing for mid-step snapshots: when the hook inlines a
-     visible operation that records decisions, it captures and files the
-     snapshot itself, so a later backtrack restores to the operation
-     rather than to its (possibly much earlier) enclosing step. *)
-  mutable s_snaps : snapshot Vec.t option;  (* the session's snapshot store *)
-  mutable step_snap : snapshot option;  (* current step's start snapshot *)
-  mutable step_sleep0 : int;  (* sleep mask at the current step's start *)
-  mutable hook_c0 : int;  (* first hook-snapshotted decision index this step *)
-  mutable n_hook_snaps : int;
+  mutable n_inline : int;  (* invisible operations committed inside the hook *)
 }
 
 let get_status st tid = st.threads.(tid)
@@ -389,10 +370,9 @@ let dependent f1 f2 =
 let await_accepts until (w : C11.Action.t) =
   match w.written_value with Some v -> until v | None -> true
 
-(* The await's enabledness test — shared by [is_enabled] and
-   [can_inline_visible], so a thread is schedulable exactly when its
-   step can commit. The mo-latest store is in every read window, so
-   when it is accepted no floor query is needed. *)
+(* The await's enabledness test: a waiting thread is schedulable
+   exactly when its step can commit. The mo-latest store is in every
+   read window, so when it is accepted no floor query is needed. *)
 let await_enabled st tid ~mo ~loc ~until =
   match Execution.rmw_candidate st.exec ~loc with
   | None -> true
@@ -579,20 +559,17 @@ let is_invisible : Program.op -> bool = function
   | Program.Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ -> true
   | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ -> false
 
-(* Whether [tid]'s pending operation [op] can commit now: a [Join] once
-   its target has finished, an [Await] once its window holds a store it
-   accepts; everything else always. *)
-let op_enabled st tid : Program.op -> bool = function
-  | Join target ->
-    target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
-  | Await { mo; loc; until; _ } -> await_enabled st tid ~mo ~loc ~until
-  | _ -> true
-
+(* A started thread is enabled when its pending operation can commit
+   now: a [Join] once its target has finished, an [Await] once its window
+   holds a store it accepts; everything else always. *)
 let is_enabled st tid =
   match get_status st tid with
   | Not_started _ -> true
   | Finished -> false
-  | Paused (op, _) -> op_enabled st tid op
+  | Paused (Join target, _) ->
+    target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
+  | Paused (Await { mo; loc; until; _ }, _) -> await_enabled st tid ~mo ~loc ~until
+  | Paused _ -> true
 
 (* A sleeping thread stays asleep while every footprint of the committed
    step is independent of its pending operation. Threads without a known
@@ -619,163 +596,53 @@ let capture st sleep =
     s_opc = Vec.length st.counters.cj;
   }
 
-(* Snapshot for a decision recorded by a hook-inlined visible operation,
-   taken just before the operation commits. Restoring it replays the
-   running thread up to — and pauses it at — this very operation
-   ([s_stat] is patched to "paused"; its value log holds exactly the
-   ops before it), so a backtrack re-commits only the operation itself,
-   not the whole enclosing step. [s_sleep] is the sleep mask the
-   operation's own step would have started with had it not been
-   inlined: the enclosing step's start mask filtered by the footprints
-   committed so far this step — the same iterated filtering the
-   per-step recomputation performs, collapsed into one pass (the
-   intermediate statuses cannot change: sleeping threads are paused and
-   never stepped while asleep). *)
-let capture_inline st tid =
-  let sleep =
-    let m = st.step_sleep0 in
-    if (not st.config.sleep_sets) || m = 0 then 0
-    else begin
-      let out = ref 0 in
-      for u = 0 to st.nthreads - 1 do
-        if m land (1 lsl u) <> 0 && keep_asleep st st.step_footprints u then
-          out := !out lor (1 lsl u)
-      done;
-      !out
-    end
-  in
-  let sn = capture st sleep in
-  sn.s_stat.(tid) <- 1;
-  st.n_hook_snaps <- st.n_hook_snaps + 1;
-  sn
-
-(* File snapshot [sn] under every decision index the just-committed
-   inlined operation recorded ([c0 ..cursor-1]), backfilling any earlier
-   indices of the enclosing step with the step's start snapshot so the
-   store stays dense. [hook_c0] tells the step's own [record_snaps] where
-   to stop so it never overwrites hook-filed snapshots. *)
-let assign_snaps st snaps c0 sn =
-  if st.cursor > c0 then begin
-    if c0 < st.hook_c0 then st.hook_c0 <- c0;
-    (match st.step_snap with
-    | Some stepsn ->
-      while Vec.length snaps < c0 do
-        Vec.push snaps stepsn
-      done
-    | None ->
-      (* capture-skipped step: it recorded no decision of its own, so
-         the store is already dense up to [c0] *)
-      assert (Vec.length snaps >= c0));
-    for i = c0 to st.cursor - 1 do
-      if i < Vec.length snaps then Vec.set snaps i sn else Vec.push snaps sn
-    done
-  end
-
-(* Only loads and CAS can record (reads-from / branch-direction)
-   decisions; other visible ops never need a mid-step snapshot. Being
-   wrong here costs performance, not soundness: an unsnapshotted
-   decision falls back to the enclosing step's snapshot. *)
+(* Only loads, awaits and CAS record (reads-from / branch-direction)
+   decisions; a single-candidate step whose operation is anything else
+   records none, and [run_loop] skips its snapshot. A wrong [false] here
+   would leave a decision with no snapshot to restore it from. *)
 let may_decide : Program.op -> bool = function
   | Program.Load _ | Await _ | Cas _ -> true
   | _ -> false
 
-(* First-run direct dispatch of a *visible* operation: sound exactly when
-   the scheduling step it elides could not have gone any other way.
-
-   - No thread other than [tid] is enabled: the would-be scheduling
-     point has one available candidate, which [run_loop] takes without
-     recording a decision ([!nav = 1] short-circuits [choose_sched]), so
-     skipping the loop iteration drops no decision and no prune-key
-     check (those fire only at non-trivial fresh points).
-   - The running thread itself cannot be asleep here: a thread is put to
-     sleep only as an unchosen sibling, and a sleeping thread is never
-     stepped, so the fiber being live implies [tid] is awake.
-   - [op] itself is enabled ([op_enabled], the test [is_enabled] uses)
-     — a [Join] commits only once its target has finished and an
-     [Await] only once it has a store to read; inlining a blocked one
-     would skip deadlock detection.
-
-   Value-level choices the commit makes (reads-from, CAS direction) are
-   NOT elided: [exec_visible] records them in the trace as usual, and the
-   enclosing step's snapshot covers them ([record_snaps] walks every
-   decision index the step produced). Statuses are restored on session
-   rewind, so the gate is deterministic across restore-replays: a prefix
-   that inlined an op on the fresh run inlines it again after restore. *)
-let can_inline_visible st tid (op : Program.op) =
-  op_enabled st tid op
-  &&
-  let rec no_other u =
-    u >= st.nthreads || ((u = tid || not (is_enabled st u)) && no_other (u + 1))
-  in
-  no_other 0
-
-(* The [Program.dispatch] hook: handle an operation inside the running
-   fiber, without suspending it, whenever the result does not need a
-   scheduling decision. Live runs commit invisible operations directly
-   (logging their values as [drain] would) and visible operations too
-   when no other thread is enabled (see [can_inline_visible]); replay
-   feeds each thread the logged values of *all* its operations, so a
-   whole program prefix re-runs without a single effect. [None] — a
-   visible operation live at a real scheduling point, or an exhausted
-   value log under replay — performs the effect and pauses the fiber at
-   its pending operation as before. *)
+(* The [Program.dispatch] hook of live runs ([run_loop] installs it):
+   commit an invisible operation inside the running fiber, logging its
+   value for restore-replay. Invisible operations are never scheduling
+   points, so the effect round-trip would only hand control to the
+   scheduler and straight back. [None] — every visible operation —
+   performs the effect and pauses the fiber; [step] commits it. *)
 let make_hook st (op : Program.op) =
-  let tid = st.cur_tid in
-  if st.replaying then
-    (* The replay value feed lives in the dispatcher itself
-       ([Program.dispatch]'s [rp_*] tier) and never reaches this hook;
-       control only lands here when a replayed thread's feed has drained
-       — at the operation it was paused at when the snapshot was taken —
-       and [None] performs the effect, parking the fiber there. *)
-    None
-  else if is_invisible op then begin
+  if not (is_invisible op) then None
+  else begin
+    let tid = st.cur_tid in
     let v = exec_invisible st tid op in
     Vec.push st.values.(tid) v;
     st.n_inline <- st.n_inline + 1;
     Some v
   end
-  else if st.config.inline_visible && can_inline_visible st tid op then begin
-    match st.s_snaps with
-    | Some snaps when may_decide op ->
-      (* Session mode: decisions this op records need a restore point at
-         the op itself, captured before it commits. *)
-      let c0 = st.cursor in
-      let sn = capture_inline st tid in
-      let v =
-        match exec_visible st tid op with
-        | v -> v
-        | exception e ->
-          assign_snaps st snaps c0 sn;
-          raise e
-      in
-      assign_snaps st snaps c0 sn;
-      Vec.push st.values.(tid) v;
-      st.n_inline <- st.n_inline + 1;
-      Some v
-    | _ ->
-      let v = exec_visible st tid op in
-      Vec.push st.values.(tid) v;
-      st.n_inline <- st.n_inline + 1;
-      Some v
-  end
-  else None
 
+(* One handler for live and restore-replayed fibers: a rebuilt fiber
+   keeps it for the rest of its life, so while [st.replaying] it commits
+   nothing (the restored graph already holds those actions) and records
+   no bug (the restored bug list already has it). *)
 let handler st tid =
   {
     Effect.Deep.retc =
       (fun () ->
-        ignore (Execution.commit_finish st.exec ~tid);
+        if not st.replaying then ignore (Execution.commit_finish st.exec ~tid);
         set_status st tid Finished);
     exnc =
       (fun e ->
-        (match e with
-        | Prune _ -> raise e
-        | _ ->
-          st.bugs <-
-            Bug.Assertion_failure { tid; message = "uncaught exception: " ^ Printexc.to_string e }
-            :: st.bugs;
-          ignore (Execution.commit_finish st.exec ~tid);
-          set_status st tid Finished));
+        if st.replaying then set_status st tid Finished
+        else begin
+          match e with
+          | Prune _ -> raise e
+          | _ ->
+            st.bugs <-
+              Bug.Assertion_failure { tid; message = "uncaught exception: " ^ Printexc.to_string e }
+              :: st.bugs;
+            ignore (Execution.commit_finish st.exec ~tid);
+            set_status st tid Finished
+        end);
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
@@ -787,35 +654,21 @@ let handler st tid =
         | _ -> None);
   }
 
-(* Run thread [tid] until it pauses at a visible operation or finishes,
-   committing any invisible operations it passes through. *)
-let rec drain st tid =
-  match get_status st tid with
-  | Paused (op, k) when is_invisible op ->
-    let v = exec_invisible st tid op in
-    Vec.push st.values.(tid) v;
-    Effect.Deep.continue k v;
-    drain st tid
-  | Not_started _ | Paused _ | Finished -> ()
-
-let start_thread st tid f =
-  ignore (Execution.commit_start st.exec ~tid);
-  Effect.Deep.match_with f () (handler st tid);
-  drain st tid
-
 (* One scheduling step: start the thread or commit its pending visible
-   operation, then run it to its next visible operation. Returns the
-   footprints of everything it committed. *)
+   operation, then run it to its next visible operation (the hook commits
+   the invisible ones on the way). Returns the footprints of everything
+   it committed. *)
 let step st tid =
   st.cur_tid <- tid;
   st.step_footprints <- [];
   (match get_status st tid with
-  | Not_started f -> start_thread st tid f
+  | Not_started f ->
+    ignore (Execution.commit_start st.exec ~tid);
+    Effect.Deep.match_with f () (handler st tid)
   | Paused (op, k) ->
     let v = exec_visible st tid op in
     Vec.push st.values.(tid) v;
-    Effect.Deep.continue k v;
-    drain st tid
+    Effect.Deep.continue k v
   | Finished -> invalid_arg "step: finished thread");
   st.step_footprints
 
@@ -841,11 +694,6 @@ let mk_state ?pick ?prune ~config ~trace main =
       hook = (fun _ -> None);
       n_switches = 0;
       n_inline = 0;
-      s_snaps = None;
-      step_snap = None;
-      step_sleep0 = 0;
-      hook_c0 = max_int;
-      n_hook_snaps = 0;
     }
   in
   st.hook <- make_hook st;
@@ -908,48 +756,13 @@ let replay_threads st main (snap : snapshot) =
   done;
   if started 0 then st.threads.(0) <- Not_started main;
   (* Value feeding happens in the dispatcher's replay feed (no effect —
-     and no [op] record — per replayed operation); a perform only
-     reaches this handler when the thread's log is exhausted, i.e. at
-     the visible operation it was paused at when the snapshot was
-     taken. The handler stays installed on the rebuilt fiber for the
-     rest of its life, so retc/exnc must carry both behaviours: while
-     [st.replaying] they commit nothing (the restored graph already
-     holds those actions); afterwards — when the scheduler resumes the
-     fiber live — they are byte-for-byte the normal [handler]. *)
-  let replay_handler tid =
-    {
-      Effect.Deep.retc =
-        (fun () ->
-          if not st.replaying then ignore (Execution.commit_finish st.exec ~tid);
-          set_status st tid Finished);
-      exnc =
-        (fun e ->
-          if st.replaying then set_status st tid Finished
-          else begin
-            match e with
-            | Prune _ -> raise e
-            | _ ->
-              st.bugs <-
-                Bug.Assertion_failure
-                  { tid; message = "uncaught exception: " ^ Printexc.to_string e }
-                :: st.bugs;
-              ignore (Execution.commit_finish st.exec ~tid);
-              set_status st tid Finished
-          end);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Program.Do op ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                st.n_switches <- st.n_switches + 1;
-                set_status st tid (Paused (op, k)))
-          | _ -> None);
-    }
-  in
+     and no [op] record — per replayed operation), with no hook: an
+     operation only gets past the feed when the thread's log is
+     exhausted, i.e. at the visible operation it was paused at when the
+     snapshot was taken, and performs the effect that parks it there. *)
   let d = Domain.DLS.get Program.dispatch in
   let saved = d.Program.hook in
-  d.Program.hook <- Some st.hook;
+  d.Program.hook <- None;
   d.Program.rp_spawn <- (fun child f -> st.threads.(child) <- Not_started f);
   st.replaying <- true;
   Fun.protect
@@ -967,7 +780,7 @@ let replay_threads st main (snap : snapshot) =
             d.Program.rp_vals <- Vec.unsafe_data vs;
             d.Program.rp_next <- 0;
             d.Program.rp_limit <- Vec.length vs;
-            Effect.Deep.match_with f () (replay_handler tid)
+            Effect.Deep.match_with f () (handler st tid)
           | _ -> assert false
         end
       done)
@@ -1000,14 +813,10 @@ let run_loop ?session st sleep0 =
   let d = Domain.DLS.get Program.dispatch in
   let saved = d.Program.hook in
   d.Program.hook <- Some st.hook;
-  (* Decision indices at or past [hook_c0] were already filed (with
-     their own mid-step snapshots) by the dispatch hook — never
-     overwrite those. *)
   let record_snaps c0 snap =
     match session, snap with
     | Some s, Some sn ->
-      let stop = if st.hook_c0 < st.cursor then st.hook_c0 else st.cursor in
-      for i = c0 to stop - 1 do
+      for i = c0 to st.cursor - 1 do
         if i < Vec.length s.snaps then Vec.set s.snaps i sn
         else begin
           assert (i = Vec.length s.snaps);
@@ -1048,10 +857,11 @@ let run_loop ?session st sleep0 =
         | Some s ->
           (* A single-candidate step whose operation makes no value
              choice ([may_decide]) records no decision, so its snapshot
-             could never be restored to — skip the capture. Operations
-             the step's drain inlines afterwards capture their own
-             mid-step snapshots and file every index they record, so no
-             decision is left pointing at a skipped snapshot. *)
+             could never be restored to — skip the capture. The step
+             commits only that operation (the hook commits the invisible
+             ones after it, which decide nothing), so a wrong [false]
+             from [may_decide] would leave a decision with no snapshot;
+             [record_snaps] and [session_run] assert against it. *)
           let skip =
             !nav = 1
             &&
@@ -1067,9 +877,6 @@ let run_loop ?session st sleep0 =
           end
         | None -> None
       in
-      st.step_snap <- snap;
-      st.step_sleep0 <- sleep;
-      st.hook_c0 <- max_int;
       let slept_mask, footprints =
         try
           let tid, slept =
@@ -1127,9 +934,7 @@ let run ?pick ?prune ~config ~trace main =
 
 let session_create ?prune ~config ~trace main =
   let st = mk_state ?prune ~config ~trace main in
-  let snaps = Vec.create () in
-  st.s_snaps <- Some snaps;
-  { st; main; started = false; snaps; n_snapshots = 0; n_restores = 0 }
+  { st; main; started = false; snaps = Vec.create (); n_snapshots = 0; n_restores = 0 }
 
 let session_run s =
   let st = s.st in

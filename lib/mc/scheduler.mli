@@ -69,15 +69,6 @@ type config = {
           pruned as redundant. *)
   max_actions : int;  (** Backstop on total committed actions per run. *)
   sleep_sets : bool;  (** Enable sleep-set partial-order reduction. *)
-  inline_visible : bool;
-      (** Commit a visible operation inside the running fiber — no
-          effect round-trip — when no other thread is enabled, i.e. when
-          the scheduling point it elides is trivial (one candidate, no
-          decision recorded, no prune-key check). Value-level choices the
-          commit makes (reads-from, CAS direction) are still recorded in
-          the trace, so explored graph sets, decision traces, bug lists
-          and prune behaviour are identical either way; off is the
-          plain fiber path the tests compare against. *)
 }
 
 val default_config : config
@@ -98,14 +89,14 @@ type run_result = {
   bugs : Bug.t list;  (** built-in detections, in commit order *)
   outcome : outcome;
   switches : int;
-      (** Fiber suspensions performed: operations that went through an
-          effect round-trip rather than the direct-dispatch hook. Counts
-          since the state was created — per run under {!run}, cumulative
-          across a session. *)
+      (** Fiber suspensions performed: every visible operation a thread
+          reaches, plus, in a session, the pause each restore-replayed
+          thread ends on. Counts since the state was created — per run
+          under {!run}, cumulative across a session. *)
   inline_ops : int;
-      (** Operations committed inside the dispatch hook without
-          suspending the fiber (invisible ops on live runs, plus visible
-          ops under [inline_visible]). Same accumulation as [switches]. *)
+      (** Invisible operations committed inside the dispatch hook
+          without suspending the fiber; visible operations never are.
+          Same accumulation as [switches]. *)
 }
 
 (** [run ~config ~trace main] executes [main] as thread 0.

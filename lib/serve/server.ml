@@ -388,11 +388,14 @@ let serve ~socket ~jobs ?store_dir () =
   (* A worker writing to a vanished client must get EPIPE as a return
      value, not a process-killing signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* The store is open (its [meta] written) before the socket exists, so
+     a client that connects finds it ready, and an unusable store
+     directory fails before any socket file is created. *)
+  let store = Option.map Store.open_dir store_dir in
   if Sys.file_exists socket then Sys.remove socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
   Unix.listen listen_fd 16;
-  let store = Option.map Store.open_dir store_dir in
   let server =
     {
       listen_fd;
@@ -447,8 +450,8 @@ let serve ~socket ~jobs ?store_dir () =
       readable;
     reap server
   done;
-  (* Drain: running jobs finish (jobs of vanished clients abort through
-     their stop hook), then workers exit and are joined. *)
+  (* Shutdown: running jobs finish (jobs of vanished clients abort
+     through their stop hook), then workers exit and are joined. *)
   Mc.Parallel.pool_shutdown server.pool;
   List.iter
     (fun c -> if not c.closed then try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())

@@ -29,5 +29,7 @@
     socket file is replaced), prints one "serving ..." line to stdout,
     and blocks until a client sends [{"op":"shutdown"}]. [jobs] is the
     resident worker-domain count. [store_dir], when given, is opened
-    with {!Store.open_dir} (engine-rev flush semantics apply). *)
+    with {!Store.open_dir} (engine-rev flush semantics apply) before the
+    socket is bound: a successful connect means the store is open, and
+    an unusable store directory raises before any socket file exists. *)
 val serve : socket:string -> jobs:int -> ?store_dir:string -> unit -> unit

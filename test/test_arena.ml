@@ -3,8 +3,10 @@
    the legacy fresh-run-per-execution engine — same stats, same graph
    sets, same bug lists, same first buggy traces — over every registry
    structure, serially and under work-stealing parallelism, with and
-   without equivalence pruning. Plus direct unit tests of the arena
-   watermark snapshot/restore machinery. *)
+   without equivalence pruning, with and without the specification
+   checker. A seeded fuzz campaign is checked against both engines.
+   Plus direct unit tests of the arena watermark snapshot/restore
+   machinery. *)
 
 module E = Mc.Explorer
 module S = Mc.Scheduler
@@ -31,15 +33,30 @@ let stats_key (s : E.stats) =
     (if s.truncated then 1 else 0);
   ]
 
-let run_bench ~engine ~prune ~jobs ~cap (b : B.t) (t : B.test) =
+(* [checked] runs the specification checker on every feasible
+   execution, as the CLI does. *)
+let run_bench ?loop_bound ?(checked = false) ~engine ~prune ~jobs ~cap (b : B.t) (t : B.test) =
+  let scheduler =
+    match loop_bound with None -> b.scheduler | Some loop_bound -> { b.scheduler with S.loop_bound }
+  in
+  let on_feasible = if checked then Some (Cdsspec.Checker.hook b.spec) else None in
   E.(
-    Mc.Parallel.explore ~jobs
-      ~config:
-        { default_config with scheduler = b.scheduler; engine; prune; max_executions = cap }
+    Mc.Parallel.explore ~jobs ?on_feasible
+      ~config:{ default_config with scheduler; engine; prune; max_executions = cap }
       (t.program (Structures.Ords.default b.sites)))
 
 let check_identical name (a : E.result) (l : E.result) =
   Alcotest.(check (list int)) (name ^ ": stats") (stats_key l.stats) (stats_key a.stats);
+  Alcotest.(check bool) (name ^ ": graph set") true (a.graphs = l.graphs);
+  Alcotest.(check (list string))
+    (name ^ ": bug keys")
+    (List.map Mc.Bug.key l.bugs)
+    (List.map Mc.Bug.key a.bugs);
+  Alcotest.(check (option string)) (name ^ ": first trace") l.first_buggy_trace a.first_buggy_trace
+
+(* What work-stealing runs must agree on: with pruning the
+   explored/pruned counters legitimately vary with donation timing. *)
+let check_same_outputs name (a : E.result) (l : E.result) =
   Alcotest.(check bool) (name ^ ": graph set") true (a.graphs = l.graphs);
   Alcotest.(check (list string))
     (name ^ ": bug keys")
@@ -68,8 +85,7 @@ let test_serial_differential () =
 (* Work-stealing parallelism: uncapped (a shared execution budget
    truncates at a scheduling-dependent point), so only each structure's
    first unit test — small enough to exhaust — is swept. With pruning
-   the explored/pruned counters legitimately vary with donation timing,
-   so only the order-independent outputs are compared. *)
+   only the order-independent outputs are compared. *)
 let test_parallel_differential () =
   List.iter
     (fun name ->
@@ -80,109 +96,55 @@ let test_parallel_differential () =
       check_identical (name ^ "/" ^ t.test_name ^ " -j2") a l;
       let a = run_bench ~engine:`Arena ~prune:true ~jobs:2 ~cap:None b t in
       let l = run_bench ~engine:`Legacy ~prune:true ~jobs:2 ~cap:None b t in
-      let n = name ^ "/" ^ t.test_name ^ " -j2 pruned" in
-      Alcotest.(check bool) (n ^ ": graph set") true (a.graphs = l.graphs);
-      Alcotest.(check (list string))
-        (n ^ ": bug keys")
-        (List.map Mc.Bug.key l.bugs)
-        (List.map Mc.Bug.key a.bugs);
-      Alcotest.(check (option string)) (n ^ ": first trace") l.first_buggy_trace
-        a.first_buggy_trace)
+      check_same_outputs (name ^ "/" ^ t.test_name ^ " -j2 pruned") a l)
     [ "Lazy Init"; "Seqlock"; "Treiber Stack" ]
 
-(* Commit-path mode identity: the first-run direct-dispatch hook
-   ([inline_visible]) is a pure optimization — with the specification
-   checker on, both settings must produce the same stats, graph sets,
-   bug lists and first traces. *)
-let run_modes ?loop_bound ~inline ~prune ~jobs ~cap (b : B.t) (t : B.test) =
-  let scheduler = { b.scheduler with S.inline_visible = inline } in
-  let scheduler =
-    match loop_bound with None -> scheduler | Some loop_bound -> { scheduler with loop_bound }
-  in
-  E.(
-    Mc.Parallel.explore ~jobs
-      ~config:{ default_config with scheduler; engine = `Arena; prune; max_executions = cap }
-      ~on_feasible:(Cdsspec.Checker.hook b.spec)
-      (t.program (Structures.Ords.default b.sites)))
-
-(* Serial DFS is deterministic and the dispatch mode never changes a
-   decision, so capped rows compare byte-for-byte too. *)
-let test_commit_mode_identity () =
+(* With the specification checker on: the first test of each exhaustive
+   structure, both prune modes. Serial DFS is deterministic, so capped
+   rows compare byte-for-byte. *)
+let test_checked_differential () =
   List.iter
     (fun (b : B.t) ->
       let t = List.hd b.tests in
       List.iter
         (fun prune ->
-          let off = run_modes ~inline:false ~prune ~jobs:1 ~cap:(Some 10_000) b t in
-          let on = run_modes ~inline:true ~prune ~jobs:1 ~cap:(Some 10_000) b t in
-          check_identical (Printf.sprintf "%s/%s prune=%b" b.name t.test_name prune) on off)
+          let run engine = run_bench ~checked:true ~engine ~prune ~jobs:1 ~cap:(Some 10_000) b t in
+          check_identical
+            (Printf.sprintf "%s/%s prune=%b checked" b.name t.test_name prune)
+            (run `Arena) (run `Legacy))
         [ true; false ])
     Structures.Registry.exhaustive
 
-(* Spin-heavy rows with pruning off: long per-location histories and a
-   restore before almost every run, the regime where inline commits
-   and their mid-step snapshots do the most work. Peterson Lock's wait
+(* Spin-heavy rows with pruning off and the checker on: long
+   per-location histories and a restore before almost every run, the
+   regime where restore-replay does the most work. Peterson Lock's wait
    reads two locations, so it stays a load loop under the loop bound
    (single-location waits are awaits and no longer spin). *)
-let test_commit_mode_identity_spin () =
+let test_spin_differential () =
   List.iter
     (fun (name, test_name, loop_bound) ->
       let b = find name in
       let t = List.find (fun (t : B.test) -> t.test_name = test_name) b.tests in
-      let off = run_modes ?loop_bound ~inline:false ~prune:false ~jobs:1 ~cap:(Some 20_000) b t in
-      let on = run_modes ?loop_bound ~inline:true ~prune:false ~jobs:1 ~cap:(Some 20_000) b t in
-      check_identical (Printf.sprintf "%s/%s prune=false" name test_name) on off;
+      let run engine =
+        run_bench ?loop_bound ~checked:true ~engine ~prune:false ~jobs:1 ~cap:(Some 20_000) b t
+      in
+      let a = run `Arena in
+      check_identical (Printf.sprintf "%s/%s prune=false" name test_name) a (run `Legacy);
       if loop_bound <> None then
         Alcotest.(check bool) (name ^ ": still spins to the cap") true
-          (on.stats.truncated && on.stats.pruned_loop_bound > 0))
+          (a.stats.truncated && a.stats.pruned_loop_bound > 0))
     [ ("Peterson Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
 
-(* Under -j2 work stealing donation timing varies the counters, so
-   compare the order-independent outputs. *)
-let test_commit_mode_identity_parallel () =
+(* MCS Lock under -j2 work stealing with the checker on. *)
+let test_checked_parallel_differential () =
   let b = find "MCS Lock" in
   let t = List.hd b.tests in
-  let off = run_modes ~inline:false ~prune:true ~jobs:2 ~cap:None b t in
-  let on = run_modes ~inline:true ~prune:true ~jobs:2 ~cap:None b t in
-  Alcotest.(check bool) "-j2: graph set" true (on.graphs = off.graphs);
-  Alcotest.(check (list string))
-    "-j2: bug keys"
-    (List.map Mc.Bug.key off.bugs)
-    (List.map Mc.Bug.key on.bugs);
-  Alcotest.(check (option string)) "-j2: first trace" off.first_buggy_trace on.first_buggy_trace
-
-(* Seeded fuzz campaigns ride the identical decision stream whatever the
-   dispatch mode: inline commits never consume a pick, so bugs, coverage
-   and minimized reproducers must be bit-identical across modes. *)
-let test_commit_mode_identity_fuzz () =
-  let b = find "Seqlock" in
-  let t = List.hd b.tests in
-  let campaign ~inline =
-    Fuzz.Engine.run
-      ~config:
-        {
-          Fuzz.Engine.default_config with
-          scheduler = { b.scheduler with S.sleep_sets = false; inline_visible = inline };
-          max_executions = Some 2_000;
-        }
-      ~seed:42
-      (t.program (Structures.Ords.default b.sites))
-  in
-  let off = campaign ~inline:false and on = campaign ~inline:true in
-  Alcotest.(check int) "fuzz: feasible" off.stats.feasible on.stats.feasible;
-  Alcotest.(check int) "fuzz: coverage" off.stats.coverage on.stats.coverage;
-  Alcotest.(check (list string))
-    "fuzz: found bugs"
-    (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) off.found)
-    (List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) on.found);
-  Alcotest.(check (list string))
-    "fuzz: reproducer traces"
-    (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) off.found)
-    (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) on.found)
+  let run engine = run_bench ~checked:true ~engine ~prune:true ~jobs:2 ~cap:None b t in
+  check_same_outputs "MCS Lock -j2 checked" (run `Arena) (run `Legacy)
 
 (* Same seed, same campaign: the fuzzer rides the same commit path as
-   the engines (direct-dispatch hook included), so a seeded campaign
-   must be reproducible down to the minimized reproducer traces. *)
+   the engines, so a seeded campaign must be reproducible down to the
+   minimized reproducer traces. *)
 let test_fuzz_deterministic () =
   let b = find "Seqlock" in
   let t = List.hd b.tests in
@@ -209,6 +171,46 @@ let test_fuzz_deterministic () =
     "reproducer traces"
     (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) r1.found)
     (List.map (fun (f : Fuzz.Engine.found) -> Fuzz.Engine.trace_to_string f.minimized) r2.found)
+
+(* Commit paths agree: a seeded fuzz campaign runs each execution fresh
+   under sampled picks, the arena engine restores a snapshot and feeds
+   its threads their logged values, and [`Legacy] runs each DFS
+   execution fresh. With sleep sets off every graph the campaign commits
+   must be one both exhaustive engines commit, and every bug it finds
+   one they find — on the seeded-buggy M&S queue, so the bug half
+   cannot go vacuous. *)
+let test_fuzz_within_engines () =
+  let b = find "M&S Queue" in
+  let t = List.find (fun (t : B.test) -> t.test_name = "1enq-1deq") b.tests in
+  let ords = Structures.Ms_queue.known_buggy_ords in
+  let scheduler = { b.scheduler with S.sleep_sets = false } in
+  let on_feasible = Cdsspec.Checker.hook b.spec in
+  let campaign =
+    Fuzz.Engine.run
+      ~config:{ Fuzz.Engine.default_config with scheduler; max_executions = Some 2_000 }
+      ~on_feasible ~seed:1 (t.program ords)
+  in
+  Alcotest.(check bool) "fuzz: found a bug" true (campaign.found <> []);
+  List.iter
+    (fun (name, engine) ->
+      let r =
+        E.(
+          Mc.Parallel.explore ~jobs:1 ~on_feasible
+            ~config:{ default_config with scheduler; engine; prune = false; max_executions = None }
+            (t.program ords))
+      in
+      Alcotest.(check bool) (name ^ ": exhaustive") false r.stats.truncated;
+      Alcotest.(check bool)
+        (name ^ ": holds every fuzzed graph")
+        true
+        (List.for_all (fun fp -> List.mem fp r.graphs) campaign.graphs);
+      let keys = List.map Mc.Bug.key r.bugs in
+      List.iter
+        (fun (f : Fuzz.Engine.found) ->
+          let k = Mc.Bug.key f.bug in
+          Alcotest.(check bool) (name ^ ": finds " ^ k) true (List.mem k keys))
+        campaign.found)
+    [ ("arena", `Arena); ("legacy", `Legacy) ]
 
 (* Direct watermark unit test: mark, commit past it, restore, and the
    arena is back — lengths and fingerprint — including across nested
@@ -397,14 +399,11 @@ let () =
           Alcotest.test_case "exhaustive registry, serial" `Quick test_serial_differential;
           Alcotest.test_case "work stealing -j2" `Quick test_parallel_differential;
           Alcotest.test_case "seeded fuzz campaign" `Quick test_fuzz_deterministic;
+          Alcotest.test_case "checker on, first tests" `Quick test_checked_differential;
+          Alcotest.test_case "spin rows, prune off" `Quick test_spin_differential;
+          Alcotest.test_case "MCS Lock -j2, checker on" `Quick test_checked_parallel_differential;
         ] );
-      ( "commit-modes",
-        [
-          Alcotest.test_case "serial" `Quick test_commit_mode_identity;
-          Alcotest.test_case "spin rows, prune off" `Quick test_commit_mode_identity_spin;
-          Alcotest.test_case "work stealing -j2" `Quick test_commit_mode_identity_parallel;
-          Alcotest.test_case "seeded fuzz" `Quick test_commit_mode_identity_fuzz;
-        ] );
+      ("commit-modes", [ Alcotest.test_case "seeded fuzz" `Quick test_fuzz_within_engines ]);
       ( "snapshots",
         [
           Alcotest.test_case "nested watermarks" `Quick test_watermark_nested;

@@ -42,12 +42,12 @@ let prop_push_back_back =
 let prop_fifo_order =
   QCheck.Test.make ~name:"push_back stream dequeues in order" ~count:200 int_list_arb (fun l ->
       let il = List.fold_left (fun acc v -> Il.push_back v acc) Il.empty l in
-      let rec drain acc il =
+      let rec pop_all acc il =
         match Il.front il with
         | None -> List.rev acc
-        | Some v -> drain (v :: acc) (Il.pop_front il)
+        | Some v -> pop_all (v :: acc) (Il.pop_front il)
       in
-      drain [] il = l)
+      pop_all [] il = l)
 
 let test_int_map () =
   let m = Im.put ~key:1 ~value:10 (Im.put ~key:2 ~value:20 Im.empty) in

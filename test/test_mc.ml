@@ -623,6 +623,42 @@ let test_malloc_not_null () =
   ignore (E.explore main);
   Alcotest.(check bool) "no allocation is 0" true (!seen <> [] && not (List.mem 0 !seen))
 
+(* Every visible operation pauses its fiber and the scheduler commits it;
+   only invisible operations commit inside the dispatch hook. The child
+   runs alone once the main thread waits at its join, so a scheduler
+   that inlined a lone thread's visible operations would count fewer
+   switches on some schedules. Checked on every schedule. *)
+let test_visible_ops_suspend () =
+  let main () =
+    let x = P.malloc ~init:0 1 in
+    let y = P.malloc ~init:0 1 in
+    let t =
+      P.spawn (fun () ->
+          P.store Relaxed x 1;
+          P.na_store y 2;
+          P.annotate P.Op_define;
+          ignore (P.load Relaxed x))
+    in
+    ignore (P.load Relaxed x);
+    ignore (P.cas Relaxed x ~expected:1 ~desired:2);
+    P.join t
+  in
+  (* store, load, load, cas, join; malloc, malloc, spawn, na_store, annotate *)
+  let visible = 5 and invisible = 5 in
+  let config = { Mc.Scheduler.default_config with sleep_sets = false } in
+  let trace = C11.Vec.create () in
+  let runs = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let r = Mc.Scheduler.run ~config ~trace main in
+    incr runs;
+    Alcotest.(check bool) "complete" true (r.outcome = Mc.Scheduler.Complete);
+    Alcotest.(check int) "switches = visible ops" visible r.switches;
+    Alcotest.(check int) "inline ops = invisible ops" invisible r.inline_ops;
+    if not (E.backtrack trace) then continue_ := false
+  done;
+  Alcotest.(check bool) "several schedules" true (!runs > 1)
+
 (* ------------------------------------------------------------------ *)
 (* Bug.key deduplication: the explorer folds per-execution reports into
    one list keyed by Bug.key, so the key must identify "the same bug
@@ -758,6 +794,7 @@ let () =
           Alcotest.test_case "counts" `Quick test_exploration_counts;
           Alcotest.test_case "spin loop terminates" `Quick test_spin_loop_terminates;
           Alcotest.test_case "malloc never returns null" `Quick test_malloc_not_null;
+          Alcotest.test_case "visible operations always suspend" `Quick test_visible_ops_suspend;
         ] );
       ( "await",
         [

@@ -83,8 +83,9 @@ let socket_counter = ref 0
 
 (* Run [f] against an in-process daemon; clean shutdown (with the "bye"
    ack) and domain join are part of every test's teardown, so a wedged
-   server fails the test rather than leaking. *)
-let with_server ?store_dir ~jobs f =
+   server fails the test rather than leaking. [on_connect] runs at each
+   successful readiness probe, before [f]. *)
+let with_server ?store_dir ?(on_connect = ignore) ~jobs f =
   incr socket_counter;
   let socket = Printf.sprintf "serve-test-%d.sock" !socket_counter in
   if Sys.file_exists socket then Sys.remove socket;
@@ -95,6 +96,7 @@ let with_server ?store_dir ~jobs f =
   let rec listening () =
     match Serve.Client.connect socket with
     | c ->
+      on_connect ();
       Serve.Client.close c;
       true
     | exception Unix.Unix_error (_, _, _) ->
@@ -115,6 +117,14 @@ let with_server ?store_dir ~jobs f =
       Domain.join d;
       if Sys.file_exists socket then Sys.remove socket)
     (fun () -> f socket)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let ev j = Option.bind (J.member "event" j) J.to_str
 let str_f k j = Option.bind (J.member k j) J.to_str
@@ -330,14 +340,6 @@ let test_disconnect_does_not_wedge () =
 
 let test_store_warm_over_protocol () =
   let dir = "serve-store-scratch" in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
   rm_rf dir;
   with_server ~jobs:1 ~store_dir:dir (fun socket ->
       let c = Serve.Client.connect socket in
@@ -366,14 +368,6 @@ let test_store_warm_over_protocol () =
    daemon makes the cold check's save fail. *)
 let test_raising_job_reports_error () =
   let dir = "serve-store-vanishing" in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
   rm_rf dir;
   with_server ~jobs:1 ~store_dir:dir (fun socket ->
       rm_rf dir;
@@ -393,6 +387,26 @@ let test_raising_job_reports_error () =
           match Serve.Client.recv ~timeout:30. c with
           | Serve.Client.Msg j -> Alcotest.(check (option string)) "daemon still answers" (Some "pong") (ev j)
           | _ -> Alcotest.fail "no pong after the failed job"));
+  rm_rf dir
+
+(* The daemon opens its store before it binds the socket, so the first
+   connect that succeeds finds the store's [meta] written and no
+   temporary file of that write left in the directory. *)
+let test_store_ready_before_connect () =
+  let dir = "serve-store-ready" in
+  rm_rf dir;
+  let first = ref None in
+  let observe () =
+    if !first = None then
+      first :=
+        Some
+          ( Sys.file_exists (Filename.concat dir "meta"),
+            Sys.file_exists dir
+            && Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir) )
+  in
+  with_server ~jobs:1 ~store_dir:dir ~on_connect:observe (fun _ ->
+      Alcotest.(check (option (pair bool bool)))
+        "meta written, no tmp file, at the first connect" (Some (true, false)) !first);
   rm_rf dir
 
 (* A request line over the daemon's 1 MiB cap ends that connection with
@@ -419,7 +433,7 @@ let test_oversized_line () =
       let received = Buffer.create 256 in
       let deadline = Unix.gettimeofday () +. 20. in
       let buf = Bytes.create 4096 in
-      let rec drain () =
+      let rec read_all () =
         let left = deadline -. Unix.gettimeofday () in
         if left > 0. then
           match Unix.select [ fd ] [] [] left with
@@ -429,10 +443,10 @@ let test_oversized_line () =
             | 0 -> ()
             | n ->
               Buffer.add_subbytes received buf 0 n;
-              drain ()
+              read_all ()
             | exception Unix.Unix_error (_, _, _) -> ())
       in
-      drain ();
+      read_all ();
       Domain.join writer;
       Unix.close fd;
       let events =
@@ -467,6 +481,7 @@ let () =
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
           Alcotest.test_case "raising job reports error" `Quick test_raising_job_reports_error;
+          Alcotest.test_case "store ready before connect" `Quick test_store_ready_before_connect;
           Alcotest.test_case "oversized request line" `Quick test_oversized_line;
         ] );
     ]

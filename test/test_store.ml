@@ -177,14 +177,7 @@ let test_encode_golden () =
   let s = Store.open_dir dir in
   (* every key field spelled out, so a change of defaults cannot move
      the bytes *)
-  let sched =
-    {
-      Mc.Scheduler.default_config with
-      loop_bound = 2;
-      max_actions = 300;
-      sleep_sets = true;
-    }
-  in
+  let sched = { Mc.Scheduler.loop_bound = 2; max_actions = 300; sleep_sets = true } in
   let checker =
     {
       Cdsspec.Checker.max_histories = 1000;
