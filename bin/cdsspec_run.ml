@@ -118,9 +118,14 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
     in
     Format.printf "  store: miss (cold run%s)@." saved);
   let s = r.stats in
-  if s.pruned_equiv + s.pruned_sleep_set + s.pruned_loop_bound + s.pruned_max_actions > 0 then
-    Format.printf "  pruned: %d equivalence, %d sleep-set, %d loop-bound, %d max-actions@."
-      s.pruned_equiv s.pruned_sleep_set s.pruned_loop_bound s.pruned_max_actions;
+  if
+    s.pruned_equiv + s.pruned_sleep_set + s.pruned_loop_bound + s.pruned_retry
+    + s.pruned_max_actions
+    > 0
+  then
+    Format.printf
+      "  pruned: %d equivalence, %d sleep-set, %d loop-bound, %d retry, %d max-actions@."
+      s.pruned_equiv s.pruned_sleep_set s.pruned_loop_bound s.pruned_retry s.pruned_max_actions;
   Format.printf "  engine: %s, %.0f minor words/exec%s@."
     (match engine with `Arena -> "arena" | `Legacy -> "legacy")
     (if s.explored > 0 then s.minor_words /. float_of_int s.explored else 0.)
@@ -137,7 +142,12 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
     Format.printf "  profile: %d rf queries (%d rejected), %d snapshots, %d restores, \
                    check cache %d/%d@."
       s.rf_queries s.rf_rejected s.snapshots s.restores s.check.cache_hits
-      (s.check.cache_hits + s.check.cache_misses)
+      (s.check.cache_hits + s.check.cache_misses);
+    (* Runs cut at a failed retry iteration end before any verdict, like
+       loop-bound prunes; only programs that use [retry] have them. *)
+    if s.pruned_retry > 0 then
+      Format.printf "  profile: %d retry cuts (%.1f%% of runs)@." s.pruned_retry
+        (100. *. per s.pruned_retry)
   end;
   r
 
@@ -191,6 +201,7 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
     | Pruned_max_actions -> "pruned (max actions)"
     | Pruned_sleep_set -> "pruned (sleep set)"
     | Pruned_equiv -> "pruned (equivalence)"
+    | Pruned_retry -> "pruned (retry)"
   in
   Format.printf "%s/%s: replayed %d decisions, %s@." b.name t.test_name (List.length decisions)
     outcome;
@@ -202,6 +213,7 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
         feasible = (if complete then 1 else 0);
         pruned_sleep_set = 0;
         pruned_loop_bound = 0;
+        pruned_retry = 0;
         pruned_max_actions = 0;
         pruned_equiv = 0;
         distinct_graphs = (if complete then 1 else 0);

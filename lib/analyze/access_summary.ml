@@ -186,12 +186,16 @@ let sc_constrained_by sc (a : Act.t) =
       && not (Act.happens_before b a))
     sc
 
-(* Conflicting cross-thread pair left hb-unordered: two accesses to the
-   same location from different threads, at least one a write, neither
-   ordered before the other. When a site's locations never exhibit one
+(* Conflicting cross-thread pair left unordered by other
+   synchronization: two accesses to the same location from different
+   threads, at least one a write, where the earlier (in commit order,
+   which hb respects) is not covered by the later one's base clock — its
+   clock before its own acquire. The edge an access's own acquire
+   creates is the synchronization under review, not other
+   synchronization. When a site's locations never exhibit such a pair
    across all feasible executions, its atomicity is carried by other
    synchronization (single_thread in the summary). *)
-let has_concurrent_conflict accesses =
+let has_concurrent_conflict bases accesses =
   let arr = Array.of_list accesses in
   let n = Array.length arr in
   let found = ref false in
@@ -199,11 +203,11 @@ let has_concurrent_conflict accesses =
     for j = i + 1 to n - 1 do
       if not !found then begin
         let a : Act.t = arr.(i) and b : Act.t = arr.(j) in
+        let earlier, later = if a.id < b.id then (a, b) else (b, a) in
         if
           a.tid <> b.tid
           && (Act.is_write a || Act.is_write b)
-          && (not (Act.happens_before a b))
-          && not (Act.happens_before b a)
+          && not (Clock.covers bases.(later.id) ~tid:earlier.tid ~seq:earlier.seq)
         then found := true
       end
     done
@@ -340,7 +344,7 @@ let collect ?(config = default_config) ?ords (b : B.t) =
         match Hashtbl.find_opt loc_accesses loc with
         | None -> ()
         | Some accesses ->
-          let conflict = lazy (has_concurrent_conflict !accesses) in
+          let conflict = lazy (has_concurrent_conflict bases !accesses) in
           List.iter
             (fun name ->
               match Hashtbl.find_opt site_accs name with

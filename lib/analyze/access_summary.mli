@@ -52,9 +52,11 @@ type site_summary = {
           touches (any access kind, sited or not) *)
   single_thread : bool;
       (** the site executed, and no location it touches ever saw a
-          conflicting cross-thread access pair left hb-unordered: the
-          atomic is protected by other synchronization (or by being
-          genuinely single-threaded) in every explored execution *)
+          conflicting cross-thread access pair whose later access was
+          not already ordered after the earlier one before its own
+          acquire: the atomic is protected by other synchronization (or
+          by being genuinely single-threaded) in every explored
+          execution *)
   sample_exec : string option;
       (** pretty-printed first execution containing the site *)
   publish_evidence : (string * (int * int)) option;

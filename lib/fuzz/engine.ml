@@ -26,6 +26,7 @@ type stats = {
   executions : int;
   feasible : int;
   pruned_loop_bound : int;
+  pruned_retry : int;
   pruned_max_actions : int;
   buggy : int;
   coverage : int;
@@ -64,7 +65,9 @@ let bugs_of_run ?on_feasible (r : S.run_result) =
     match r.bugs, on_feasible with
     | [], Some check -> check r.exec r.annots
     | builtin, _ -> builtin)
-  | S.Pruned_loop_bound _ | S.Pruned_max_actions | S.Pruned_sleep_set | S.Pruned_equiv -> []
+  | S.Pruned_loop_bound _ | S.Pruned_max_actions | S.Pruned_sleep_set | S.Pruned_equiv
+  | S.Pruned_retry ->
+    []
 
 let replay ?(scheduler = default_config.scheduler) ?on_feasible ~decisions main =
   let scheduler = { scheduler with S.sleep_sets = false } in
@@ -86,6 +89,7 @@ let run ?(config = default_config) ?on_feasible
   let executions = ref 0 in
   let feasible = ref 0 in
   let pruned_loop = ref 0 in
+  let pruned_retry = ref 0 in
   let pruned_max = ref 0 in
   let buggy = ref 0 in
   let coverage : (int64, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -147,6 +151,7 @@ let run ?(config = default_config) ?on_feasible
           continue_ := false
         end)
     | S.Pruned_loop_bound _ -> incr pruned_loop
+    | S.Pruned_retry -> incr pruned_retry
     | S.Pruned_max_actions -> incr pruned_max
     | S.Pruned_sleep_set -> () (* unreachable: sleep sets are disabled *)
     | S.Pruned_equiv -> () (* unreachable: no [prune] callback is passed *));
@@ -171,6 +176,7 @@ let run ?(config = default_config) ?on_feasible
         executions = !executions;
         feasible = !feasible;
         pruned_loop_bound = !pruned_loop;
+        pruned_retry = !pruned_retry;
         pruned_max_actions = !pruned_max;
         buggy = !buggy;
         coverage = Hashtbl.length coverage;
@@ -194,6 +200,7 @@ let explorer_result (r : result) : Mc.Explorer.result =
         explored = r.stats.executions;
         feasible = r.stats.feasible;
         pruned_loop_bound = r.stats.pruned_loop_bound;
+        pruned_retry = r.stats.pruned_retry;
         pruned_max_actions = r.stats.pruned_max_actions;
         pruned_sleep_set = 0;
         pruned_equiv = 0;

@@ -37,6 +37,7 @@ type stats = {
   executions : int;
   feasible : int;  (** complete, consistent executions *)
   pruned_loop_bound : int;
+  pruned_retry : int;  (** runs cut at a failed {!Mc.Program.retry} iteration *)
   pruned_max_actions : int;
   buggy : int;  (** feasible executions on which at least one bug fired *)
   coverage : int;  (** distinct {!Fingerprint.execution} values seen *)

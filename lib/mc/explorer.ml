@@ -41,6 +41,7 @@ type stats = {
   pruned_max_actions : int;
   pruned_sleep_set : int;
   pruned_equiv : int;
+  pruned_retry : int;
   distinct_graphs : int;
   buggy : int;
   truncated : bool;
@@ -125,7 +126,7 @@ let donatable ~frozen (trace : Scheduler.decision Vec.t) =
 let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> no_check_counters)
     ?stop ?want_split ?on_split ?warm ~trace ~frozen main =
   let t0 = Monotonic.now () in
-  let g0 = (Gc.quick_stat ()).Gc.minor_words in
+  let g0 = Gc.minor_words () in
   (* Time spent in the caller's [progress] callback is the caller's, not
      the search's: subtract it, or a slow reporter inflates [stats.time]. *)
   let progress_overhead = ref 0. in
@@ -135,6 +136,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   let pruned_max = ref 0 in
   let pruned_sleep = ref 0 in
   let pruned_equiv = ref 0 in
+  let pruned_retry = ref 0 in
   let buggy = ref 0 in
   let truncated = ref false in
   let seen_bugs : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -247,7 +249,8 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     | Pruned_loop_bound _ -> incr pruned_loop
     | Pruned_max_actions -> incr pruned_max
     | Pruned_sleep_set -> incr pruned_sleep
-    | Pruned_equiv -> incr pruned_equiv);
+    | Pruned_equiv -> incr pruned_equiv
+    | Pruned_retry -> incr pruned_retry);
     let stopped = match stop with Some f -> f () | None -> false in
     let capped = match config.max_executions with Some m -> !explored >= m | None -> false in
     if stopped || capped then begin
@@ -306,11 +309,12 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         pruned_max_actions = !pruned_max;
         pruned_sleep_set = !pruned_sleep;
         pruned_equiv = !pruned_equiv;
+        pruned_retry = !pruned_retry;
         distinct_graphs = Hashtbl.length graphs;
         buggy = !buggy;
         truncated = !truncated;
         time = Monotonic.now () -. t0 -. !progress_overhead;
-        minor_words = (Gc.quick_stat ()).Gc.minor_words -. g0;
+        minor_words = Gc.minor_words () -. g0;
         snapshots;
         restores;
         commits = !commits;

@@ -59,6 +59,9 @@ type stats = {
   pruned_equiv : int;
       (** runs cut by equivalence pruning: their decision-point state key
           matched an already fully-explored one *)
+  pruned_retry : int;
+      (** runs cut at a failed {!Program.retry} iteration
+          ({!Scheduler.Pruned_retry}) *)
   distinct_graphs : int;
       (** distinct feasible execution graphs, by canonical fingerprint
           ({!C11.Execution.fingerprint}); the coverage denominator
@@ -76,8 +79,8 @@ type stats = {
           excluding time spent inside the [progress] callback *)
   minor_words : float;
       (** minor-heap words allocated by this domain during the search
-          ([Gc.quick_stat] delta); divide by [explored] for the
-          allocation-per-execution the arena engine is meant to shrink *)
+          ([Gc.minor_words] delta, exact to the word); divide by
+          [explored] for the allocation per execution *)
   snapshots : int;  (** arena snapshots captured; 0 under [`Legacy] *)
   restores : int;  (** arena snapshot restores; 0 under [`Legacy] *)
   commits : int;

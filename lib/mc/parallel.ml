@@ -18,6 +18,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
       pruned_max_actions = 0;
       pruned_sleep_set = 0;
       pruned_equiv = 0;
+      pruned_retry = 0;
       distinct_graphs = 0;
       buggy = 0;
       truncated = stopped;
@@ -55,6 +56,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
           pruned_max_actions = s.pruned_max_actions + r.stats.pruned_max_actions;
           pruned_sleep_set = s.pruned_sleep_set + r.stats.pruned_sleep_set;
           pruned_equiv = s.pruned_equiv + r.stats.pruned_equiv;
+          pruned_retry = s.pruned_retry + r.stats.pruned_retry;
           distinct_graphs = 0 (* set from the union below *);
           buggy = s.buggy + r.stats.buggy;
           truncated = s.truncated || r.stats.truncated;

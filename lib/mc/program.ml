@@ -26,6 +26,8 @@ type op =
   | Join of int
   | Annotate of annotation
   | Check of { cond : bool; message : string }
+  | Retry_begin
+  | Retry_fail of { since : int }
 
 type _ Effect.t += Do : op -> int Effect.t
 
@@ -162,5 +164,21 @@ let spawn f =
 let join tid = ignore (do_op (Join tid))
 
 let check cond message = ignore (do_op (Check { cond; message }))
+
+(* [Retry_begin] returns the number of actions committed so far, and a
+   failed iteration hands it back: the iteration is every action its
+   thread committed since. [Retry_fail] returns only when the iteration
+   recorded a bug; otherwise the thread blocks for good or the run is
+   cut. *)
+let retry body =
+  let rec attempt () =
+    let since = do_op Retry_begin in
+    match body () with
+    | Some v -> v
+    | None ->
+      ignore (do_op (Retry_fail { since }));
+      attempt ()
+  in
+  attempt ()
 
 let annotate a = ignore (do_op (Annotate a))

@@ -46,14 +46,18 @@ type op =
   | Join of int
   | Annotate of annotation
   | Check of { cond : bool; message : string }
+  | Retry_begin  (** opens an iteration of {!retry}; returns the action count *)
+  | Retry_fail of { since : int }
+      (** ends a failed iteration of {!retry} that began when [since]
+          actions had been committed *)
 
 type _ Effect.t += Do : op -> int Effect.t
 
 (** Per-domain dispatcher consulted before performing {!Do}, with two
     tiers. [hook]: the scheduler's general hook — commits invisible
-    (and, when sound, visible) operations without suspending the fiber,
-    returning [None] for operations that need a scheduling decision,
-    which fall back to the effect. [rp_*]: the restore-replay value
+    operations and answers {!retry}'s bookkeeping without suspending
+    the fiber, returning [None] for operations that need a scheduling
+    decision (or block), which fall back to the effect. [rp_*]: the restore-replay value
     feed — while [rp_next < rp_limit] every operation consumes the next
     logged value directly, building no [op] record and entering no
     closure; [Spawn] additionally re-registers its child's closure
@@ -93,6 +97,35 @@ val store : ?site:string -> mo -> loc -> int -> unit
     (0, reported as an uninitialized load) that [until] rejects waits
     again, as the spin would. *)
 val await : ?site:string -> mo -> loc -> until:(int -> bool) -> int
+
+(** [retry body] is the loop
+    [let rec go () = match body () with Some v -> v | None -> go ()],
+    for a retry loop whose failed iterations only read: a CAS that
+    failed, or a validation that re-reads. An iteration that returns
+    [None] fails, and it must commit no write: no store, successful
+    RMW, exchange, fetch_add, non-atomic store, {!malloc} or {!spawn}.
+    The scheduler explores only the iterations that succeed, as GenMC's
+    spin-assume does. A failed iteration that wrote raises
+    [Invalid_argument] in the thread, reported as an uncaught-exception
+    assertion failure. One that recorded an uninitialized read or a
+    race loops on, under the loop bound, as the plain loop would.
+    Otherwise the run is cut (counted as [pruned_retry]) when some read
+    of the iteration took a store older than its location's newest,
+    because reading the newer store is another branch; and when none
+    did, the thread blocks: re-running the iteration could only read the
+    same stores and fail again. A later write to a location the
+    iteration read cuts the run, and a state in which no thread can run
+    is reported as a deadlock that lists the blocked thread.
+
+    Dropping a failed iteration leaves a consistent execution in which
+    every other read keeps its store and happens-before only shrinks, so
+    every bug of a run with failed iterations shows in a run without
+    them. As for {!await}, the equivalence holds for atomic accesses: a
+    failed acquire read can order later non-atomic accesses, so one
+    execution can race as a loop and not as a [retry]. A [check] that
+    fails inside a failed iteration is recorded but does not make the
+    loop go on. *)
+val retry : (unit -> 'a option) -> 'a
 
 (** [cas ?fail_mo mo loc ~expected ~desired] is
     [compare_exchange_strong]: returns [true] iff the observed value

@@ -52,6 +52,7 @@ type outcome =
   | Pruned_max_actions
   | Pruned_sleep_set
   | Pruned_equiv
+  | Pruned_retry
 
 type run_result = {
   exec : Execution.t;
@@ -151,6 +152,9 @@ type state = {
   annots : annot Vec.t;
   mutable bugs : Bug.t list;  (* reverse commit order *)
   mutable last_atomic : int option array;
+  mutable waits : (int * int) list array;
+      (* per blocked [retry] thread: (location, store read) of each read
+         of its failed iteration; set whenever the thread pauses there *)
   counters : counters;
   mutable values : int Vec.t array;  (* per-thread log of the values ops returned *)
   mutable step_footprints : footprint list;  (* footprints of the current step *)
@@ -174,7 +178,10 @@ let add_thread st status =
     st.threads <- threads;
     let last = Array.make (2 * (tid + 1)) None in
     Array.blit st.last_atomic 0 last 0 st.nthreads;
-    st.last_atomic <- last
+    st.last_atomic <- last;
+    let waits = Array.make (2 * (tid + 1)) [] in
+    Array.blit st.waits 0 waits 0 st.nthreads;
+    st.waits <- waits
   end;
   if tid >= Array.length st.values then begin
     let n = Array.length st.values in
@@ -323,7 +330,8 @@ let op_site : Program.op -> string option = function
   | Na_load { site; _ }
   | Na_store { site; _ } ->
     site
-  | Fence _ | Alloc _ | Spawn _ | Join _ | Annotate _ | Check _ -> None
+  | Fence _ | Alloc _ | Spawn _ | Join _ | Annotate _ | Check _ | Retry_begin | Retry_fail _ ->
+    None
 
 let bump_op_count st tid loc op =
   let idx = (tid * 8) + kind_tag op in
@@ -349,7 +357,7 @@ let op_footprint : Program.op -> footprint = function
     ->
     Mem { loc; write = true }
   | Fence _ -> Global
-  | Alloc _ | Spawn _ | Join _ | Annotate _ | Check _ -> Pure
+  | Alloc _ | Spawn _ | Join _ | Annotate _ | Check _ | Retry_begin | Retry_fail _ -> Pure
 
 (* Same-location operations are dependent when at least one writes: two
    writes because modification order is the commit order, and read/write
@@ -398,7 +406,9 @@ let exec_visible st tid (op : Program.op) =
     bump_op_count st tid loc op
   (* fences are not bounded: a loop always contains a bounded load/RMW,
      and straight-line code may legitimately fence often *)
-  | Fence _ | Join _ | Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ -> ());
+  | Fence _ | Join _ | Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _
+  | Retry_begin | Retry_fail _ ->
+    ());
   match op with
   | Program.Load { mo; loc; site } ->
     let n = Execution.read_window st.exec ~tid ~mo ~loc in
@@ -516,7 +526,7 @@ let exec_visible st tid (op : Program.op) =
   | Join target ->
     ignore (Execution.commit_join st.exec ~tid ~target);
     0
-  | Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ ->
+  | Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ | Retry_begin | Retry_fail _ ->
     invalid_arg "exec_visible: invisible op"
 
 (* Invisible operations commit immediately when the thread reaches them:
@@ -552,16 +562,71 @@ let exec_invisible st tid (op : Program.op) =
   | Check { cond; message } ->
     if not cond then st.bugs <- Bug.Assertion_failure { tid; message } :: st.bugs;
     0
-  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ ->
+  | Retry_begin -> Execution.num_actions st.exec
+  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ | Retry_fail _
+    ->
     invalid_arg "exec_invisible: visible op"
 
 let is_invisible : Program.op -> bool = function
-  | Program.Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ -> true
-  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ -> false
+  | Program.Na_load _ | Na_store _ | Alloc _ | Spawn _ | Annotate _ | Check _ | Retry_begin -> true
+  | Load _ | Await _ | Store _ | Cas _ | Fetch_add _ | Exchange _ | Fence _ | Join _ | Retry_fail _ ->
+    false
+
+(* What a failed [Program.retry] iteration of [tid] leads to. The
+   iteration is every action [tid] committed since action [since]. *)
+type retry_verdict =
+  | Wrote of C11.Action.t  (* misuse: a failed iteration must not write *)
+  | Again  (* it recorded a bug: loop on under the loop bound, as the plain loop does *)
+  | Stale  (* a read took a store its location has since overwritten: cut the run *)
+  | Wait of (int * int) list
+      (* every read took its location's newest store: block on these
+         (location, store read) pairs *)
+
+(* A retry waiting on [(loc, w)] is woken by any later write to [loc]. *)
+let overwritten st (loc, w) =
+  match Execution.rmw_candidate st.exec ~loc with
+  | Some newest -> newest.id <> w
+  | None -> true
+
+(* Did a commit of [tid] since action [since] report a race or an
+   uninitialized load? Bugs are listed newest first, each under the
+   action whose commit reported it, so the walk ends at the first one
+   reported before [since]. A race that a later write of another thread
+   reports against the iteration does not count: that write overwrites
+   a location the iteration read, which cuts the run whenever it comes,
+   so the verdict does not depend on the order of independent steps. *)
+let rec bug_since tid since : Bug.t list -> bool = function
+  | [] -> false
+  | (Uninitialized_load a | Data_race { second = a; _ }) :: rest ->
+    a.id >= since && (a.tid = tid || bug_since tid since rest)
+  | (Deadlock _ | Assertion_failure _ | Spec_violation _) :: rest -> bug_since tid since rest
+
+let retry_verdict st tid since =
+  let n = Execution.num_actions st.exec in
+  let rec scan i reads =
+    if i >= n then
+      if bug_since tid since st.bugs then Again
+      else if List.exists (overwritten st) reads then Stale
+      else Wait reads
+    else begin
+      let a = Execution.action st.exec i in
+      if a.tid <> tid then scan (i + 1) reads
+      else
+        match a.kind with
+        | Store | Rmw | Na_store | Create _ -> Wrote a
+        | Load | Na_load -> (
+          match a.rf with Some w -> scan (i + 1) ((a.loc, w) :: reads) | None -> scan (i + 1) reads)
+        | Fence | Start | Join _ | Finish -> scan (i + 1) reads
+    end
+  in
+  scan since []
 
 (* A started thread is enabled when its pending operation can commit
    now: a [Join] once its target has finished, an [Await] once its window
-   holds a store it accepts; everything else always. *)
+   holds a store it accepts, a failed [retry] never; everything else
+   always. A write to a location the failed retry read cuts the run
+   here, at the next step's start: the run in which the retry reads that
+   write without failing first is another branch. *)
 let is_enabled st tid =
   match get_status st tid with
   | Not_started _ -> true
@@ -569,6 +634,9 @@ let is_enabled st tid =
   | Paused (Join target, _) ->
     target < st.nthreads && (match get_status st target with Finished -> true | _ -> false)
   | Paused (Await { mo; loc; until; _ }, _) -> await_enabled st tid ~mo ~loc ~until
+  | Paused (Retry_fail _, _) ->
+    if List.exists (overwritten st) st.waits.(tid) then raise (Prune Pruned_retry);
+    false
   | Paused _ -> true
 
 (* A sleeping thread stays asleep while every footprint of the committed
@@ -608,22 +676,37 @@ let may_decide : Program.op -> bool = function
    commit an invisible operation inside the running fiber, logging its
    value for restore-replay. Invisible operations are never scheduling
    points, so the effect round-trip would only hand control to the
-   scheduler and straight back. [None] — every visible operation —
-   performs the effect and pauses the fiber; [step] commits it. *)
+   scheduler and straight back. A failed [retry] iteration that must
+   loop on returns here too, and one that read an overwritten store
+   cuts the run. [None] — every visible operation, and a failed retry
+   that blocks or wrote — performs the effect and pauses the fiber;
+   [step] commits it, or [handler] settles the retry. *)
+let inline st tid v =
+  Vec.push st.values.(tid) v;
+  st.n_inline <- st.n_inline + 1;
+  Some v
+
 let make_hook st (op : Program.op) =
-  if not (is_invisible op) then None
-  else begin
-    let tid = st.cur_tid in
-    let v = exec_invisible st tid op in
-    Vec.push st.values.(tid) v;
-    st.n_inline <- st.n_inline + 1;
-    Some v
-  end
+  let tid = st.cur_tid in
+  match op with
+  | Retry_fail { since } -> (
+    match retry_verdict st tid since with
+    | Again -> inline st tid 0
+    | Stale -> raise (Prune Pruned_retry)
+    | Wrote _ | Wait _ -> None)
+  | _ -> if is_invisible op then inline st tid (exec_invisible st tid op) else None
 
 (* One handler for live and restore-replayed fibers: a rebuilt fiber
    keeps it for the rest of its life, so while [st.replaying] it commits
    nothing (the restored graph already holds those actions) and records
-   no bug (the restored bug list already has it). *)
+   no bug (the restored bug list already has it).
+
+   A failed [retry] reaches [effc] when it blocks or wrote: live, after
+   the hook passed it on, and in a restore-replay, where no hook runs
+   and its thread's logged values end there. Its verdict is a function
+   of the graph, which a restore rewinds to a point where it held, so
+   both paths settle it the same way: a blocked thread records what it
+   waits on, and a write is raised in the thread as [Invalid_argument]. *)
 let handler st tid =
   {
     Effect.Deep.retc =
@@ -650,7 +733,22 @@ let handler st tid =
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
               st.n_switches <- st.n_switches + 1;
-              set_status st tid (Paused (op, k)))
+              match op with
+              | Retry_fail { since } -> (
+                match retry_verdict st tid since with
+                | Wait reads ->
+                  st.waits.(tid) <- reads;
+                  set_status st tid (Paused (op, k))
+                | Wrote a ->
+                  Effect.Deep.discontinue k
+                    (Invalid_argument
+                       (Printf.sprintf "Program.retry: a failed iteration wrote (%s)"
+                          (match a.kind, a.site with
+                          | Create _, _ -> "spawn"
+                          | _, Some site -> site
+                          | _, None -> "unsited write")))
+                | Again | Stale -> assert false (* answered by the hook, never replayed *))
+              | _ -> set_status st tid (Paused (op, k)))
         | _ -> None);
   }
 
@@ -686,6 +784,7 @@ let mk_state ?pick ?prune ~config ~trace main =
       annots = Vec.create ();
       bugs = [];
       last_atomic = Array.make 4 None;
+      waits = Array.make 4 [];
       counters = counters_create ();
       values = Array.init 4 (fun _ -> Vec.create ());
       step_footprints = [];

@@ -16,8 +16,13 @@
     (uninitialized) one; stepping it is a reads-from choice over exactly
     those stores, newest first. It has a load's footprint, so the write
     that enables it wakes it, and counts as a load against the loop
-    bound. When no unfinished thread is enabled — each waits at an
-    [await] or a [join] — the run completes with a {!Bug.Deadlock}. *)
+    bound. A thread whose {!Program.retry} iteration failed without a
+    bug is enabled never again: it blocks when every read of the
+    iteration took its location's newest store, and the run is cut
+    ({!Pruned_retry}) when one did not or when a later write reaches a
+    location the iteration read. When no unfinished thread is enabled —
+    each waits at an [await], a [join] or a failed [retry] — the run
+    completes with a {!Bug.Deadlock}. *)
 
 (** Canonical state key of a scheduling decision point: the
     execution-graph fingerprint ({!C11.Execution.fingerprint}), the
@@ -65,8 +70,8 @@ type annot = {
 type config = {
   loop_bound : int;
       (** Max commits of one operation kind per (thread, location): bounds
-          the spin loops that are not awaits; branches exceeding it are
-          pruned as redundant. *)
+          the spin loops that are neither awaits nor retries; branches
+          exceeding it are pruned as redundant. *)
   max_actions : int;  (** Backstop on total committed actions per run. *)
   sleep_sets : bool;  (** Enable sleep-set partial-order reduction. *)
 }
@@ -82,6 +87,10 @@ type outcome =
       (** subtree cut by equivalence pruning: its state key matched an
           already fully-explored decision point, so every execution graph
           below it has been visited *)
+  | Pruned_retry
+      (** run cut at a failed {!Program.retry} iteration: it read a store
+          that another store had overwritten, at its end or later. The
+          run without that iteration is another branch *)
 
 type run_result = {
   exec : C11.Execution.t;

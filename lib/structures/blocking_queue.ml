@@ -38,31 +38,29 @@ let create () =
 let enq ords q value =
   A.api_proc ~obj:q.tail ~name:"enq" ~args:[ value ] (fun () ->
       let n = new_node value in
-      let rec loop () =
-        let t = P.load ~site:"enq_load_tail" (Ords.get ords "enq_load_tail") q.tail in
-        if
-          P.cas ~site:"enq_cas_next" (Ords.get ords "enq_cas_next") (f_next t) ~expected:0
-            ~desired:n
-        then begin
-          A.op_define ();
-          P.store ~site:"enq_store_tail" (Ords.get ords "enq_store_tail") q.tail n
-        end
-        else loop ()
-      in
-      loop ())
+      P.retry (fun () ->
+          let t = P.load ~site:"enq_load_tail" (Ords.get ords "enq_load_tail") q.tail in
+          if
+            P.cas ~site:"enq_cas_next" (Ords.get ords "enq_cas_next") (f_next t) ~expected:0
+              ~desired:n
+          then begin
+            A.op_define ();
+            P.store ~site:"enq_store_tail" (Ords.get ords "enq_store_tail") q.tail n;
+            Some ()
+          end
+          else None))
 
 let deq ords q =
   A.api_fun ~obj:q.tail ~name:"deq" ~args:[] (fun () ->
-      let rec loop () =
-        let h = P.load ~site:"deq_load_head" (Ords.get ords "deq_load_head") q.head in
-        let n = P.load ~site:"deq_load_next" (Ords.get ords "deq_load_next") (f_next h) in
-        A.op_clear_define ();
-        if n = 0 then -1
-        else if P.cas ~site:"deq_cas_head" (Ords.get ords "deq_cas_head") q.head ~expected:h ~desired:n
-        then P.na_load (f_data n)
-        else loop ()
-      in
-      loop ())
+      P.retry (fun () ->
+          let h = P.load ~site:"deq_load_head" (Ords.get ords "deq_load_head") q.head in
+          let n = P.load ~site:"deq_load_next" (Ords.get ords "deq_load_next") (f_next h) in
+          A.op_clear_define ();
+          if n = 0 then Some (-1)
+          else if
+            P.cas ~site:"deq_cas_head" (Ords.get ords "deq_cas_head") q.head ~expected:h ~desired:n
+          then Some (P.na_load (f_data n))
+          else None))
 
 (* Figure 6's specification, transliterated. *)
 let spec =

@@ -33,16 +33,19 @@ let lock ords t ~slot =
   A.api_proc ~obj:t.turn ~name:"lock" ~args:[ slot ] (fun () ->
       P.store ~site:"lock_store_flag" (o ords "lock_store_flag") (my_flag t slot) 1;
       P.store ~site:"lock_store_turn" (o ords "lock_store_turn") t.turn (1 - slot);
-      let rec spin () =
-        let other = P.load ~site:"lock_load_otherflag" (o ords "lock_load_otherflag") (other_flag t slot) in
-        A.op_clear_define ();
-        if other = 1 then begin
-          let turn = P.load ~site:"lock_load_turn" (o ords "lock_load_turn") t.turn in
+      (* The wait reads two locations, so it is a read-only retry loop
+         rather than an await. *)
+      P.retry (fun () ->
+          let other =
+            P.load ~site:"lock_load_otherflag" (o ords "lock_load_otherflag") (other_flag t slot)
+          in
           A.op_clear_define ();
-          if turn = 1 - slot then spin ()
-        end
-      in
-      spin ())
+          if other <> 1 then Some ()
+          else begin
+            let turn = P.load ~site:"lock_load_turn" (o ords "lock_load_turn") t.turn in
+            A.op_clear_define ();
+            if turn = 1 - slot then None else Some ()
+          end))
 
 let unlock ords t ~slot =
   A.api_proc ~obj:t.turn ~name:"unlock" ~args:[ slot ] (fun () ->

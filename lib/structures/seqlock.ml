@@ -36,15 +36,16 @@ let o = Ords.get
 
 let write ords l value =
   A.api_proc ~obj:l.seq ~name:"write" ~args:[ value ] (fun () ->
-      let rec acquire_seq () =
-        let s =
-          P.await ~site:"write_load_seq" (o ords "write_load_seq") l.seq ~until:(fun s -> s mod 2 <> 1)
-        in
-        if P.cas ~site:"write_cas_seq" (o ords "write_cas_seq") l.seq ~expected:s ~desired:(s + 1)
-        then s
-        else acquire_seq ()
+      let s =
+        P.retry (fun () ->
+            let s =
+              P.await ~site:"write_load_seq" (o ords "write_load_seq") l.seq ~until:(fun s ->
+                  s mod 2 <> 1)
+            in
+            if P.cas ~site:"write_cas_seq" (o ords "write_cas_seq") l.seq ~expected:s ~desired:(s + 1)
+            then Some s
+            else None)
       in
-      let s = acquire_seq () in
       P.store ~site:"write_store_a" (o ords "write_store_a") l.data_a value;
       P.store ~site:"write_store_b" (o ords "write_store_b") l.data_b value;
       A.op_define ();
@@ -52,19 +53,18 @@ let write ords l value =
 
 let read ords l =
   A.api_fun ~obj:l.seq ~name:"read" ~args:[] (fun () ->
-      let rec attempt () =
-        let s1 =
-          P.await ~site:"read_load_seq1" (o ords "read_load_seq1") l.seq ~until:(fun s -> s mod 2 <> 1)
-        in
-        let a = P.load ~site:"read_load_a" (o ords "read_load_a") l.data_a in
-        let b = P.load ~site:"read_load_b" (o ords "read_load_b") l.data_b in
-        A.op_clear_define ();
-        let s2 = P.load ~site:"read_load_seq2" (o ords "read_load_seq2") l.seq in
-        (* return the snapshot as a pair encoding so the specification
-           sees both words: a consistent snapshot has a = b *)
-        if s1 = s2 then (a * 16) + b else attempt ()
-      in
-      attempt ())
+      P.retry (fun () ->
+          let s1 =
+            P.await ~site:"read_load_seq1" (o ords "read_load_seq1") l.seq ~until:(fun s ->
+                s mod 2 <> 1)
+          in
+          let a = P.load ~site:"read_load_a" (o ords "read_load_a") l.data_a in
+          let b = P.load ~site:"read_load_b" (o ords "read_load_b") l.data_b in
+          A.op_clear_define ();
+          let s2 = P.load ~site:"read_load_seq2" (o ords "read_load_seq2") l.seq in
+          (* return the snapshot as a pair encoding so the specification
+             sees both words: a consistent snapshot has a = b *)
+          if s1 = s2 then Some ((a * 16) + b) else None))
 
 let spec =
   let write_spec =
@@ -126,12 +126,7 @@ let test_write_read_same_thread ords () =
   P.join t2
 
 let benchmark =
-  (* Writers/readers retry in tight spin loops; two retries per static
-     operation suffice to expose every distinct behaviour, so bound loops
-     harder than the default to keep the 3-thread test tractable. *)
-  Benchmark.make
-    ~scheduler:{ Mc.Scheduler.default_config with loop_bound = 2 }
-    ~name:"Seqlock" ~spec ~sites
+  Benchmark.make ~name:"Seqlock" ~spec ~sites
     [
       ("1write-1read", test_1write_1read);
       ("2write-1read", test_2write_1read);

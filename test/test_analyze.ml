@@ -64,6 +64,25 @@ let test_all_seq_cst_treiber () =
     ]
     shape
 
+(* --- a site's own acquire is not "other synchronization" ------------- *)
+
+(* MCS Lock's waiter spins on its own node's [locked] flag with an
+   acquire await, and the releasing store is the only write it waits
+   for: the pair is ordered by the acquire under review alone, so the
+   rule must not call the order redundant. Figure 8 detects the site
+   weakened to relaxed. *)
+let test_mcs_spin_not_single_thread () =
+  let b = bench "MCS Lock" in
+  let summary = AS.collect b in
+  Alcotest.(check bool) "untruncated" false summary.AS.truncated;
+  let flagged =
+    List.exists
+      (fun (f : Lint.finding) ->
+        f.rule = "single-thread-atomic" && f.site = Some "lock_spin_locked")
+      (Lint.lint summary)
+  in
+  Alcotest.(check bool) "no single-thread-atomic on lock_spin_locked" false flagged
+
 (* --- advisor finds the safe weakening on the published Treiber ------- *)
 
 let test_treiber_safe_to_weaken () =
@@ -225,7 +244,11 @@ let () =
     [
       ("downgrades", [ Alcotest.test_case "chains" `Quick test_downgrades ]);
       ( "lint",
-        [ Alcotest.test_case "all-seq_cst treiber golden" `Slow test_all_seq_cst_treiber ] );
+        [
+          Alcotest.test_case "all-seq_cst treiber golden" `Slow test_all_seq_cst_treiber;
+          Alcotest.test_case "own acquire is not other synchronization" `Slow
+            test_mcs_spin_not_single_thread;
+        ] );
       ( "advisor",
         [
           Alcotest.test_case "treiber safe-to-weaken" `Slow test_treiber_safe_to_weaken;

@@ -178,7 +178,7 @@ let test_replay_tolerates_garbage () =
   (* out-of-range and overlong indices clamp/ignore instead of crashing *)
   let run_r, _ = F.replay ~decisions:[ 99; 99; 99; 99; 99; 99; 99; 99; 99 ] sb_program in
   match run_r.outcome with
-  | Mc.Scheduler.Complete | Pruned_loop_bound _ | Pruned_max_actions -> ()
+  | Mc.Scheduler.Complete | Pruned_loop_bound _ | Pruned_max_actions | Pruned_retry -> ()
   | Pruned_sleep_set -> Alcotest.fail "sleep sets must be off under replay"
   | Pruned_equiv -> Alcotest.fail "equivalence pruning must be off under replay"
 

@@ -494,7 +494,7 @@ let test_exploration_counts () =
   Alcotest.(check bool) "explored some" true (r.stats.explored >= 2);
   Alcotest.(check int) "explored = feasible + pruned" r.stats.explored
     (r.stats.feasible + r.stats.pruned_loop_bound + r.stats.pruned_max_actions
-   + r.stats.pruned_sleep_set + r.stats.pruned_equiv);
+   + r.stats.pruned_sleep_set + r.stats.pruned_equiv + r.stats.pruned_retry);
   Alcotest.(check bool) "no bugs" true (r.bugs = [])
 
 (* Loop bounding: an unbounded spin against a flag that is eventually set
@@ -610,6 +610,88 @@ let test_await_reads_stale () =
   let outs, result = outcomes_of main (fun () -> !r) in
   Alcotest.(check (list int)) "stale accepted values" [ 0; 1 ] outs;
   Alcotest.(check (list string)) "never blocked" [] (List.map Mc.Bug.key result.bugs)
+
+(* A failed [retry] iteration must write nothing: one that stores is
+   reported as an uncaught [Invalid_argument] naming [retry], and its
+   thread ends, so the main thread's join still returns. *)
+let test_retry_write_reported () =
+  let main () =
+    let x = P.malloc ~init:0 1 in
+    let t =
+      P.spawn (fun () ->
+          P.retry (fun () ->
+              P.store ~site:"bad" Relaxed x 1;
+              if P.load Relaxed x = 2 then Some () else None))
+    in
+    P.join t
+  in
+  let r = E.explore main in
+  Alcotest.(check (list string))
+    "misuse reported"
+    [ "assert:uncaught exception: Invalid_argument(\"Program.retry: a failed iteration wrote (bad)\")" ]
+    (List.map Mc.Bug.key r.bugs)
+
+(* A failed iteration that read uninitialized memory records the load
+   and loops on, as the spin would (a poison read is no value to block
+   on): the run in which the setter then stores completes and reports
+   it, and the runs in which it never does end at the loop bound. *)
+let test_retry_uninit_loops () =
+  let main () =
+    let cell = P.malloc 1 in
+    let waiter =
+      P.spawn (fun () ->
+          P.retry (fun () -> if P.load ~site:"wait" Acquire cell = 1 then Some () else None))
+    in
+    let setter = P.spawn (fun () -> P.store Release cell 1) in
+    P.join waiter;
+    P.join setter
+  in
+  let r = E.explore main in
+  Alcotest.(check (list string)) "uninitialized load reported" [ "uninit:wait@1" ]
+    (List.map Mc.Bug.key r.bugs);
+  Alcotest.(check bool) "retried to the loop bound" true (r.stats.pruned_loop_bound > 0);
+  Alcotest.(check int) "never blocked" 0 r.stats.pruned_retry
+
+(* A failed iteration whose read took a stale store is cut: the waiter
+   sees [flag = 1] without synchronizing, so it may still read the
+   initial [x = 0] although [x = 1] is the newest store. Reading the
+   newest store is the other branch, and no later write exists, so every
+   cut is the stale read's. *)
+let test_retry_stale_cut () =
+  let r = ref (-1) in
+  let main () =
+    let x = P.malloc ~init:0 1 in
+    let flag = P.malloc ~init:0 1 in
+    let t1 =
+      P.spawn (fun () ->
+          P.store Relaxed x 1;
+          P.store Relaxed flag 1)
+    in
+    let t2 =
+      P.spawn (fun () ->
+          ignore (P.await Relaxed flag ~until:(fun v -> v = 1));
+          r := P.retry (fun () -> if P.load Relaxed x = 1 then Some 1 else None))
+    in
+    P.join t1;
+    P.join t2
+  in
+  let outs, result = outcomes_of main (fun () -> !r) in
+  Alcotest.(check (list int)) "the retry returns" [ 1 ] outs;
+  Alcotest.(check bool) "stale reads cut" true (result.stats.pruned_retry > 0);
+  Alcotest.(check int) "no loop-bound prunes" 0 result.stats.pruned_loop_bound;
+  Alcotest.(check (list string)) "no bugs" [] (List.map Mc.Bug.key result.bugs)
+
+(* [stats.minor_words] counts the search's allocation to the word: a
+   search far too small to fill the minor heap, started right after a
+   minor collection, still reports what it allocated. *)
+let test_minor_words_exact () =
+  Gc.minor ();
+  let r =
+    E.explore (fun () ->
+        let x = P.malloc ~init:0 1 in
+        P.store Relaxed x 1)
+  in
+  Alcotest.(check bool) "allocation counted" true (r.stats.minor_words > 0.)
 
 (* [malloc] never returns the null pointer, even for the first cell a
    program allocates. *)
@@ -795,6 +877,7 @@ let () =
           Alcotest.test_case "spin loop terminates" `Quick test_spin_loop_terminates;
           Alcotest.test_case "malloc never returns null" `Quick test_malloc_not_null;
           Alcotest.test_case "visible operations always suspend" `Quick test_visible_ops_suspend;
+          Alcotest.test_case "minor words counted exactly" `Quick test_minor_words_exact;
         ] );
       ( "await",
         [
@@ -802,6 +885,12 @@ let () =
           Alcotest.test_case "waiting forever is a deadlock" `Quick test_await_forever_is_deadlock;
           Alcotest.test_case "branches over accepted stores" `Quick test_await_branches_over_accepted;
           Alcotest.test_case "reads stale accepted stores" `Quick test_await_reads_stale;
+        ] );
+      ( "retry",
+        [
+          Alcotest.test_case "write in a failed iteration reported" `Quick test_retry_write_reported;
+          Alcotest.test_case "uninitialized read retried" `Quick test_retry_uninit_loops;
+          Alcotest.test_case "stale failed read cut" `Quick test_retry_stale_cut;
         ] );
       ( "bug-dedup",
         [

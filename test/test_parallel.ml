@@ -44,6 +44,7 @@ let check_deterministic ?ords name =
   Alcotest.(check int)
     (name ^ ": pruned (sleep set)")
     s.stats.pruned_sleep_set p.stats.pruned_sleep_set;
+  Alcotest.(check int) (name ^ ": pruned (retry)") s.stats.pruned_retry p.stats.pruned_retry;
   Alcotest.(check int) (name ^ ": distinct graphs") s.stats.distinct_graphs p.stats.distinct_graphs;
   Alcotest.(check bool) (name ^ ": truncated") s.stats.truncated p.stats.truncated;
   Alcotest.(check bool) (name ^ ": graph sets") true (s.graphs = p.graphs);

@@ -14,7 +14,10 @@
    hold a value), which makes threads block and runs deadlock. The
    await properties below check that sleep sets stay sound when
    enabledness changes, and that an await is its spin loop with the
-   stuttering iterations removed. *)
+   stuttering iterations removed. Programs may retry too ([OValidate]
+   and [OIncr], {!Mc.Program.retry} loops whose failed iterations only
+   read), and the retry properties check the same two things for
+   them. *)
 
 module P = Mc.Program
 module E = Mc.Explorer
@@ -29,6 +32,10 @@ type op_desc =
   | ONaStore of int * int
   | ONaLoad of int
   | OAwait of int * int * C11.Memory_order.t  (* loc, value to wait for *)
+  | OValidate of int * int * int * C11.Memory_order.t
+      (* retry reading two locs until their values sum to the target *)
+  | OIncr of int * C11.Memory_order.t * C11.Memory_order.t
+      (* retry a load then a CAS to the value read plus one *)
 
 type _prog_desc = op_desc list list  (* one op list per thread *)
 
@@ -41,6 +48,11 @@ let print_op = function
   | ONaStore (l, v) -> Printf.sprintf "na_store(%d,%d)" l v
   | ONaLoad l -> Printf.sprintf "na_load(%d)" l
   | OAwait (l, v, mo) -> Printf.sprintf "await(%d=%d,%s)" l v (C11.Memory_order.to_string mo)
+  | OValidate (l1, l2, sum, mo) ->
+    Printf.sprintf "validate(%d+%d=%d,%s)" l1 l2 sum (C11.Memory_order.to_string mo)
+  | OIncr (l, lmo, cmo) ->
+    Printf.sprintf "incr(%d,%s,%s)" l (C11.Memory_order.to_string lmo)
+      (C11.Memory_order.to_string cmo)
 
 let print_prog p =
   String.concat " || " (List.map (fun t -> String.concat "; " (List.map print_op t)) p)
@@ -48,7 +60,7 @@ let print_prog p =
 let gen_mo kind =
   QCheck.Gen.oneofl (C11.Memory_order.all_for kind)
 
-let gen_op_with ~na ~await =
+let gen_op_with ?(retry = false) ~na ~await () =
   QCheck.Gen.(
     frequency
       ([
@@ -66,20 +78,35 @@ let gen_op_with ~na ~await =
              (1, map (fun l -> ONaLoad l) (int_bound 1));
            ]
          else [])
+      @ (if await then
+           [
+             (3, map3 (fun l v mo -> OAwait (l, v, mo)) (int_bound 1) (int_bound 2) (gen_mo For_load));
+           ]
+         else [])
       @
-      if await then
-        [ (3, map3 (fun l v mo -> OAwait (l, v, mo)) (int_bound 1) (int_bound 2) (gen_mo For_load)) ]
+      if retry then
+        [
+          ( 3,
+            map3
+              (fun (l1, l2) sum mo -> OValidate (l1, l2, sum, mo))
+              (pair (int_bound 1) (int_bound 1))
+              (int_bound 3) (gen_mo For_load) );
+          (2, map3 (fun l lmo cmo -> OIncr (l, lmo, cmo)) (int_bound 1) (gen_mo For_load) (gen_mo For_rmw));
+        ]
       else []))
 
-let gen_prog_with ~na ~await =
+let gen_prog_with ?retry ~na ~await () =
   QCheck.Gen.(
     let* nthreads = int_range 2 3 in
-    list_repeat nthreads (list_size (int_range 1 3) (gen_op_with ~na ~await)))
+    list_repeat nthreads (list_size (int_range 1 3) (gen_op_with ?retry ~na ~await ())))
 
-let prog_arb = QCheck.make ~print:print_prog (gen_prog_with ~na:true ~await:false)
+let prog_arb = QCheck.make ~print:print_prog (gen_prog_with ~na:true ~await:false ())
 
-(* [observe] receives every value an operation returns; [spin] writes
-   each await as the load loop it stands for. *)
+let rec loop_until body = match body () with Some v -> v | None -> loop_until body
+
+(* [observe] receives every value an operation returns (a retry's: the
+   one its successful iteration returns); [spin] writes each await as
+   the load loop it stands for, and each retry as the plain loop. *)
 let run_thread ?(observe = ignore) ?(spin = false) base ops =
   List.iter
     (fun op ->
@@ -94,7 +121,20 @@ let run_thread ?(observe = ignore) ?(spin = false) base ops =
       | OAwait (l, v, mo) when spin ->
         let rec loop () = if P.load mo (base + l) = v then v else loop () in
         observe (loop ())
-      | OAwait (l, v, mo) -> observe (P.await mo (base + l) ~until:(fun x -> x = v)))
+      | OAwait (l, v, mo) -> observe (P.await mo (base + l) ~until:(fun x -> x = v))
+      | OValidate (l1, l2, sum, mo) ->
+        let body () =
+          let a = P.load mo (base + l1) in
+          let b = P.load mo (base + l2) in
+          if a + b = sum then Some ((a * 10) + b) else None
+        in
+        observe (if spin then loop_until body else P.retry body)
+      | OIncr (l, lmo, cmo) ->
+        let body () =
+          let v = P.load lmo (base + l) in
+          if P.cas cmo (base + l) ~expected:v ~desired:(v + 1) then Some v else None
+        in
+        observe (if spin then loop_until body else P.retry body))
     ops
 
 let program_of desc () =
@@ -169,7 +209,7 @@ let graphs_of ~sleep_sets desc =
 (* ------------------------------------------------------------------ *)
 (* Awaits *)
 
-let await_arb = QCheck.make ~print:print_prog (gen_prog_with ~na:true ~await:true)
+let await_arb = QCheck.make ~print:print_prog (gen_prog_with ~na:true ~await:true ())
 
 (* (a) An await is enabled only while a store it accepts is readable,
    and a write to its cell can enable or disable it; the reduction must
@@ -190,7 +230,7 @@ module Obs = Set.Make (struct
 end)
 
 (* The per-thread observation lists of every complete bug-free run. *)
-let observations ~spin desc =
+let observations ?(loop_bound = 6) ~spin desc =
   let n = List.length desc in
   let obs = Array.make n [] in
   let acc = ref Obs.empty in
@@ -209,7 +249,7 @@ let observations ~spin desc =
   let config =
     {
       E.default_config with
-      scheduler = { Mc.Scheduler.default_config with loop_bound = 6 };
+      scheduler = { Mc.Scheduler.default_config with loop_bound };
       max_executions = Some 60_000;
     }
   in
@@ -231,7 +271,7 @@ let observations ~spin desc =
    other, and racy runs report no observations. *)
 let prop_await_is_spin =
   QCheck.Test.make ~name:"await: same observations as its spin loop" ~count:500
-    (QCheck.make ~print:print_prog (gen_prog_with ~na:false ~await:true))
+    (QCheck.make ~print:print_prog (gen_prog_with ~na:false ~await:true ()))
     (fun desc ->
       let a, t1 = observations ~spin:false desc in
       let s, t2 = observations ~spin:true desc in
@@ -263,6 +303,36 @@ let test_await_uninit () =
   let spin = keys ~spin:true in
   Alcotest.(check (list string)) "spin reports the poison read" [ "uninit:wait@1" ] spin;
   Alcotest.(check (list string)) "await reports the same key" spin (keys ~spin:false)
+
+(* ------------------------------------------------------------------ *)
+(* Retries *)
+
+(* (d) A failed retry iteration blocks its thread, and a write to a
+   location it read cuts the run: sleep sets must still reach every
+   graph and every bug, deadlocks included. *)
+let prop_retry_sleep_sets =
+  QCheck.Test.make ~name:"retry: sleep sets preserve graphs and bugs" ~count:600
+    (QCheck.make ~print:print_prog (gen_prog_with ~retry:true ~na:true ~await:true ()))
+    (fun desc ->
+      let g1, b1, t1 = graphs_of ~sleep_sets:true desc in
+      let g2, b2, t2 = graphs_of ~sleep_sets:false desc in
+      QCheck.assume (not (t1 || t2));
+      FpSet.equal g1 g2 && b1 = b2)
+
+(* (e) Dropping a failed iteration that wrote nothing leaves a
+   consistent execution with the same observations, so a retry and its
+   plain loop see the same values. A complete retry run is a run of the
+   plain loop in which every iteration succeeds first time, with the
+   same operation counts, so this holds at any loop bound; a small one
+   keeps the plain loops cheap. Atomic operations only, as for (b). *)
+let prop_retry_is_loop =
+  QCheck.Test.make ~name:"retry: same observations as its plain loop" ~count:300
+    (QCheck.make ~print:print_prog (gen_prog_with ~retry:true ~na:false ~await:false ()))
+    (fun desc ->
+      let a, t1 = observations ~loop_bound:3 ~spin:false desc in
+      let s, t2 = observations ~loop_bound:3 ~spin:true desc in
+      QCheck.assume (not (t1 || t2));
+      Obs.equal a s)
 
 let prop_sleep_sets_preserve_graphs =
   QCheck.Test.make ~name:"sleep sets preserve the execution-graph set" ~count:60 prog_arb
@@ -335,5 +405,7 @@ let () =
           qt prop_await_sleep_sets;
           qt prop_await_is_spin;
           Alcotest.test_case "await: uninitialized cell" `Quick test_await_uninit;
+          qt prop_retry_sleep_sets;
+          qt prop_retry_is_loop;
         ] );
     ]

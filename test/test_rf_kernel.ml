@@ -165,8 +165,8 @@ let test_audit_registry () =
 
 (* Spin-heavy rows with pruning off: long per-location histories under
    deep restore/re-commit churn, the regime the kernel's columns
-   target. Peterson Lock's two-location wait is one of the spin loops
-   that stays on the loop bound. *)
+   target. Dekker Lock's [contend] loop writes before going round, so
+   it is one of the spin loops that stays on the loop bound. *)
 let test_audit_spin_rows () =
   List.iter
     (fun (name, test_name, loop_bound) ->
@@ -178,7 +178,7 @@ let test_audit_spin_rows () =
       in
       let t = List.find (fun (t : B.test) -> t.B.test_name = test_name) b.B.tests in
       audit_run ~prune:false ~cap:20_000 b t)
-    [ ("Peterson Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
+    [ ("Dekker Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
 
 let () =
   Alcotest.run "rf-kernel"

@@ -76,9 +76,10 @@ let test_mcs_handoff_completes () =
   Alcotest.(check int) "no loop-bound prunes" 0 r.stats.pruned_loop_bound
 
 (* A lock one thread takes and never releases: the next acquirer waits
-   forever, which each await pattern must report as a deadlock of that
-   thread and of the main thread joining it (a spin loop's endless runs
-   were cut at the loop bound, so no bug was reported). *)
+   forever, which each await or retry pattern must report as a deadlock
+   of that thread and of the main thread joining it (a spin loop's
+   endless runs were cut at the loop bound, so no bug was reported),
+   with equivalence pruning on and off. *)
 let test_unreleased_lock_deadlocks () =
   let module P = Mc.Program in
   let expect (b : B.t) setup =
@@ -89,11 +90,14 @@ let test_unreleased_lock_deadlocks () =
       P.join t1;
       P.join t2
     in
-    let r = E.explore ~config:{ E.default_config with scheduler = b.scheduler } main in
-    Alcotest.(check (list string))
-      (b.name ^ ": the waiter blocks forever")
-      [ "deadlock:0,2" ]
-      (List.map Mc.Bug.key r.bugs)
+    List.iter
+      (fun prune ->
+        let r = E.explore ~config:{ E.default_config with scheduler = b.scheduler; prune } main in
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: the waiter blocks forever (prune=%b)" b.name prune)
+          [ "deadlock:0,2" ]
+          (List.map Mc.Bug.key r.bugs))
+      [ true; false ]
   in
   let module Mcs = Structures.Mcs_lock in
   expect Mcs.benchmark (fun o ->
@@ -120,7 +124,14 @@ let test_unreleased_lock_deadlocks () =
       ( (fun () -> Rw.write_lock o l),
         fun () ->
           Rw.write_lock o l;
-          Rw.write_unlock o l ))
+          Rw.write_unlock o l ));
+  let module Peterson = Structures.Peterson_lock in
+  expect Peterson.benchmark (fun o ->
+      let l = Peterson.create () in
+      ( (fun () -> Peterson.lock o l ~slot:0),
+        fun () ->
+          Peterson.lock o l ~slot:1;
+          Peterson.unlock o l ~slot:1 ))
 
 let benchmark_cases (b : B.t) ~expect_at_least =
   [
