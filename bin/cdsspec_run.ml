@@ -239,6 +239,16 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
     closed = [];
   }
 
+(* [--store PATH] of [check] and [serve]: a path that cannot be a store
+   directory (a regular file, say) is a usage error, not an uncaught
+   [Sys_error]. *)
+let open_store = function
+  | None -> Ok None
+  | Some dir -> (
+    match Store.open_dir dir with
+    | store -> Ok (Some store)
+    | exception Sys_error m -> Error (`Msg ("--store: " ^ m)))
+
 let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_prune profile
     fuzzing replay store_dir =
   let fuzz, seed, time_budget, bias, (checker : Cdsspec.Checker.config), use_cache = fuzzing in
@@ -247,10 +257,13 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
     `Msg (Printf.sprintf "--sample-histories: N must be at least 1 (got %d)" n)
   | Error e, _ -> e
   | Ok b, _ -> (
-    match build_ords b weaken overrides with
+    let setup =
+      Result.bind (build_ords b weaken overrides) (fun ords ->
+          Result.map (fun store -> (ords, store)) (open_store store_dir))
+    in
+    match setup with
     | Error e -> e
-    | Ok ords -> (
-      let store = Option.map Store.open_dir store_dir in
+    | Ok (ords, store) -> (
       let tests =
         match test_filter with
         | None -> b.tests
@@ -409,8 +422,11 @@ let inject_cmd name jobs =
 (* Checking-as-a-service: daemon and client *)
 
 let serve_cmd socket jobs store_dir =
-  Serve.Server.serve ~socket ~jobs ?store_dir ();
-  `Ok
+  match open_store store_dir with
+  | Error e -> e
+  | Ok store ->
+    Serve.Server.serve ~socket ~jobs ?store ();
+    `Ok
 
 module J = Analyze.Json
 

@@ -70,11 +70,12 @@ let kind_payload : Act.kind -> int = function
   | Create t | Join t -> t
   | Load | Store | Rmw | Na_load | Na_store | Fence | Start | Finish -> 0
 
-(* FNV-1a like Fuzz.Fingerprint.execution, but deliberately skipping the
-   mo field: weakening one site rewrites the order of every action it
-   emits, and the advisor must recognize the otherwise-identical
-   execution as the same behaviour. Commit order (= mo and the SC order)
-   is still part of the hash via iteration order. *)
+(* FNV-1a over the committed actions. Unlike C11.Execution.fingerprint
+   it deliberately skips the mo field: weakening one site rewrites the
+   order of every action it emits, and the advisor must recognize the
+   otherwise-identical execution as the same behaviour. Commit order
+   (= mo and the SC order) is still part of the hash via iteration
+   order. *)
 let prime = 0x100000001B3L
 let offset = 0xCBF29CE484222325L
 let fnv h v = Int64.mul (Int64.logxor h (Int64.of_int v)) prime

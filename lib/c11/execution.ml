@@ -240,13 +240,6 @@ let happens_before t a b =
   let a = action t a and b = action t b in
   Action.happens_before a b
 
-let hb_or_sc t a b =
-  if a = b then false
-  else
-    let aa = action t a and ab = action t b in
-    Action.happens_before aa ab
-    || (Action.is_seq_cst aa && Action.is_seq_cst ab && aa.id < ab.id)
-
 let last_write t loc =
   match find_loc t loc with
   | Some ls when not (Vec.is_empty ls.stores) -> Some (Vec.last ls.stores)
@@ -324,89 +317,14 @@ let store_index t (w : Action.t) =
   let i = Vec.get t.mo_idx w.Action.id in
   if i < 0 then invalid_arg "store_index: not a store of this location" else i
 
-(* Smallest modification-order index a new load by [tid] may read,
-   combining per-location coherence with the seq_cst rules (see .mli).
-
-   Reference implementation: rescans the full store and read lists per
-   query. Kept verbatim as the oracle for the differential tests of the
-   incremental version below. *)
-let min_readable_ref t ~tid ~mo (ls : loc_state) =
-  let ts = thread t tid in
-  let n = Vec.length ls.stores in
-  let min_idx = ref 0 in
-  let raise_to i = if i > !min_idx then min_idx := i in
-  (* CoWR/CoRW: newest hb-visible write *)
-  (try
-     for i = n - 1 downto 0 do
-       if hb_clock ts.clock (Vec.get ls.stores i) then begin
-         raise_to i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  (* CoRR: newest mo index observed by an hb-prior read *)
-  Vec.iter (fun (r, j) -> if hb_clock ts.clock r then raise_to j) ls.reads;
-  let latest_sc_fence = match ts.sc_fences with (_, id) :: _ -> Some id | [] -> None in
-  let fence_after_store ?bound (w : Action.t) =
-    let fences = (thread t w.tid).sc_fences in
-    List.exists
-      (fun (seq, id) ->
-        seq > w.Action.seq && match bound with Some b -> id < b | None -> true)
-      fences
-  in
-  (* seq_cst load: at least the newest seq_cst store (29.3p3) *)
-  if Memory_order.is_seq_cst mo then begin
-    (try
-       for i = n - 1 downto 0 do
-         if Action.is_seq_cst (Vec.get ls.stores i) then begin
-           raise_to i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    (* store sequenced before a seq_cst fence, seq_cst load (29.3p6) *)
-    try
-      for i = n - 1 downto 0 do
-        if fence_after_store (Vec.get ls.stores i) then begin
-          raise_to i;
-          raise Exit
-        end
-      done
-    with Exit -> ()
-  end;
-  (match latest_sc_fence with
-  | None -> ()
-  | Some fence_id ->
-    (* seq_cst fence sequenced before the load (29.3p5): newest seq_cst
-       store committed before that fence *)
-    (try
-       for i = n - 1 downto 0 do
-         let w = Vec.get ls.stores i in
-         if Action.is_seq_cst w && w.Action.id < fence_id then begin
-           raise_to i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    (* fence-to-fence (29.3p7): store before fence X, X before our fence *)
-    try
-      for i = n - 1 downto 0 do
-        if fence_after_store ~bound:fence_id (Vec.get ls.stores i) then begin
-          raise_to i;
-          raise Exit
-        end
-      done
-    with Exit -> ());
-  !min_idx
-
 (* A thread's seq_cst fences, for the kernel's fence rules. Top-level
    and closed, so passing it to [Rf_kernel.floor] allocates nothing. *)
 let sc_fences threads u = if u < Array.length threads then threads.(u).sc_fences else []
 
-(* The floor query of the load path: the kernel's binary searches over
-   its per-(location, thread) coherence columns (see rf_kernel.mli),
-   O(threads * log stores) instead of the reference's O(stores + reads)
-   rescan. *)
+(* Smallest modification-order index a new load by [tid] may read,
+   combining per-location coherence with the seq_cst rules: the kernel's
+   binary searches over its per-(location, thread) coherence columns
+   (see rf_kernel.mli), O(threads * log stores) per query. *)
 let min_readable t ~tid ~mo (ls : loc_state) =
   let ts = thread t tid in
   let floor =
@@ -419,24 +337,10 @@ let min_readable t ~tid ~mo (ls : loc_state) =
   c.Rf_kernel.rejected <- c.Rf_kernel.rejected + floor;
   floor
 
-let read_candidates_of min_readable t ~tid ~mo ~loc =
-  let ls = loc_state t loc in
-  let n = Vec.length ls.stores in
-  if n = 0 then []
-  else begin
-    let min_idx = min_readable t ~tid ~mo ls in
-    (* newest-first *)
-    let rec collect i acc = if i > n - 1 then acc else collect (i + 1) (Vec.get ls.stores i :: acc) in
-    collect min_idx []
-  end
-
-let read_candidates t ~tid ~mo ~loc = read_candidates_of min_readable t ~tid ~mo ~loc
-let read_candidates_ref t ~tid ~mo ~loc = read_candidates_of min_readable_ref t ~tid ~mo ~loc
-
-(* Allocation-free variant for the hot load path: the candidate set is a
-   contiguous mo-order suffix, so its size plus newest-first indexing
-   replace the materialized list. [read_window] gives the count;
-   candidate [i] of [read_candidate] is the [i]-th newest store. *)
+(* The candidate set is a contiguous mo-order suffix, so its size plus
+   newest-first indexing describe it without allocating a list.
+   [read_window] gives the count; candidate [i] of [read_candidate] is
+   the [i]-th newest store. *)
 let read_window t ~tid ~mo ~loc =
   match find_loc t loc with
   | None -> 0

@@ -60,25 +60,14 @@ val commit_join : t -> tid:int -> target:int -> Action.t
 
 (** {1 Reads} *)
 
-(** [read_candidates t ~tid ~mo ~loc] lists the writes a new atomic load
-    by [tid] with order [mo] may read from, newest-first, after coherence
-    and SC filtering. The empty list means the location is
-    uninitialized. Candidate filtering is incremental: per-(location,
-    thread) monotone coherence indices are maintained on every commit,
-    so one query costs O(threads * log stores) instead of rescanning the
-    store and read lists. *)
-val read_candidates : t -> tid:int -> mo:Memory_order.t -> loc:int -> Action.t list
-
-(** Reference implementation of {!read_candidates} that rescans the full
-    per-location store/read lists per query — the oracle the incremental
-    coherence indices are differentially tested against. *)
-val read_candidates_ref : t -> tid:int -> mo:Memory_order.t -> loc:int -> Action.t list
-
-(** Allocation-free variant of {!read_candidates} for the hot load path:
-    the candidate set is always a contiguous suffix of modification
-    order, so [read_window] returns just its size and
-    [read_candidate t ~loc i] is candidate [i] in the same newest-first
-    order the list version uses. A window of [0] means uninitialized. *)
+(** [read_window t ~tid ~mo ~loc] is the number of writes a new atomic
+    load by [tid] with order [mo] may read from, after coherence and SC
+    filtering; [0] means the location is uninitialized. The candidates
+    are always a contiguous suffix of modification order, and
+    [read_candidate t ~loc i] is candidate [i], newest first. Filtering
+    is incremental: per-(location, thread) monotone coherence columns
+    are maintained on every commit ({!Rf_kernel}), so one query costs
+    O(threads * log stores) and allocates nothing. *)
 val read_window : t -> tid:int -> mo:Memory_order.t -> loc:int -> int
 
 val read_candidate : t -> loc:int -> int -> Action.t
@@ -87,7 +76,7 @@ val read_candidate : t -> loc:int -> int -> Action.t
 val rmw_candidate : t -> loc:int -> Action.t option
 
 (** [commit_load t ~tid ~mo ~loc ~rf ?site ()] commits an atomic load
-    reading from write [rf] (an element of [read_candidates]); [rf =
+    reading from write [rf] (one of the {!read_window} candidates); [rf =
     None] commits an uninitialized load reading 0 and reports it. *)
 val commit_load :
   t ->
@@ -134,11 +123,6 @@ val last_write : t -> int -> Action.t option
 
 (** [happens_before t a b] over action ids. *)
 val happens_before : t -> int -> int -> bool
-
-(** [hb_or_sc t a b]: happens-before, or both seq_cst with [a] earlier in
-    the SC total order — the relation that orders ordering points (paper
-    section 5.2). *)
-val hb_or_sc : t -> int -> int -> bool
 
 (** Canonical 64-bit fingerprint of the execution graph committed so
     far, invariant under the commit interleaving: it digests the

@@ -16,20 +16,6 @@ let add_edge r a b =
 
 let has_edge r a b = r.succ.(a).(b)
 
-let successors r a =
-  let out = ref [] in
-  for b = r.n - 1 downto 0 do
-    if r.succ.(a).(b) then out := b :: !out
-  done;
-  !out
-
-let predecessors r b =
-  let out = ref [] in
-  for a = r.n - 1 downto 0 do
-    if r.succ.(a).(b) then out := a :: !out
-  done;
-  !out
-
 (* Floyd–Warshall closure; n is a handful of method calls so O(n^3) is
    irrelevant, and caching makes repeated reachability queries O(1). *)
 let closure r =
@@ -68,9 +54,10 @@ let down_set r node =
   done;
   !out
 
-(* Enumerate linear extensions by repeatedly choosing a minimal element.
-   [pick_random] selects one uniformly instead of branching. *)
-let topological_sorts ?(max = 20_000) ?sample ~nodes r =
+(* Random linear extensions: each draw repeatedly picks one available
+   node (every predecessor among [nodes] already placed) uniformly at
+   random, from one seeded generator shared by all draws. *)
+let sample_linear_extensions ~count ~seed ~nodes r =
   let in_nodes = Array.make r.n false in
   List.iter (fun x -> in_nodes.(x) <- true) nodes;
   let indeg = Array.make r.n 0 in
@@ -81,70 +68,36 @@ let topological_sorts ?(max = 20_000) ?sample ~nodes r =
         nodes)
     nodes;
   let total = List.length nodes in
-  match sample with
-  | Some (count, seed) ->
-    let rng = Random.State.make [| seed |] in
-    let draw () =
-      let indeg = Array.copy indeg in
-      let avail = ref (List.filter (fun x -> indeg.(x) = 0) nodes) in
-      let acc = ref [] in
-      for _ = 1 to total do
-        match !avail with
-        | [] -> invalid_arg "topological_sorts: cycle"
-        | l ->
-          let k = Random.State.int rng (List.length l) in
-          let x = List.nth l k in
-          avail := List.filter (fun y -> y <> x) l;
-          acc := x :: !acc;
-          List.iter
-            (fun y ->
-              if in_nodes.(y) && r.succ.(x).(y) then begin
-                indeg.(y) <- indeg.(y) - 1;
-                if indeg.(y) = 0 then avail := y :: !avail
-              end)
-            nodes
-      done;
-      List.rev !acc
-    in
-    (List.init count (fun _ -> draw ()), false)
-  | None ->
-    let results = ref [] in
-    let count = ref 0 in
-    let truncated = ref false in
+  let rng = Random.State.make [| seed |] in
+  let draw () =
     let indeg = Array.copy indeg in
-    let rec go acc picked =
-      if !count >= max then truncated := true
-      else if picked = total then begin
-        incr count;
-        results := List.rev acc :: !results
-      end
-      else
+    let avail = ref (List.filter (fun x -> indeg.(x) = 0) nodes) in
+    let acc = ref [] in
+    for _ = 1 to total do
+      match !avail with
+      | [] -> invalid_arg "sample_linear_extensions: cycle"
+      | l ->
+        let k = Random.State.int rng (List.length l) in
+        let x = List.nth l k in
+        avail := List.filter (fun y -> y <> x) l;
+        acc := x :: !acc;
         List.iter
-          (fun x ->
-            if (not !truncated) && indeg.(x) = 0 then begin
-              indeg.(x) <- -1;
-              let bumped = ref [] in
-              List.iter
-                (fun y ->
-                  if in_nodes.(y) && r.succ.(x).(y) then begin
-                    indeg.(y) <- indeg.(y) - 1;
-                    bumped := y :: !bumped
-                  end)
-                nodes;
-              go (x :: acc) (picked + 1);
-              List.iter (fun y -> indeg.(y) <- indeg.(y) + 1) !bumped;
-              indeg.(x) <- 0
+          (fun y ->
+            if in_nodes.(y) && r.succ.(x).(y) then begin
+              indeg.(y) <- indeg.(y) - 1;
+              if indeg.(y) = 0 then avail := y :: !avail
             end)
           nodes
-    in
-    go [] 0;
-    (List.rev !results, !truncated)
+    done;
+    List.rev !acc
+  in
+  List.init count (fun _ -> draw ())
 
-(* State-merging DFS over the same tree [topological_sorts] enumerates.
-   Instead of materializing every linear extension, visit the
-   topological-sort tree once, threading a caller state down the
-   recursion: a shared prefix is presented to [enter] once, not once per
-   extension below it.
+(* State-merging DFS over the topological-sort tree of [r] restricted
+   to [nodes]. Instead of materializing every linear extension, visit
+   the tree once, threading a caller state down the recursion: a shared
+   prefix is presented to [enter] once, not once per extension below
+   it.
 
    The subtree below a node depends only on the set of nodes placed so
    far (which nodes remain available, and in which order they are
@@ -162,11 +115,10 @@ let topological_sorts ?(max = 20_000) ?sample ~nodes r =
    for walks over three or more nodes, and not at all once a node id no
    longer fits in an int mask.
 
-   Child order and the [max] leaf budget mirror [topological_sorts]
-   exactly — a walk that never stops attempts precisely the extensions
-   the enumerator would return, in the same order, and reports
-   truncation under the same condition (a visit attempted after [max]
-   complete extensions). *)
+   Children are the available nodes in [nodes] order, so extensions
+   come in lexicographic order of their nodes' positions in [nodes]; a
+   visit attempted after [max] complete extensions marks the walk
+   truncated instead (see relation.mli). *)
 let walk_linear_extensions ?(max = 20_000) ~nodes r ~init ~enter ~leaf =
   let order = Array.of_list nodes in
   let total = Array.length order in
@@ -229,7 +181,20 @@ let walk_linear_extensions ?(max = 20_000) ~nodes r ~init ~enter ~leaf =
   else if !truncated then `Truncated
   else `Complete
 
+(* The first extension of the walk's order: repeatedly place the first
+   node of [nodes] whose predecessors among [nodes] are all placed. *)
 let any_topological_sort ~nodes r =
-  match topological_sorts ~max:1 ~nodes r with
-  | sort :: _, _ -> sort
-  | [], _ -> invalid_arg "any_topological_sort: cycle"
+  let placed = Array.make r.n false in
+  let available x =
+    (not placed.(x)) && List.for_all (fun a -> placed.(a) || not r.succ.(a).(x)) nodes
+  in
+  let rec pick acc k =
+    if k = 0 then List.rev acc
+    else
+      match List.find_opt available nodes with
+      | Some x ->
+        placed.(x) <- true;
+        pick (x :: acc) (k - 1)
+      | None -> invalid_arg "any_topological_sort: cycle"
+  in
+  pick [] (List.length nodes)

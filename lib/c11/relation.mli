@@ -1,6 +1,6 @@
 (** Small dense-graph kit used for method-call ordering relations:
-    reachability, acyclicity, and bounded enumeration of topological
-    sorts. Node ids are [0 .. n-1]. *)
+    reachability, acyclicity, a bounded walk over the linear extensions
+    and random sampling of them. Node ids are [0 .. n-1]. *)
 
 type t
 
@@ -14,12 +14,6 @@ val add_edge : t -> int -> int -> unit
 
 val has_edge : t -> int -> int -> bool
 
-(** Direct successors of a node. *)
-val successors : t -> int -> int list
-
-(** Direct predecessors of a node. *)
-val predecessors : t -> int -> int list
-
 (** [reachable r a b]: is there a path [a ->+ b]? *)
 val reachable : t -> int -> int -> bool
 
@@ -31,28 +25,34 @@ val is_acyclic : t -> bool
 (** Strict down-set of a node: every [x] with [x ->+ node]. *)
 val down_set : t -> int -> int list
 
-(** [topological_sorts ?max ?sample ~nodes r] enumerates linear extensions
-    of [r] restricted to [nodes].
+(** [sample_linear_extensions ~count ~seed ~nodes r] draws [count]
+    random linear extensions of [r] restricted to [nodes] (with
+    replacement) from a generator seeded with [seed] — the checker's
+    "randomly generate and check a user-customized number of sequential
+    histories" option. Raises [Invalid_argument] on a cycle. *)
+val sample_linear_extensions : count:int -> seed:int -> nodes:int list -> t -> int list list
 
-    With [sample = Some (count, seed)] it instead draws [count] random
-    linear extensions (with replacement) from a seeded generator — the
-    checker's "randomly generate and check a user-customized number of
-    sequential histories" option. Otherwise enumeration is exhaustive but
-    truncated after [max] (default 20_000) results. Returns the sorts and
-    whether the enumeration was truncated. *)
-val topological_sorts :
-  ?max:int -> ?sample:int * int -> nodes:int list -> t -> int list list * bool
-
-(** [walk_linear_extensions ?max ~nodes r ~init ~enter ~leaf] is the
-    prefix-sharing counterpart of {!topological_sorts}: a DFS over the
-    same topological-sort tree that threads a caller state down the
-    recursion, so a prefix shared by many extensions is presented to
-    [enter] once instead of once per extension.
+(** [walk_linear_extensions ?max ~nodes r ~init ~enter ~leaf] is a DFS
+    over the topological-sort tree of [r] restricted to [nodes] that
+    threads a caller state down the recursion, so a prefix shared by
+    many linear extensions is presented to [enter] once instead of once
+    per extension.
 
     [enter st x] extends the prefix state [st] with node [x]; returning
     [`Stop] aborts the entire walk (the checker's early exit on the
     first violating branch). [leaf st] fires on every complete
     extension; [`Stop] likewise aborts the walk.
+
+    Child order: below each prefix, the children are the nodes whose
+    predecessors among [nodes] are all placed, tried in the order they
+    appear in [nodes]. A walk that never returns [`Stop] therefore
+    attempts the extensions in lexicographic order of their nodes'
+    positions in [nodes].
+
+    Leaf budget: at most [max] (default 20,000) complete extensions are
+    visited. A leaf or child attempted after [max] complete extensions
+    ends the walk as [`Truncated], so a walk that never stops reports
+    [`Truncated] iff there are more than [max] extensions.
 
     The walk also merges nodes: the subtree below a prefix depends only
     on which nodes the prefix holds and on the state it reached, so a
@@ -65,10 +65,6 @@ val topological_sorts :
     calls neither. Relations of [Sys.int_size] or more nodes are walked
     without merging.
 
-    Child order and the [max] leaf budget match {!topological_sorts}
-    exactly: a walk that never returns [`Stop] attempts precisely the
-    extensions the enumerator returns, in the same order, and reports
-    [`Truncated] iff the enumerator would have reported truncation.
     [`Stopped path] gives the nodes of the prefix at which a callback
     stopped, in order: ending with the node whose [enter] stopped, or
     the whole extension when [leaf] stopped. *)
@@ -81,6 +77,7 @@ val walk_linear_extensions :
   leaf:('a -> [ `Continue | `Stop ]) ->
   [ `Complete | `Truncated | `Stopped of int list ]
 
-(** One arbitrary linear extension over the given nodes (raises
-    [Invalid_argument] on a cycle). *)
+(** The first linear extension over [nodes] in the walk's child order:
+    repeatedly the first node of [nodes] whose predecessors among
+    [nodes] are all placed (raises [Invalid_argument] on a cycle). *)
 val any_topological_sort : nodes:int list -> t -> int list

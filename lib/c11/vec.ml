@@ -59,13 +59,3 @@ let iteri f v =
   done
 
 let to_list v = List.init v.len (fun i -> Array.unsafe_get v.data i)
-
-let fold_right_while f v init =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      match f i (Array.unsafe_get v.data i) acc with
-      | `Continue acc -> go (i - 1) acc
-      | `Stop acc -> acc
-  in
-  go (v.len - 1) init

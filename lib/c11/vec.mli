@@ -37,7 +37,3 @@ val unsafe_data : 'a t -> 'a array
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
-
-(** [fold_right_while f v init] folds from the newest element toward the
-    oldest, stopping early when [f] returns [`Stop]. *)
-val fold_right_while : (int -> 'a -> 'b -> [ `Continue of 'b | `Stop of 'b ]) -> 'a t -> 'b -> 'b

@@ -3,7 +3,6 @@ type config = {
   sample_histories : (int * int) option;
   max_prefixes : int;
   strict_histories : bool;
-  legacy_replay : bool;
 }
 
 let default_config =
@@ -12,7 +11,6 @@ let default_config =
     sample_histories = None;
     max_prefixes = 2000;
     strict_histories = false;
-    legacy_replay = false;
   }
 
 type violation = {
@@ -27,8 +25,6 @@ let kind_name = function
   | `Cyclic_ordering -> "cyclic-ordering"
   | `Truncated -> "truncated"
 
-let pp_violation ppf v = Format.fprintf ppf "%s: %s" (kind_name v.kind) v.message
-
 let str = Format.asprintf
 
 (* ------------------------------------------------------------------ *)
@@ -36,7 +32,7 @@ let str = Format.asprintf
 
 (* One step of sequential replay: apply [call]'s pre/side/postcondition
    to [state], returning the post-side-effect state or the failure
-   message. Both the legacy whole-history replay and the prefix-sharing
+   message. Both the sampled whole-history replay and the prefix-sharing
    DFS are built on this, so their failure messages agree byte for
    byte. *)
 let step (type st) (spec : st Spec.t) info_of state (call : Call.t) =
@@ -69,9 +65,9 @@ let justify_last (type st) (spec : st Spec.t) info_of state (m : Call.t) =
   in
   match ms.justifying_postcondition with Some p -> p state info ~s_ret | None -> true
 
-(* Legacy list-then-replay of one sequential history, kept as the
-   reference implementation (differential tests; [sample_histories],
-   whose random draws are not a DFS). Returns the first failure. *)
+(* List-then-replay of one sampled sequential history ([sample_histories]
+   draws are not a DFS, so there is no tree to share prefixes over).
+   Returns the first failure. *)
 let replay_history (type st) (spec : st Spec.t) info_of (history : Call.t list) =
   let rec go state = function
     | [] -> None
@@ -81,21 +77,6 @@ let replay_history (type st) (spec : st Spec.t) info_of (history : Call.t list) 
       | Error why -> Some (call, why))
   in
   go (spec.initial ()) history
-
-(* Legacy replay of one justifying subhistory of [m] (m is its last
-   element): the prefix must itself satisfy the specification, and m's
-   justifying pre/postconditions must hold around m's own side effect
-   (Def. 4). *)
-let replay_justifying (type st) (spec : st Spec.t) info_of (subhistory : Call.t list) =
-  let rec go state = function
-    | [] -> false
-    | [ (m : Call.t) ] -> justify_last spec info_of state m
-    | (call : Call.t) :: rest -> (
-      match step spec info_of state call with
-      | Ok state -> go state rest
-      | Error _ -> false)
-  in
-  go (spec.initial ()) subhistory
 
 (* ------------------------------------------------------------------ *)
 (* Prefix-sharing replay                                               *)
@@ -119,11 +100,10 @@ let assertion_violation ~history ~call why =
    first failing call; the reported history is that prefix completed
    greedily ([any_topological_sort] picks the first available node,
    i.e. the leftmost leaf of the failing subtree), which is exactly the
-   first failing history in enumeration order — every leaf left of the
-   failing node passed, so the verdict and message are byte-identical to
-   the legacy path. The [max] budget is charged before entering a node,
-   so no call belonging only to histories beyond the legacy cap is ever
-   replayed. *)
+   first failing history in the walk's order: every leaf left of the
+   failing node passed. The [max] budget is charged before entering a
+   node, so no call belonging only to histories beyond the first [max]
+   is ever replayed. *)
 let check_histories_shared (type st) ~max (spec : st Spec.t) info_of relation calls find =
   let nodes = List.map (fun (c : Call.t) -> c.id) calls in
   let failure = ref "" in
@@ -150,11 +130,10 @@ let check_histories_shared (type st) ~max (spec : st Spec.t) info_of relation ca
 (* Justification of [m] (Defs. 3-4) via prefix sharing: DFS over the
    linearizations of m's strict down-set, threading [Some state] while
    the prefix satisfies the spec and [None] once it has failed. Failed
-   prefixes still walk to their leaves so the [max] budget is consumed
-   exactly as the legacy enumerate-then-replay path consumes it (one
-   unit per linearization, accepted or not) — the walker merges them
-   and charges their leaves without replaying; the walk stops at the
-   first accepting subhistory. *)
+   prefixes still walk to their leaves so the [max] budget counts every
+   linearization, accepted or not — the walker merges them and charges
+   their leaves without replaying; the walk stops at the first
+   accepting subhistory. *)
 let justified_shared (type st) ~max (spec : st Spec.t) info_of relation find (m : Call.t) =
   let nodes = C11.Relation.down_set relation m.id in
   match
@@ -258,25 +237,18 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
     else begin
       (* Def. 6: the specification must hold on every valid sequential
          history. Random sampling has no tree to share prefixes over, so
-         it keeps the list-then-replay path; [legacy_replay] keeps it
-         unconditionally for the differential tests. *)
+         it replays each drawn history from the start. *)
       let history_violation, h_trunc =
-        if config.legacy_replay || config.sample_histories <> None then begin
-          let histories, truncated =
-            History.histories ~max:config.max_histories ?sample:config.sample_histories
-              relation calls
-          in
-          let v =
-            List.find_map
+        match config.sample_histories with
+        | Some (count, seed) ->
+          ( List.find_map
               (fun history ->
                 match replay_history spec info_of history with
                 | None -> None
                 | Some (call, why) -> Some (assertion_violation ~history ~call why))
-              histories
-          in
-          (v, truncated)
-        end
-        else check_histories_shared ~max:config.max_histories spec info_of relation calls find
+              (History.sample_histories ~count ~seed relation calls),
+            false )
+        | None -> check_histories_shared ~max:config.max_histories spec info_of relation calls find
       in
       match history_violation with
       | Some v -> { clean with violations = [ v ]; histories_truncated = h_trunc }
@@ -292,14 +264,7 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
               if not (Spec.needs_justification ms) then None
               else begin
                 let justified, truncated =
-                  if config.legacy_replay then begin
-                    let subs, truncated =
-                      History.justifying_subhistories ~max:config.max_prefixes relation calls
-                        m
-                    in
-                    (List.exists (replay_justifying spec info_of) subs, truncated)
-                  end
-                  else justified_shared ~max:config.max_prefixes spec info_of relation find m
+                  justified_shared ~max:config.max_prefixes spec info_of relation find m
                 in
                 if truncated then p_trunc := true;
                 if justified then None

@@ -15,9 +15,20 @@
     (down-set, state) nodes). {!Spec} states must therefore be
     persistent values, hashed and compared structurally: immutable data
     without closures, and every spec function deterministic in its
-    arguments — see HACKING.md. Verdicts, truncation flags and messages
-    are byte-identical to the legacy list-then-replay path, which is
-    kept behind [legacy_replay] for differential testing. *)
+    arguments — see HACKING.md.
+
+    Both walks visit linear extensions in
+    {!C11.Relation.walk_linear_extensions}' child order, which is
+    lexicographic in call id, and charge one unit of budget per complete
+    extension: [max_histories] per sequential history, [max_prefixes]
+    per justifying subhistory of one call, accepted or not. So an
+    assertion violation names the first failing history in that order
+    (its failing prefix completed by {!C11.Relation.any_topological_sort})
+    and the call that failed in it. A check is truncated when a walk
+    reaches its cap before a verdict: more than [max_histories]
+    histories and none of the first [max_histories] failing, or more
+    than [max_prefixes] justifying subhistories for a call and none of
+    the first [max_prefixes] accepting. *)
 
 type config = {
   max_histories : int;
@@ -25,15 +36,12 @@ type config = {
   sample_histories : (int * int) option;
       (** [(count, seed)]: randomly sample instead of exhausting — the
           checker's "check a user-customized number of histories" option.
-          Sampling always uses the legacy list-then-replay path. *)
+          Each sampled history is replayed from the initial state. *)
   max_prefixes : int;  (** cap on justifying subhistories per call *)
   strict_histories : bool;
       (** report a [`Truncated] violation when an enumeration cap was
           hit (a capped check is only a partial proof); otherwise the
           truncation is surfaced only through the {!cache} counters *)
-  legacy_replay : bool;
-      (** use the pre-PR-4 list-then-replay path (reference
-          implementation for the differential tests) *)
 }
 
 val default_config : config
@@ -42,8 +50,6 @@ type violation = {
   kind : [ `Admissibility | `Assertion | `Unjustified | `Cyclic_ordering | `Truncated ];
   message : string;
 }
-
-val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Cross-execution check cache}
 

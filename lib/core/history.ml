@@ -140,14 +140,7 @@ let by_id calls =
     | Some c -> c
     | None -> invalid_arg (Printf.sprintf "History.by_id: no call with id %d" id)
 
-let histories ?max ?sample r calls =
+let sample_histories ~count ~seed r calls =
   let find = by_id calls in
   let nodes = List.map (fun (c : Call.t) -> c.id) calls in
-  let sorts, truncated = C11.Relation.topological_sorts ?max ?sample ~nodes r in
-  (List.map (List.map find) sorts, truncated)
-
-let justifying_subhistories ?max r calls (m : Call.t) =
-  let find = by_id calls in
-  let nodes = C11.Relation.down_set r m.id in
-  let sorts, truncated = C11.Relation.topological_sorts ?max ~nodes r in
-  (List.map (fun sort -> List.map find sort @ [ m ]) sorts, truncated)
+  List.map (List.map find) (C11.Relation.sample_linear_extensions ~count ~seed ~nodes r)

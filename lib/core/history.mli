@@ -1,8 +1,8 @@
 (** From one feasible execution to the method-call level: extract calls
     from the annotation stream, build the ordering relation ⊑r from the
-    hb/sc ordering of their ordering points, and enumerate the valid
-    sequential histories and justifying subhistories the checker replays
-    (paper Definitions 2 and 3, section 5.2). *)
+    hb/sc ordering of their ordering points, and sample valid sequential
+    histories (paper Definitions 2 and 3, section 5.2). The exhaustive
+    history and justifying-subhistory walks live in {!Checker}. *)
 
 (** [calls_of_annots exec annots] reconstructs the outermost API method
     calls per thread. Ordering-point annotations inside nested (internal)
@@ -24,16 +24,7 @@ val unordered_pairs : C11.Relation.t -> Call.t list -> (Call.t * Call.t) list
     [Invalid_argument] on an unknown id). *)
 val by_id : Call.t list -> int -> Call.t
 
-(** [histories ?max ?sample r calls] enumerates valid sequential
-    histories (linear extensions of ⊑r over all calls). Returns the
-    histories and whether enumeration was truncated. *)
-val histories :
-  ?max:int -> ?sample:int * int -> C11.Relation.t -> Call.t list -> Call.t list list * bool
-
-(** [justifying_subhistories ?max r calls m] enumerates the justifying
-    subhistories of [m]: linearizations of ⊑r's strict down-set of [m],
-    each with [m] appended. Returns the subhistories and whether
-    enumeration hit the [max] cap (so callers can surface the
-    truncation instead of silently under-checking). *)
-val justifying_subhistories :
-  ?max:int -> C11.Relation.t -> Call.t list -> Call.t -> Call.t list list * bool
+(** [sample_histories ~count ~seed r calls] draws [count] random valid
+    sequential histories (linear extensions of ⊑r over all calls, with
+    replacement) from a generator seeded with [seed]. *)
+val sample_histories : count:int -> seed:int -> C11.Relation.t -> Call.t list -> Call.t list list

@@ -114,7 +114,7 @@ let run ?(config = default_config) ?on_feasible
     (match r.outcome with
     | S.Complete -> (
       incr feasible;
-      Hashtbl.replace coverage (Fingerprint.execution r.exec) ();
+      Hashtbl.replace coverage (C11.Execution.fingerprint r.exec) ();
       match bugs_of_run ?on_feasible r with
       | [] -> ()
       | bugs ->

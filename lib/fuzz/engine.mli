@@ -40,7 +40,17 @@ type stats = {
   pruned_retry : int;  (** runs cut at a failed {!Mc.Program.retry} iteration *)
   pruned_max_actions : int;
   buggy : int;  (** feasible executions on which at least one bug fired *)
-  coverage : int;  (** distinct {!Fingerprint.execution} values seen *)
+  coverage : int;
+      (** distinct {!C11.Execution.fingerprint} values seen: the same
+          hash the exhaustive explorer's equivalence pruning and
+          [distinct_graphs] use, so coverage is comparable with an
+          exhaustive run, with one caveat. The hash also tells apart the
+          SC order of seq_cst actions on different locations and the ids
+          that concurrent [malloc]s receive, and sleep sets explore only
+          one order of such independent operations. So a campaign (sleep
+          sets off) covers a subset of the graph set of an exhaustive run
+          with sleep sets {e off}, which can be larger than the default
+          run's [distinct_graphs]. *)
   minimization_replays : int;  (** extra executions spent shrinking traces *)
   time : float;  (** monotonic wall-clock seconds, including minimization *)
   time_to_first_bug : float option;  (** seconds from start to first buggy run *)
@@ -67,7 +77,7 @@ type result = {
   stats : stats;
   found : found list;  (** deduplicated by {!Mc.Bug.key}, discovery order *)
   graphs : int64 list;
-      (** sorted distinct {!Fingerprint.execution} values seen — the
+      (** sorted distinct {!C11.Execution.fingerprint} values seen — the
           campaign's coverage set: a subset of the [graphs] of an
           exhaustive exploration with sleep sets off (same canonical
           fingerprint), but not necessarily of one with sleep sets on,

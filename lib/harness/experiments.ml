@@ -179,96 +179,6 @@ let undetected rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Randomized exploration — fuzz campaigns over oversized workloads    *)
-
-type fuzz_limits = {
-  fuzz_executions : int option;
-  fuzz_time_budget : float option;
-  fuzz_bias : Fuzz.Bias.policy;
-  fuzz_checker : Cdsspec.Checker.config;
-}
-
-let default_fuzz_limits =
-  {
-    fuzz_executions = Some 2_000;
-    fuzz_time_budget = None;
-    fuzz_bias = Fuzz.Bias.Prefer_stale_rf;
-    fuzz_checker = Cdsspec.Checker.default_config;
-  }
-
-let fuzz ~limits ~seed (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache () in
-  Fuzz.Engine.run
-    ~config:
-      {
-        Fuzz.Engine.default_config with
-        scheduler = b.scheduler;
-        bias = limits.fuzz_bias;
-        max_executions = limits.fuzz_executions;
-        time_budget = limits.fuzz_time_budget;
-      }
-    ~on_feasible:(Cdsspec.Checker.hook ~config:limits.fuzz_checker ~cache b.spec)
-    ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
-    ~seed (t.program ords)
-
-type fuzz_row = {
-  workload : string;
-  seed : int;
-  fuzz_execs : int;
-  fuzz_feasible : int;
-  fuzz_coverage : int;
-  distinct_bugs : int;
-  execs_per_sec : float;
-  time_to_first_bug : float option;
-  fuzz_time : float;
-  first_repro : string option;
-}
-
-let fuzz_workloads () = Structures.Oversized.all ()
-
-let fuzz_campaign ?(limits = default_fuzz_limits) ?(seed = 0) benches =
-  List.concat_map
-    (fun (b : B.t) ->
-      let ords = Structures.Ords.default b.sites in
-      List.map
-        (fun (t : B.test) ->
-          let r = fuzz ~limits ~seed b ~ords t in
-          {
-            workload = b.name ^ "/" ^ t.test_name;
-            seed;
-            fuzz_execs = r.stats.executions;
-            fuzz_feasible = r.stats.feasible;
-            fuzz_coverage = r.stats.coverage;
-            distinct_bugs = List.length r.found;
-            execs_per_sec =
-              (if r.stats.time > 0. then float_of_int r.stats.executions /. r.stats.time else 0.);
-            time_to_first_bug = r.stats.time_to_first_bug;
-            fuzz_time = r.stats.time;
-            first_repro =
-              (match r.found with
-              | [] -> None
-              | f :: _ ->
-                Some
-                  (Printf.sprintf "seed=%d trace=%s" seed
-                     (Fuzz.Engine.trace_to_string f.minimized)));
-          })
-        b.tests)
-    benches
-
-let pp_fuzz ppf rows =
-  Format.fprintf ppf "%-34s %6s %8s %9s %9s %6s %10s %9s@." "Workload" "Seed" "# Execs"
-    "Feasible" "Coverage" "Bugs" "Execs/s" "TTFB (s)";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-34s %6d %8d %9d %9d %6d %10.0f %9s@." r.workload r.seed r.fuzz_execs
-        r.fuzz_feasible r.fuzz_coverage r.distinct_bugs r.execs_per_sec
-        (match r.time_to_first_bug with None -> "-" | Some t -> Printf.sprintf "%.3f" t);
-      match r.first_repro with
-      | None -> ()
-      | Some repro -> Format.fprintf ppf "    repro: %s@." repro)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* Section 6.2 expressiveness                                          *)
 
 type expressiveness = {

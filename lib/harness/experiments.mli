@@ -61,56 +61,6 @@ val pp_figure8 : Format.formatter -> fig8_row list -> unit
     (paper section 6.4.3). *)
 val undetected : fig8_row list -> (string * string) list
 
-(** {1 Randomized exploration — fuzz campaigns}
-
-    Beyond-exhaustive workloads (see {!Structures.Oversized}) sampled by
-    the {!Fuzz.Engine} instead of enumerated. *)
-
-type fuzz_limits = {
-  fuzz_executions : int option;
-  fuzz_time_budget : float option;  (** seconds; both bounds may be set *)
-  fuzz_bias : Fuzz.Bias.policy;
-  fuzz_checker : Cdsspec.Checker.config;
-}
-
-(** 2000 executions, no time budget, [Prefer_stale_rf]. *)
-val default_fuzz_limits : fuzz_limits
-
-(** One raw campaign on one unit test — the fuzz analogue of the
-    internal exhaustive [explore]. Sleep sets are forced off, as the
-    engine requires. *)
-val fuzz :
-  limits:fuzz_limits ->
-  seed:int ->
-  Structures.Benchmark.t ->
-  ords:Structures.Ords.t ->
-  Structures.Benchmark.test ->
-  Fuzz.Engine.result
-
-type fuzz_row = {
-  workload : string;  (** ["bench/test"] *)
-  seed : int;
-  fuzz_execs : int;
-  fuzz_feasible : int;
-  fuzz_coverage : int;  (** distinct execution fingerprints *)
-  distinct_bugs : int;  (** deduplicated by {!Mc.Bug.key} *)
-  execs_per_sec : float;
-  time_to_first_bug : float option;
-  fuzz_time : float;  (** seconds *)
-  first_repro : string option;  (** seed + minimized trace of the first bug *)
-}
-
-(** The oversized fuzz-only registry entries, i.e.
-    {!Structures.Oversized.all}. *)
-val fuzz_workloads : unit -> Structures.Benchmark.t list
-
-(** Fuzz every unit test of every benchmark at its default (correct)
-    memory orders, one row per test. *)
-val fuzz_campaign :
-  ?limits:fuzz_limits -> ?seed:int -> Structures.Benchmark.t list -> fuzz_row list
-
-val pp_fuzz : Format.formatter -> fuzz_row list -> unit
-
 (** {1 Section 6.2 — expressiveness statistics} *)
 
 type expressiveness = {

@@ -8,7 +8,6 @@ module Ords = Structures.Ords
 
 type conn = {
   fd : Unix.file_descr;
-  conn_id : int;
   inbuf : Buffer.t;
   out_mu : Mutex.t;
   mutable alive : bool;  (* false after EOF or a failed write *)
@@ -23,7 +22,6 @@ type t = {
   store : Store.t option;
   mu : Mutex.t;  (* conns list + jobs_active + job counter *)
   mutable conns : conn list;
-  mutable next_conn : int;
   mutable next_job : int;
   mutable shutdown : bool;
 }
@@ -384,14 +382,10 @@ let reap server =
   Mutex.unlock server.mu;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()) dead
 
-let serve ~socket ~jobs ?store_dir () =
+let serve ~socket ~jobs ?store () =
   (* A worker writing to a vanished client must get EPIPE as a return
      value, not a process-killing signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* The store is open (its [meta] written) before the socket exists, so
-     a client that connects finds it ready, and an unusable store
-     directory fails before any socket file is created. *)
-  let store = Option.map Store.open_dir store_dir in
   if Sys.file_exists socket then Sys.remove socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
@@ -404,7 +398,6 @@ let serve ~socket ~jobs ?store_dir () =
       store;
       mu = Mutex.create ();
       conns = [];
-      next_conn = 0;
       next_job = 0;
       shutdown = false;
     }
@@ -429,7 +422,6 @@ let serve ~socket ~jobs ?store_dir () =
             let conn =
               {
                 fd = client_fd;
-                conn_id = server.next_conn;
                 inbuf = Buffer.create 256;
                 out_mu = Mutex.create ();
                 alive = true;
@@ -437,8 +429,6 @@ let serve ~socket ~jobs ?store_dir () =
                 closed = false;
               }
             in
-            ignore conn.conn_id;
-            server.next_conn <- server.next_conn + 1;
             server.conns <- conn :: server.conns;
             Mutex.unlock server.mu
           | exception Unix.Unix_error (_, _, _) -> ()

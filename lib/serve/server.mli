@@ -25,11 +25,12 @@
     abort within one exploration step; aborted (truncated) runs are
     never written to the store. *)
 
-(** [serve ~socket ~jobs ?store_dir ()] binds [socket] (an existing
-    socket file is replaced), prints one "serving ..." line to stdout,
-    and blocks until a client sends [{"op":"shutdown"}]. [jobs] is the
-    resident worker-domain count. [store_dir], when given, is opened
-    with {!Store.open_dir} (engine-rev flush semantics apply) before the
-    socket is bound: a successful connect means the store is open, and
-    an unusable store directory raises before any socket file exists. *)
-val serve : socket:string -> jobs:int -> ?store_dir:string -> unit -> unit
+(** [serve ~socket ~jobs ?store ()] binds [socket] (an existing socket
+    file is replaced), prints one "serving ..." line to stdout, and
+    blocks until a client sends [{"op":"shutdown"}]. [jobs] is the
+    resident worker-domain count. [store], when given, is shared by all
+    jobs. The caller opens it with {!Store.open_dir} (engine-rev flush
+    semantics apply) before calling, so a successful connect means the
+    store is open, and an unusable store directory fails before any
+    socket file exists. *)
+val serve : socket:string -> jobs:int -> ?store:Store.t -> unit -> unit

@@ -113,7 +113,6 @@ let job_key ~kind ~bench ~test ~ords ~sched ~prune ~engine ~max_execs ~checker ~
     | Some (count, seed) -> Printf.sprintf "%d:%d" count seed);
   add (string_of_int checker.Cdsspec.Checker.max_prefixes);
   add (string_of_bool checker.Cdsspec.Checker.strict_histories);
-  add (string_of_bool checker.Cdsspec.Checker.legacy_replay);
   add (string_of_bool use_cache);
   let descr = Buffer.contents buf in
   { descr; fp = hex64 (fnv64 descr) }

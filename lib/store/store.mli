@@ -41,7 +41,9 @@ type t
 
 (** [open_dir dir] creates [dir] if needed, then validates its [meta]
     file: a missing, malformed, or engine-rev-mismatched meta flushes
-    every entry and rewrites meta for the current engine. *)
+    every entry and rewrites meta for the current engine. Raises
+    [Sys_error] when [dir] cannot be used as a store directory (a
+    regular file, say). *)
 val open_dir : string -> t
 
 val dir : t -> string

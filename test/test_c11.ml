@@ -206,7 +206,7 @@ let test_relation_cycle () =
 
 let test_topological_sorts_diamond () =
   let r = diamond () in
-  let sorts, truncated = Rel.topological_sorts ~nodes:[ 0; 1; 2; 3 ] r in
+  let sorts, truncated = Oracle.Linear_extensions.enumerate ~nodes:[ 0; 1; 2; 3 ] r in
   Alcotest.(check bool) "not truncated" false truncated;
   Alcotest.(check int) "two linear extensions" 2 (List.length sorts);
   List.iter
@@ -217,18 +217,18 @@ let test_topological_sorts_diamond () =
 
 let test_topological_sorts_empty_order () =
   let r = Rel.create 4 in
-  let sorts, _ = Rel.topological_sorts ~nodes:[ 0; 1; 2; 3 ] r in
+  let sorts, _ = Oracle.Linear_extensions.enumerate ~nodes:[ 0; 1; 2; 3 ] r in
   Alcotest.(check int) "4! extensions" 24 (List.length sorts)
 
 let test_topological_sorts_truncation () =
   let r = Rel.create 6 in
-  let sorts, truncated = Rel.topological_sorts ~max:10 ~nodes:[ 0; 1; 2; 3; 4; 5 ] r in
+  let sorts, truncated = Oracle.Linear_extensions.enumerate ~max:10 ~nodes:[ 0; 1; 2; 3; 4; 5 ] r in
   Alcotest.(check bool) "truncated" true truncated;
   Alcotest.(check int) "capped" 10 (List.length sorts)
 
 let test_topological_sorts_sampled () =
   let r = diamond () in
-  let sorts, _ = Rel.topological_sorts ~sample:(20, 7) ~nodes:[ 0; 1; 2; 3 ] r in
+  let sorts = Rel.sample_linear_extensions ~count:20 ~seed:7 ~nodes:[ 0; 1; 2; 3 ] r in
   Alcotest.(check int) "20 samples" 20 (List.length sorts);
   (* samples are valid linear extensions *)
   List.iter
@@ -260,7 +260,7 @@ let prop_sorts_respect_order =
   QCheck.Test.make ~name:"every sort is a linear extension" ~count:200 dag_arb (fun (n, edges) ->
       let r = build_dag (n, edges) in
       let nodes = List.init n (fun i -> i) in
-      let sorts, _ = Rel.topological_sorts ~max:500 ~nodes r in
+      let sorts, _ = Oracle.Linear_extensions.enumerate ~max:500 ~nodes r in
       List.for_all
         (fun sort ->
           List.for_all
@@ -281,7 +281,7 @@ let prop_sorts_distinct =
   QCheck.Test.make ~name:"sorts are pairwise distinct" ~count:100 dag_arb (fun (n, edges) ->
       let r = build_dag (n, edges) in
       let nodes = List.init n (fun i -> i) in
-      let sorts, _ = Rel.topological_sorts ~max:500 ~nodes r in
+      let sorts, _ = Oracle.Linear_extensions.enumerate ~max:500 ~nodes r in
       List.length (List.sort_uniq compare sorts) = List.length sorts)
 
 let prop_down_set_closed =
@@ -294,6 +294,30 @@ let prop_down_set_closed =
         (List.init n (fun i -> i)))
 
 (* ------------------------ walker identity ------------------------ *)
+
+(* The walker's child order and leaf budget are the enumerator's: with
+   the prefix itself as the state, no two nodes merge, and a walk that
+   never stops reaches the enumerated extensions as its leaves, in the
+   same order, and truncates iff the enumeration does. Both node orders
+   are tried, since children follow the order of [nodes]. *)
+let prop_walker_matches_enumerator =
+  QCheck.Test.make ~name:"leaves are the enumerated extensions" ~count:200
+    QCheck.(pair dag_arb (int_range 1 30))
+    (fun ((n, edges), max) ->
+      let r = build_dag (n, edges) in
+      List.for_all
+        (fun nodes ->
+          let leaves = ref [] in
+          let result =
+            Rel.walk_linear_extensions ~max ~nodes r ~init:[]
+              ~enter:(fun rev_prefix x -> `Enter (x :: rev_prefix))
+              ~leaf:(fun rev_prefix ->
+                leaves := List.rev rev_prefix :: !leaves;
+                `Continue)
+          in
+          let sorts, truncated = Oracle.Linear_extensions.enumerate ~max ~nodes r in
+          List.rev !leaves = sorts && (result = `Truncated) = truncated)
+        [ List.init n Fun.id; List.rev (List.init n Fun.id) ])
 
 (* The reference for the state-merging walk: the plain prefix-sharing
    DFS it replaced, which visits every node of the topological-sort
@@ -549,15 +573,6 @@ let test_vec_growth () =
   Vec.push v 7;
   Alcotest.(check int) "reusable after truncate" 7 (Vec.last v)
 
-let test_vec_fold_right_while () =
-  let v = Vec.create () in
-  List.iter (Vec.push v) [ 1; 2; 3; 4; 5 ];
-  (* sum from the right, stop when the element is 2 *)
-  let sum =
-    Vec.fold_right_while (fun _ x acc -> if x = 2 then `Stop acc else `Continue (acc + x)) v 0
-  in
-  Alcotest.(check int) "stopped early" (3 + 4 + 5) sum
-
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -598,11 +613,11 @@ let () =
           Alcotest.test_case "identity with the unmerged walk" `Quick test_walker_identity;
           Alcotest.test_case "budget charges skipped leaves" `Quick test_walker_budget;
           Alcotest.test_case "large relations walk unmerged" `Quick test_walker_large_relation;
+          qt prop_walker_matches_enumerator;
         ] );
       ( "vec",
         [
           Alcotest.test_case "basics" `Quick test_vec;
           Alcotest.test_case "growth" `Quick test_vec_growth;
-          Alcotest.test_case "fold_right_while" `Quick test_vec_fold_right_while;
         ] );
     ]

@@ -1,10 +1,10 @@
-(* PR-4 differential and regression tests.
+(* Differential and regression tests of the checker.
 
    Differential: the prefix-sharing history replay (with and without the
    cross-execution check cache) must report byte-identical bug lists to
-   the legacy list-then-replay path — over every exhaustive registry
-   structure, in serial, parallel and seeded-fuzz exploration modes, on
-   correct and known-buggy memory orders.
+   the list-then-replay reference [Oracle.Checker] — over every
+   exhaustive registry structure, in serial, parallel and seeded-fuzz
+   exploration modes, on correct and known-buggy memory orders.
 
    Regression: the OP-annotation semantics fixes (op_clear /
    op_clear_define must clear the potential set, repeated op_check must
@@ -21,16 +21,19 @@ module Call = Cdsspec.Call
 module Spec = Cdsspec.Spec
 open C11.Memory_order
 
-let legacy_config = { Ck.default_config with legacy_replay = true }
-
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let explore ~config ?cache ?(jobs = 1) ?cap (b : B.t) ~ords (t : B.test) =
+(* The two checkers under comparison, as [on_feasible] hooks for a
+   spec: the reference, and the checker with an optional cache. *)
+let reference spec = Oracle.Checker.hook spec
+let checked ?cache spec = Ck.hook ?cache spec
+
+let explore ~check ?(jobs = 1) ?cap (b : B.t) ~ords (t : B.test) =
   let econfig = { E.default_config with scheduler = b.B.scheduler; max_executions = cap } in
-  let hook = Ck.hook ~config ?cache b.B.spec in
+  let hook = check b.B.spec in
   if jobs <= 1 then E.explore ~config:econfig ~on_feasible:hook (t.B.program ords)
   else Mc.Parallel.explore ~config:econfig ~on_feasible:hook ~jobs (t.B.program ords)
 
@@ -43,10 +46,10 @@ let bench name =
 
 (* ----------------------- differential: serial --------------------- *)
 
-(* Every unit test of every exhaustive registry structure: legacy
-   replay, prefix-sharing replay, and prefix-sharing + cache must agree
-   on the bug list. Capped serial DFS is deterministic, so identical
-   per-execution verdicts imply identical explorations. *)
+(* Every unit test of every exhaustive registry structure: the
+   reference, prefix-sharing replay, and prefix-sharing + cache must
+   agree on the bug list. Capped serial DFS is deterministic, so
+   identical per-execution verdicts imply identical explorations. *)
 let test_differential_serial () =
   List.iter
     (fun (b : B.t) ->
@@ -54,12 +57,12 @@ let test_differential_serial () =
       List.iter
         (fun (t : B.test) ->
           let where = b.B.name ^ "/" ^ t.B.test_name in
-          let legacy = keys (explore ~config:legacy_config ~cap:300 b ~ords t) in
-          let shared = keys (explore ~config:Ck.default_config ~cap:300 b ~ords t) in
+          let expected = keys (explore ~check:reference ~cap:300 b ~ords t) in
+          let shared = keys (explore ~check:(checked ?cache:None) ~cap:300 b ~ords t) in
           let cache = Ck.create_cache () in
-          let cached = keys (explore ~config:Ck.default_config ~cache ~cap:300 b ~ords t) in
-          Alcotest.(check (list string)) (where ^ ": shared = legacy") legacy shared;
-          Alcotest.(check (list string)) (where ^ ": cached = legacy") legacy cached)
+          let cached = keys (explore ~check:(checked ~cache) ~cap:300 b ~ords t) in
+          Alcotest.(check (list string)) (where ^ ": shared = reference") expected shared;
+          Alcotest.(check (list string)) (where ^ ": cached = reference") expected cached)
         b.B.tests)
     Structures.Registry.exhaustive
 
@@ -74,11 +77,11 @@ let test_differential_buggy () =
       List.iter
         (fun (t : B.test) ->
           let where = "M&S Queue[" ^ label ^ "]/" ^ t.B.test_name in
-          let legacy = keys (explore ~config:legacy_config ~cap:2000 b ~ords t) in
+          let expected = keys (explore ~check:reference ~cap:2000 b ~ords t) in
           let cache = Ck.create_cache () in
-          let cached = keys (explore ~config:Ck.default_config ~cache ~cap:2000 b ~ords t) in
-          if legacy <> [] then found := true;
-          Alcotest.(check (list string)) (where ^ ": cached = legacy") legacy cached)
+          let cached = keys (explore ~check:(checked ~cache) ~cap:2000 b ~ords t) in
+          if expected <> [] then found := true;
+          Alcotest.(check (list string)) (where ^ ": cached = reference") expected cached)
         b.B.tests)
       Structures.Ms_queue.known_bugs;
   Alcotest.(check bool) "some buggy configuration produced bugs" true !found
@@ -86,34 +89,34 @@ let test_differential_buggy () =
 (* ---------------------- differential: parallel -------------------- *)
 
 (* Uncapped exploration so the parallel determinism contract applies:
-   jobs=2 with the cache on must equal the serial legacy path. *)
+   jobs=2 with the cache on must equal the serial reference. *)
 let test_differential_parallel () =
   List.iter
     (fun name ->
       let b = bench name in
       let ords = Structures.Ords.default b.B.sites in
       let t = List.hd b.B.tests in
-      let legacy = keys (explore ~config:legacy_config b ~ords t) in
+      let expected = keys (explore ~check:reference b ~ords t) in
       let cache = Ck.create_cache () in
-      let cached = keys (explore ~config:Ck.default_config ~cache ~jobs:2 b ~ords t) in
-      Alcotest.(check (list string)) (name ^ ": -j2 cached = serial legacy") legacy cached)
+      let cached = keys (explore ~check:(checked ~cache) ~jobs:2 b ~ords t) in
+      Alcotest.(check (list string)) (name ^ ": -j2 cached = serial reference") expected cached)
     [ "Ticket Lock"; "Seqlock"; "M&S Queue" ];
   (* and a buggy configuration through the parallel cached path *)
   let b = bench "M&S Queue" in
   let ords = snd (List.hd Structures.Ms_queue.known_bugs) in
   let t = List.hd b.B.tests in
-  let legacy = keys (explore ~config:legacy_config b ~ords t) in
+  let expected = keys (explore ~check:reference b ~ords t) in
   let cache = Ck.create_cache () in
-  let cached = keys (explore ~config:Ck.default_config ~cache ~jobs:2 b ~ords t) in
-  Alcotest.(check bool) "buggy M&S queue found" true (legacy <> []);
-  Alcotest.(check (list string)) "buggy: -j2 cached = serial legacy" legacy cached
+  let cached = keys (explore ~check:(checked ~cache) ~jobs:2 b ~ords t) in
+  Alcotest.(check bool) "buggy M&S queue found" true (expected <> []);
+  Alcotest.(check (list string)) "buggy: -j2 cached = serial reference" expected cached
 
 (* ------------------------ differential: fuzz ---------------------- *)
 
 (* Same seed, same execution budget: run [i] of seed [s] is a pure
-   function of [(s, i)], so the cached and legacy campaigns see the same
-   executions and must report the same bugs. *)
-let fuzz_keys ~config ?cache (b : B.t) ~ords (t : B.test) =
+   function of [(s, i)], so the cached and reference campaigns see the
+   same executions and must report the same bugs. *)
+let fuzz_keys ~check (b : B.t) ~ords (t : B.test) =
   let fconfig =
     {
       Fuzz.Engine.default_config with
@@ -123,8 +126,7 @@ let fuzz_keys ~config ?cache (b : B.t) ~ords (t : B.test) =
     }
   in
   let r =
-    Fuzz.Engine.run ~config:fconfig ~on_feasible:(Ck.hook ~config ?cache b.B.spec) ~seed:42
-      (t.B.program ords)
+    Fuzz.Engine.run ~config:fconfig ~on_feasible:(check b.B.spec) ~seed:42 (t.B.program ords)
   in
   List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) r.found
 
@@ -133,10 +135,10 @@ let test_differential_fuzz () =
   let t = List.hd b.B.tests in
   List.iter
     (fun (label, ords) ->
-      let legacy = fuzz_keys ~config:legacy_config b ~ords t in
+      let expected = fuzz_keys ~check:reference b ~ords t in
       let cache = Ck.create_cache () in
-      let cached = fuzz_keys ~config:Ck.default_config ~cache b ~ords t in
-      Alcotest.(check (list string)) (label ^ ": fuzz cached = legacy") legacy cached)
+      let cached = fuzz_keys ~check:(checked ~cache) b ~ords t in
+      Alcotest.(check (list string)) (label ^ ": fuzz cached = reference") expected cached)
     (("default", Structures.Ords.default b.B.sites) :: Structures.Ms_queue.known_bugs)
 
 (* ------------------- differential: 8-call programs ---------------- *)
@@ -188,7 +190,7 @@ let treiber_8calls =
 
 (* A 300-execution campaign, as [check --fuzz --max-executions 300]
    runs it. *)
-let campaign ~config ?cache ?(spec = fun s -> s) ~seed (b : B.t) ~ords =
+let campaign ~check ?(spec = fun s -> s) ~seed (b : B.t) ~ords =
   let t = List.hd b.B.tests in
   Fuzz.Engine.run
     ~config:
@@ -198,14 +200,14 @@ let campaign ~config ?cache ?(spec = fun s -> s) ~seed (b : B.t) ~ords =
         max_executions = Some 300;
         minimize = false;
       }
-    ~on_feasible:(Ck.hook ~config ?cache (spec b.B.spec))
+    ~on_feasible:(check (spec b.B.spec))
     ~seed (t.B.program ords)
 
-let campaign_keys ~config ?cache ~seed b ~ords =
-  List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) (campaign ~config ?cache ~seed b ~ords).found
+let campaign_keys ~check ~seed b ~ords =
+  List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) (campaign ~check ~seed b ~ords).found
 
-(* The default path (merged walk, memoizing cache), the legacy
-   list-then-replay path and the merged walk with memoization off must
+(* The default path (merged walk, memoizing cache), the list-then-replay
+   reference and the merged walk with memoization off must
    report the same bugs, under the published orders, under both of
    M&S's published weakenings (data races), and under one weakening per
    structure that only the spec catches, so that assertion messages
@@ -220,19 +222,20 @@ let test_differential_8calls () =
             (fun seed ->
               let where = Printf.sprintf "%s[%s] seed %d" b.B.name label seed in
               let default =
-                campaign_keys ~config:Ck.default_config ~cache:(Ck.create_cache ()) ~seed b ~ords
+                campaign_keys ~check:(checked ~cache:(Ck.create_cache ())) ~seed b ~ords
               in
-              let legacy = campaign_keys ~config:legacy_config ~seed b ~ords in
+              let expected = campaign_keys ~check:reference ~seed b ~ords in
               let unmemoized =
-                campaign_keys ~config:Ck.default_config
-                  ~cache:(Ck.create_cache ~memoize:false ())
+                campaign_keys
+                  ~check:(checked ~cache:(Ck.create_cache ~memoize:false ()))
                   ~seed b ~ords
               in
               if default <> [] then found := true;
               if List.exists (fun k -> String.length k > 5 && String.sub k 0 5 = "spec:") default
               then spec_found := true;
-              Alcotest.(check (list string)) (where ^ ": default = legacy") legacy default;
-              Alcotest.(check (list string)) (where ^ ": memoize:false = legacy") legacy unmemoized)
+              Alcotest.(check (list string)) (where ^ ": default = reference") expected default;
+              Alcotest.(check (list string)) (where ^ ": memoize:false = reference") expected
+                unmemoized)
             [ 1; 2; 3 ])
         cases)
     [
@@ -282,7 +285,7 @@ let test_steps_per_miss () =
       let steps = ref 0 in
       let cache = Ck.create_cache () in
       ignore
-        (campaign ~config:Ck.default_config ~cache ~spec:(counting steps) ~seed:1 b
+        (campaign ~check:(checked ~cache) ~spec:(counting steps) ~seed:1 b
            ~ords:(Structures.Ords.default b.B.sites));
       let misses = (Ck.cache_counters cache).cache_misses in
       Alcotest.(check bool) (b.B.name ^ ": some checks ran") true (misses > 0);
@@ -320,7 +323,7 @@ let test_oversized_truncation () =
           (fun (seed, _, _, _, _, _) ->
             let cache = Ck.create_cache () in
             let r =
-              campaign ~config:Ck.default_config ~cache ~seed b
+              campaign ~check:(checked ~cache) ~seed b
                 ~ords:(Structures.Ords.default b.B.sites)
             in
             let c = Ck.cache_counters cache in
@@ -421,7 +424,7 @@ let mk_call ~id ~args =
   }
 
 (* A same-name rule with an asymmetric guard: only the orientation
-   (larger-arg, smaller-arg) demands an order. The legacy checker
+   (larger-arg, smaller-arg) demands an order. An earlier checker
    evaluated one orientation per unordered pair, so whether the finding
    fired depended on enumeration order; now both orientations are always
    checked. *)
@@ -553,7 +556,7 @@ let test_strict_prefixes () =
 (* A violation in the middle of a history. Three concurrent calls, and
    a spec whose second call always fails: the reported history is the
    failing prefix (two calls) completed in enumeration order, exactly as
-   the legacy list-then-replay path reports it. *)
+   the list-then-replay reference reports it. *)
 let test_violation_message () =
   let program () =
     let x = P.malloc ~init:0 1 in
@@ -583,14 +586,15 @@ let test_violation_message () =
         accounting;
       }
   in
-  let messages config =
-    List.map (fun (v : Ck.violation) -> v.message) (Ck.check_execution ~config spec exec annots)
-  in
-  let legacy = messages legacy_config in
-  Alcotest.(check int) "one violation" 1 (List.length legacy);
+  let messages check = List.map (fun (v : Ck.violation) -> v.message) (check spec exec annots) in
+  let expected = messages (fun spec -> Oracle.Checker.check_execution spec) in
+  Alcotest.(check int) "one violation" 1 (List.length expected);
   Alcotest.(check bool) "the history names all three calls" true
-    (List.for_all (fun name -> contains_substring (List.hd legacy) (name ^ "(")) [ "a"; "b"; "c" ]);
-  Alcotest.(check (list string)) "same message as legacy" legacy (messages Ck.default_config)
+    (List.for_all
+       (fun name -> contains_substring (List.hd expected) (name ^ "("))
+       [ "a"; "b"; "c" ]);
+  Alcotest.(check (list string)) "same message as the reference" expected
+    (messages (fun spec -> Ck.check_execution spec))
 
 (* ------------------------- fingerprints --------------------------- *)
 

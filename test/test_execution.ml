@@ -8,6 +8,9 @@ open C11.Memory_order
 
 let ids actions = List.map (fun (a : A.t) -> a.id) actions
 
+(* The live read window as a newest-first list. *)
+let candidates = Oracle.Read_floor.window
+
 let test_alloc_and_init () =
   let x = E.create () in
   let loc = E.alloc x ~tid:0 ~count:2 ~init:(Some 7) in
@@ -35,7 +38,7 @@ let test_alloc_never_null () =
 let test_poison_reported () =
   let x = E.create () in
   let loc = E.alloc x ~tid:0 ~count:1 ~init:None in
-  match E.read_candidates x ~tid:0 ~mo:Relaxed ~loc with
+  match candidates x ~tid:0 ~mo:Relaxed ~loc with
   | [ w ] ->
     let _, problems = E.commit_load x ~tid:0 ~mo:Relaxed ~loc ~rf:(Some w) () in
     Alcotest.(check bool) "uninit reported" true
@@ -48,7 +51,7 @@ let test_cowr_filters_candidates () =
   let w1, _ = E.commit_store x ~tid:0 ~mo:Relaxed ~loc ~value:1 () in
   let _w2, _ = E.commit_store x ~tid:0 ~mo:Relaxed ~loc ~value:2 () in
   (* thread 0 saw its own stores: only the newest is readable *)
-  (match E.read_candidates x ~tid:0 ~mo:Relaxed ~loc with
+  (match candidates x ~tid:0 ~mo:Relaxed ~loc with
   | [ w ] -> Alcotest.(check (option int)) "own newest only" (Some 2) w.written_value
   | l -> Alcotest.failf "expected 1 candidate for writer, got %d" (List.length l));
   ignore w1
@@ -61,7 +64,7 @@ let test_unrelated_thread_sees_all () =
   (* tid 1 inherits the init write via create, then tid 0 stores more *)
   let _ = E.commit_store x ~tid:0 ~mo:Relaxed ~loc ~value:1 () in
   let _ = E.commit_store x ~tid:0 ~mo:Relaxed ~loc ~value:2 () in
-  let candidates = E.read_candidates x ~tid:1 ~mo:Relaxed ~loc in
+  let candidates = candidates x ~tid:1 ~mo:Relaxed ~loc in
   Alcotest.(check int) "init + both stores readable" 3 (List.length candidates)
 
 let test_sc_load_restricted () =
@@ -72,9 +75,9 @@ let test_sc_load_restricted () =
   let _ = E.commit_store x ~tid:0 ~mo:Seq_cst ~loc ~value:1 () in
   (* a relaxed load by tid 1 may still read the init... *)
   Alcotest.(check int) "relaxed sees both" 2
-    (List.length (E.read_candidates x ~tid:1 ~mo:Relaxed ~loc));
+    (List.length (candidates x ~tid:1 ~mo:Relaxed ~loc));
   (* ...but a seq_cst load must read the latest seq_cst store *)
-  match E.read_candidates x ~tid:1 ~mo:Seq_cst ~loc with
+  match candidates x ~tid:1 ~mo:Seq_cst ~loc with
   | [ w ] -> Alcotest.(check (option int)) "sc store forced" (Some 1) w.written_value
   | l -> Alcotest.failf "expected 1 sc candidate, got %d" (List.length l)
 
@@ -89,7 +92,7 @@ let test_release_acquire_clock () =
   let l, _ = E.commit_load x ~tid:1 ~mo:Acquire ~loc:flag ~rf:(Some f) () in
   Alcotest.(check bool) "store hb acquire-load" true (E.happens_before x d.id l.id);
   (* now the data store is hb-visible: the stale init is filtered *)
-  (match E.read_candidates x ~tid:1 ~mo:Relaxed ~loc:data with
+  (match candidates x ~tid:1 ~mo:Relaxed ~loc:data with
   | [ w ] -> Alcotest.(check (option int)) "data forced" (Some 42) w.written_value
   | cand -> Alcotest.failf "expected 1 candidate, got %d" (List.length cand))
 
@@ -182,22 +185,10 @@ let test_release_sequence_clock () =
   let l, _ = E.commit_load x ~tid:2 ~mo:Acquire ~loc:flag ~rf:(Some rmw) () in
   Alcotest.(check bool) "release sequence carries hb" true (E.happens_before x d.id l.id)
 
-let test_hb_or_sc () =
-  let x = E.create () in
-  let a = E.alloc x ~tid:0 ~count:1 ~init:(Some 0) in
-  let b = E.alloc x ~tid:0 ~count:1 ~init:(Some 0) in
-  ignore (E.commit_create x ~tid:0 ~child:1);
-  ignore (E.commit_start x ~tid:1);
-  let w1, _ = E.commit_store x ~tid:0 ~mo:Seq_cst ~loc:a ~value:1 () in
-  let w2, _ = E.commit_store x ~tid:1 ~mo:Seq_cst ~loc:b ~value:1 () in
-  Alcotest.(check bool) "no hb between sc stores" false (E.happens_before x w1.id w2.id);
-  Alcotest.(check bool) "but sc-ordered" true (E.hb_or_sc x w1.id w2.id);
-  Alcotest.(check bool) "not symmetric" false (E.hb_or_sc x w2.id w1.id)
-
 (* ------------------ incremental rf-kernel differential ------------------ *)
 
-(* The incremental coherence indices behind [read_candidates] must agree
-   with the specification-style rescan [read_candidates_ref] at every
+(* The incremental coherence indices behind the read window must agree
+   with the rescanning reference [Oracle.Read_floor.candidates] at every
    point of randomized commit sequences mixing stores, loads and RMWs
    across threads, locations and memory orders. Seeded, so failures
    replay. *)
@@ -230,8 +221,8 @@ let test_rf_kernel_differential () =
               (fun loc ->
                 Alcotest.(check (list int))
                   (Printf.sprintf "round %d step %d: kernel = oracle" round step)
-                  (sorted_ids (E.read_candidates_ref x ~tid ~mo ~loc))
-                  (sorted_ids (E.read_candidates x ~tid ~mo ~loc)))
+                  (sorted_ids (Oracle.Read_floor.candidates x ~tid ~mo ~loc))
+                  (sorted_ids (candidates x ~tid ~mo ~loc)))
               locs)
           load_mos
       done;
@@ -244,7 +235,7 @@ let test_rf_kernel_differential () =
         incr value
       | 1 -> (
         let mo = load_mos.(Random.State.int rng (Array.length load_mos)) in
-        match E.read_candidates x ~tid ~mo ~loc with
+        match candidates x ~tid ~mo ~loc with
         | [] -> ()
         | cs ->
           let w = List.nth cs (Random.State.int rng (List.length cs)) in
@@ -287,7 +278,6 @@ let () =
           Alcotest.test_case "rmw reads latest" `Quick test_rmw_reads_latest;
           Alcotest.test_case "rmw uninitialized" `Quick test_rmw_uninitialized;
           Alcotest.test_case "release sequence clock" `Quick test_release_sequence_clock;
-          Alcotest.test_case "hb or sc" `Quick test_hb_or_sc;
           Alcotest.test_case "rf kernel differential" `Quick test_rf_kernel_differential;
           Alcotest.test_case "dot renders" `Quick test_dot_renders;
         ] );

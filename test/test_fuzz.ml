@@ -167,7 +167,7 @@ let test_replay_is_deterministic () =
   (* replaying any decision list twice commits identical graphs *)
   let fingerprint decisions =
     let run_r, _ = F.replay ~decisions sb_program in
-    Fuzz.Fingerprint.execution run_r.exec
+    C11.Execution.fingerprint run_r.exec
   in
   List.iter
     (fun decisions ->
@@ -311,15 +311,19 @@ let test_trace_string_roundtrip () =
 (* -------------------- oversized fuzz workloads --------------------- *)
 
 let test_oversized_workloads_fuzz () =
-  (* beyond-exhaustive workloads: fuzz a few hundred runs through each,
-     checking the engine copes and correct orders stay clean *)
+  (* beyond-exhaustive workloads: fuzz a few hundred runs through every
+     test of each, checking the engine copes and correct orders stay
+     clean *)
   List.iter
     (fun (b : Structures.Benchmark.t) ->
-      let t = List.hd b.tests in
-      let r = fuzz_bench ~executions:150 ~seed:11 b (Structures.Ords.default b.sites) t in
-      Alcotest.(check int) (b.name ^ ": ran the budget") 150 r.stats.executions;
-      Alcotest.(check bool) (b.name ^ ": some feasible") true (r.stats.feasible > 0);
-      Alcotest.(check int) (b.name ^ ": no bugs on correct orders") 0 (List.length r.found))
+      List.iter
+        (fun (t : Structures.Benchmark.test) ->
+          let where = b.name ^ "/" ^ t.test_name in
+          let r = fuzz_bench ~executions:150 ~seed:11 b (Structures.Ords.default b.sites) t in
+          Alcotest.(check int) (where ^ ": ran the budget") 150 r.stats.executions;
+          Alcotest.(check bool) (where ^ ": some feasible") true (r.stats.feasible > 0);
+          Alcotest.(check int) (where ^ ": no bugs on correct orders") 0 (List.length r.found))
+        b.tests)
     (Structures.Oversized.all ())
 
 let test_oversized_seeded_bug () =

@@ -108,29 +108,6 @@ let test_known_bugs_found () =
     (fun (r : X.known_bug_row) -> Alcotest.(check bool) (r.label ^ " found") true r.found)
     rows
 
-(* --------------------------- fuzz rows --------------------------- *)
-
-let test_fuzz_campaign_rows () =
-  let limits = { X.default_fuzz_limits with fuzz_executions = Some 120 } in
-  let rows = X.fuzz_campaign ~limits ~seed:13 (X.fuzz_workloads ()) in
-  Alcotest.(check int) "one row per oversized workload" 5 (List.length rows);
-  List.iter
-    (fun (r : X.fuzz_row) ->
-      Alcotest.(check int) (r.workload ^ ": ran the budget") 120 r.fuzz_execs;
-      Alcotest.(check bool) (r.workload ^ ": some feasible") true (r.fuzz_feasible > 0);
-      Alcotest.(check int) (r.workload ^ ": clean at default orders") 0 r.distinct_bugs;
-      Alcotest.(check bool) (r.workload ^ ": throughput recorded") true (r.execs_per_sec > 0.))
-    rows;
-  (* deterministic: the same seed reproduces every count *)
-  let rows' = X.fuzz_campaign ~limits ~seed:13 (X.fuzz_workloads ()) in
-  List.iter2
-    (fun (a : X.fuzz_row) (b : X.fuzz_row) ->
-      Alcotest.(check int) (a.workload ^ ": coverage deterministic") a.fuzz_coverage
-        b.fuzz_coverage;
-      Alcotest.(check int) (a.workload ^ ": feasible deterministic") a.fuzz_feasible
-        b.fuzz_feasible)
-    rows rows'
-
 (* ------------------------------ bugs ----------------------------- *)
 
 let test_bug_keys_stable () =
@@ -157,6 +134,5 @@ let () =
         ] );
       ("expressiveness", [ Alcotest.test_case "arithmetic" `Quick test_expressiveness_arithmetic ]);
       ("known-bugs", [ Alcotest.test_case "found" `Quick test_known_bugs_found ]);
-      ("fuzz-campaign", [ Alcotest.test_case "oversized rows" `Quick test_fuzz_campaign_rows ]);
       ("bugs", [ Alcotest.test_case "keys" `Quick test_bug_keys_stable ]);
     ]

@@ -1,8 +1,8 @@
 (* Tests for the incremental rf-consistency kernel.
 
-   The kernel contract: [read_candidates] and the allocation-free
-   [read_window]/[read_candidate] pair must return exactly the writes
-   the specification-style rescan [read_candidates_ref] returns. Two
+   The kernel contract: the [read_window]/[read_candidate] pair must
+   return exactly the writes the rescanning reference
+   [Oracle.Read_floor.candidates] computes from the action log. Two
    suites hold the kernel to it:
 
    - a randomized window differential over commit sequences mixing
@@ -17,13 +17,11 @@ module E = C11.Execution
 module A = C11.Action
 module B = Structures.Benchmark
 module Ords = Structures.Ords
+module Floor = Oracle.Read_floor
 open C11.Memory_order
 
 let sorted_ids l = List.sort Stdlib.compare (List.map (fun (a : A.t) -> a.A.id) l)
-
-let window_ids x ~tid ~mo ~loc =
-  let n = E.read_window x ~tid ~mo ~loc in
-  List.sort Stdlib.compare (List.init n (fun i -> (E.read_candidate x ~loc i).A.id))
+let window_ids x ~tid ~mo ~loc = sorted_ids (Floor.window x ~tid ~mo ~loc)
 
 let load_mos = [| Relaxed; Acquire; Seq_cst |]
 
@@ -34,19 +32,17 @@ let store_mos = [| Relaxed; Release; Seq_cst |]
 let rmw_mos = [| Relaxed; Acquire; Release; Acq_rel; Seq_cst |]
 let fence_mos = [| Acquire; Release; Acq_rel; Seq_cst |]
 
-(* Every query surface agrees with the reference. *)
+(* The window agrees with the reference. *)
 let check_agree ~where x ~nthreads locs =
   for tid = 0 to nthreads - 1 do
     Array.iter
       (fun mo ->
         Array.iter
           (fun loc ->
-            let reference = sorted_ids (E.read_candidates_ref x ~tid ~mo ~loc) in
-            let check what got =
-              Alcotest.(check (list int)) (Printf.sprintf "%s: %s = reference" where what) reference got
-            in
-            check "candidates" (sorted_ids (E.read_candidates x ~tid ~mo ~loc));
-            check "window" (window_ids x ~tid ~mo ~loc))
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: window = reference" where)
+              (sorted_ids (Floor.candidates x ~tid ~mo ~loc))
+              (window_ids x ~tid ~mo ~loc))
           locs)
       load_mos
   done
@@ -78,7 +74,7 @@ let test_window_differential () =
         incr value
       | 3 | 4 | 5 -> (
         let mo = load_mos.(Random.State.int rng (Array.length load_mos)) in
-        match E.read_candidates x ~tid ~mo ~loc with
+        match Floor.window x ~tid ~mo ~loc with
         | [] -> ()
         | cs ->
           let w = List.nth cs (Random.State.int rng (List.length cs)) in
@@ -132,7 +128,7 @@ let audit_exec ~where x =
       (fun loc ->
         Array.iter
           (fun mo ->
-            let reference = sorted_ids (E.read_candidates_ref x ~tid ~mo ~loc) in
+            let reference = sorted_ids (Floor.candidates x ~tid ~mo ~loc) in
             let window = window_ids x ~tid ~mo ~loc in
             if window <> reference then
               Alcotest.failf "%s: thread %d, location %d, %s: window %s, reference %s" where tid loc

@@ -89,7 +89,10 @@ let with_server ?store_dir ?(on_connect = ignore) ~jobs f =
   incr socket_counter;
   let socket = Printf.sprintf "serve-test-%d.sock" !socket_counter in
   if Sys.file_exists socket then Sys.remove socket;
-  let d = Domain.spawn (fun () -> Serve.Server.serve ~socket ~jobs ?store_dir ()) in
+  let d =
+    Domain.spawn (fun () ->
+        Serve.Server.serve ~socket ~jobs ?store:(Option.map Store.open_dir store_dir) ())
+  in
   (* The socket file appears at bind, a moment before the daemon
      listens, so wait for a connect to succeed rather than for the file. *)
   let deadline = Unix.gettimeofday () +. 10. in

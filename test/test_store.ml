@@ -158,18 +158,18 @@ let test_entry_roundtrip () =
 let golden_hex =
   String.concat ""
     [
-      "43445353315b00000000000000636865636b1f676f6c64656e1f741f611f7365";
+      "43445353315500000000000000636865636b1f676f6c64656e1f741f611f7365";
       "715f6373741f621f72656c617865641f321f3330301f747275651f747275651f";
-      "6172656e611f616e791f313030301f6e6f6e651f36341f66616c73651f66616c";
-      "73651f747275651f030000000000000003000000000000001100000000000000";
-      "000000000000008002000000000000002a000000000000000200000000000000";
-      "010000000000000003000000000000000700000000000000f7ffffffffffffff";
-      "0000000000000000000000000000000001000000000000000200000000000000";
-      "6b310200000000000000000000000000000002000000000000006d3102000000";
-      "0000000011000000000000006d322077697468200a206e65776c696e65010002";
-      "0000000000000002000000000000007431020000000000000005000000000000";
-      "0006000000000000000200000000000000743200000000000000003930000000";
-      "000000000000000000f83f01410100000000000054a0290445c17348";
+      "6172656e611f616e791f313030301f6e6f6e651f36341f66616c73651f747275";
+      "651f030000000000000003000000000000001100000000000000000000000000";
+      "008002000000000000002a000000000000000200000000000000010000000000";
+      "000003000000000000000700000000000000f7ffffffffffffff000000000000";
+      "00000000000000000000010000000000000002000000000000006b3102000000";
+      "00000000000000000000000002000000000000006d3102000000000000001100";
+      "0000000000006d322077697468200a206e65776c696e65010002000000000000";
+      "0002000000000000007431020000000000000005000000000000000600000000";
+      "0000000200000000000000743200000000000000003930000000000000000000";
+      "000000f83f014101000000000000462985f00fc5361d";
     ]
 
 let test_encode_golden () =
@@ -184,7 +184,6 @@ let test_encode_golden () =
       sample_histories = None;
       max_prefixes = 64;
       strict_histories = false;
-      legacy_replay = false;
     }
   in
   let key =
@@ -192,7 +191,7 @@ let test_encode_golden () =
       ~ords:[ ("a", C11.Memory_order.Seq_cst); ("b", C11.Memory_order.Relaxed) ]
       ~sched ~prune:true ~engine:`Arena ~max_execs:None ~checker ~use_cache:true
   in
-  Alcotest.(check string) "golden key fingerprint" "537fd4513d4f77be" (Store.fingerprint key);
+  Alcotest.(check string) "golden key fingerprint" "7e0460495e17f45e" (Store.fingerprint key);
   Store.save s key sample_entry;
   let raw = read_bytes (Filename.concat dir (Store.fingerprint key ^ ".bin")) in
   let hex =
