@@ -67,7 +67,7 @@ let litmus_cmd filter =
 
 (* Shared post-exploration reporting: the exhaustive and fuzz paths both
    funnel through an Explorer-shaped result. *)
-let report_result ~verbose ~dot (b : B.t) (t : B.test) (r : E.result) =
+let report_result ~verbose ~dot (r : E.result) =
   let c = r.stats.E.check in
   if c.cache_hits + c.cache_misses > 0 then
     Format.printf "  check cache: %d hits / %d misses (%d entries)@." c.cache_hits c.cache_misses
@@ -84,8 +84,9 @@ let report_result ~verbose ~dot (b : B.t) (t : B.test) (r : E.result) =
        subhistories remain@."
       c.prefixes_truncated;
   List.iter (fun bug -> Format.printf "  BUG: %a@." Mc.Bug.pp bug) r.bugs;
-  (match r.first_buggy_trace with
-  | Some trace when verbose ->
+  (match r.first_buggy_exec with
+  | Some exec when verbose ->
+    let trace = Fmt.str "%a" C11.Execution.pp exec in
     Format.printf "  first buggy execution:@.%s@."
       (String.concat "\n" (List.map (fun l -> "    " ^ l) (String.split_on_char '\n' trace)))
   | _ -> ());
@@ -94,7 +95,6 @@ let report_result ~verbose ~dot (b : B.t) (t : B.test) (r : E.result) =
     C11.Dot.write_file exec path;
     Format.printf "  wrote %s (render with `dot -Tsvg`)@." path
   | _ -> ());
-  ignore (b, t);
   r.bugs <> []
 
 let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~profile (b : B.t)
@@ -209,31 +209,17 @@ let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
   {
     E.stats =
       {
-        E.explored = 1;
+        E.no_stats with
+        explored = 1;
         feasible = (if complete then 1 else 0);
-        pruned_sleep_set = 0;
-        pruned_loop_bound = 0;
-        pruned_retry = 0;
-        pruned_max_actions = 0;
-        pruned_equiv = 0;
         distinct_graphs = (if complete then 1 else 0);
         buggy = (if bugs <> [] then 1 else 0);
-        time = 0.;
-        truncated = false;
-        minor_words = 0.;
-        snapshots = 0;
-        restores = 0;
         commits = C11.Execution.commit_count run_r.exec;
         fiber_switches = run_r.switches;
         inline_ops = run_r.inline_ops;
-        rf_queries = 0;
-        rf_fast = 0;
-        rf_rejected = 0;
         check = Cdsspec.Checker.cache_counters cache;
       };
     bugs;
-    first_buggy_trace =
-      (if bugs <> [] then Some (Fmt.str "%a" C11.Execution.pp run_r.exec) else None);
     first_buggy_exec = (if bugs <> [] then Some run_r.exec else None);
     graphs = (if complete then [ C11.Execution.fingerprint run_r.exec ] else []);
     closed = [];
@@ -291,7 +277,7 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
           List.iter
             (fun (t : B.test) ->
               let r = run b ~ords t in
-              if report_result ~verbose ~dot b t r then any_bug := true)
+              if report_result ~verbose ~dot r then any_bug := true)
             tests;
           (match store with
           | Some s ->
@@ -332,12 +318,7 @@ let lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir 
             None
           | budget ->
             let scfg =
-              {
-                Analyze.Access_summary.default_config with
-                max_executions = max_execs;
-                time_budget = budget;
-                jobs;
-              }
+              { Analyze.Access_summary.max_executions = max_execs; time_budget = budget; jobs }
             in
             let summary = Analyze.Access_summary.collect ~config:scfg b in
             let findings = Analyze.Lint.lint summary in
@@ -346,12 +327,7 @@ let lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir 
             let advice =
               if advise then
                 let wcfg =
-                  {
-                    Analyze.Weaken.default_config with
-                    max_executions = max_execs;
-                    time_budget = remaining ();
-                    jobs;
-                  }
+                  { Analyze.Weaken.max_executions = max_execs; time_budget = remaining (); jobs }
                 in
                 Some (Analyze.Weaken.advise ~config:wcfg ?only_sites ~findings b ~summary)
               else None
@@ -424,9 +400,10 @@ let inject_cmd name jobs =
 let serve_cmd socket jobs store_dir =
   match open_store store_dir with
   | Error e -> e
-  | Ok store ->
-    Serve.Server.serve ~socket ~jobs ?store ();
-    `Ok
+  | Ok store -> (
+    match Serve.Server.serve ~socket ~jobs ?store () with
+    | Ok () -> `Ok
+    | Error m -> `Msg ("--socket: " ^ m))
 
 module J = Analyze.Json
 

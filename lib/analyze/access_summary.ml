@@ -5,20 +5,9 @@ module Clock = C11.Clock
 module Ords = Structures.Ords
 module B = Structures.Benchmark
 
-type config = {
-  max_executions : int option;
-  time_budget : float option;
-  jobs : int;
-  checker : Cdsspec.Checker.config;
-}
+type config = { max_executions : int option; time_budget : float option; jobs : int }
 
-let default_config =
-  {
-    max_executions = Some 200_000;
-    time_budget = None;
-    jobs = 1;
-    checker = Cdsspec.Checker.default_config;
-  }
+let default_config = { max_executions = Some 200_000; time_budget = None; jobs = 1 }
 
 type site_summary = {
   site : Ords.site;
@@ -82,14 +71,6 @@ let fnv h v = Int64.mul (Int64.logxor h (Int64.of_int v)) prime
 let fnv_opt h = function None -> fnv h (-1) | Some v -> fnv (fnv h 1) v
 
 let behaviour_set_create () : behaviour_set = Hashtbl.create 256
-
-let behaviour_elements (set : behaviour_set) =
-  List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
-
-let behaviour_set_of_list l : behaviour_set =
-  let set = Hashtbl.create (max 16 (List.length l)) in
-  List.iter (fun fp -> Hashtbl.replace set fp ()) l;
-  set
 
 let behaviour_fingerprint exec =
   let h = ref offset in
@@ -356,7 +337,7 @@ let collect ?(config = default_config) ?ords (b : B.t) =
             !sites)
       loc_sites;
     (* method-call level: calls, ordering points, admissibility firing *)
-    let calls = Cdsspec.History.calls_of_annots exec annots in
+    let calls = Cdsspec.History.calls_of_annots annots in
     List.iter
       (fun (c : Cdsspec.Call.t) ->
         add_method c.name;
@@ -397,7 +378,7 @@ let collect ?(config = default_config) ?ords (b : B.t) =
           protect (fun () ->
               process exec annots;
               Hashtbl.replace bset (behaviour_fingerprint exec) ());
-          Cdsspec.Checker.hook ~config:config.checker b.spec exec annots
+          Cdsspec.Checker.hook b.spec exec annots
         in
         let econfig =
           {

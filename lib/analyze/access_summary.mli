@@ -7,7 +7,8 @@
     walks every complete, builtin-bug-free execution graph and folds its
     edges into per-site counters. Racy or otherwise buggy executions
     never reach the hook; their reports surface through [bugs]/[races]
-    instead, which the lint turns into an error-severity finding. *)
+    instead, which the lint turns into an error-severity finding.
+    Executions are checked under {!Cdsspec.Checker.default_config}. *)
 
 type config = {
   max_executions : int option;  (** per unit test; [None] exhausts *)
@@ -15,7 +16,6 @@ type config = {
       (** overall wall-clock budget for the whole collection; checked
           between tests (and per run when [jobs = 1]) *)
   jobs : int;  (** [> 1] explores each test with {!Mc.Parallel} *)
-  checker : Cdsspec.Checker.config;
 }
 
 val default_config : config
@@ -94,15 +94,6 @@ val behaviour_cardinal : behaviour_set -> int
 
 (** [(fresh, lost)] counts relative to [baseline]. *)
 val behaviour_diff : baseline:behaviour_set -> candidate:behaviour_set -> int * int
-
-(** Sorted fingerprint list — the serializable form the persistent
-    cross-run store saves advisor behaviour sets in. *)
-val behaviour_elements : behaviour_set -> int64 list
-
-(** Inverse of {!behaviour_elements} (duplicates collapse). *)
-val behaviour_set_of_list : int64 list -> behaviour_set
-
-val behaviour_fingerprint : C11.Execution.t -> int64
 
 type t = {
   bench : string;

@@ -3,24 +3,13 @@ module Ords = Structures.Ords
 module B = Structures.Benchmark
 module AS = Access_summary
 
-type config = {
-  max_executions : int option;
-  jobs : int;
-  checker : Cdsspec.Checker.config;
-  witness_max_runs : int;
-  time_budget : float option;
-  store : Store.t option;
-}
+type config = { max_executions : int option; jobs : int; time_budget : float option }
 
 let default_config =
-  {
-    max_executions = AS.default_config.AS.max_executions;
-    jobs = 1;
-    checker = Cdsspec.Checker.default_config;
-    witness_max_runs = 200_000;
-    time_budget = None;
-    store = None;
-  }
+  { max_executions = AS.default_config.AS.max_executions; jobs = 1; time_budget = None }
+
+(* Bound on the serial witness search. *)
+let max_witness_runs = 200_000
 
 type verdict =
   | Safe_to_weaken
@@ -57,18 +46,18 @@ let verdict_to_string = function
    pass may find the bug under sleep-set reduction, whose decision
    indices do not replay under `--replay` (replay runs with sleep sets
    off). Re-search with the exact replay semantics, capped. *)
-let find_witness ~(scheduler : Mc.Scheduler.config) ~checker ~spec ~max_runs program =
+let find_witness ~(scheduler : Mc.Scheduler.config) ~spec program =
   let config = { scheduler with Mc.Scheduler.sleep_sets = false } in
   let trace : Mc.Scheduler.decision C11.Vec.t = C11.Vec.create () in
   let rec loop runs =
-    if runs >= max_runs then None
+    if runs >= max_witness_runs then None
     else begin
       let r = Mc.Scheduler.run ~config ~trace program in
       let bugs =
         match r.outcome with
         | Mc.Scheduler.Complete ->
           if r.bugs <> [] then r.bugs
-          else Cdsspec.Checker.hook ~config:checker spec r.exec r.annots
+          else Cdsspec.Checker.hook spec r.exec r.annots
         | _ -> []
       in
       if bugs <> [] then begin
@@ -84,84 +73,47 @@ let find_witness ~(scheduler : Mc.Scheduler.config) ~checker ~spec ~max_runs pro
   in
   loop 0
 
-(* One advisor store entry covers the whole [explore_tests] sweep for
-   one ords table: the advisor explores with pruning off (no closed keys
-   to reuse), so what the store recalls is the per-test behaviour sets
-   and the cold execution count — a warm hit skips the exploration
-   entirely and the behaviour diff downstream is computed from identical
-   sets. Only clean, complete sweeps are saved: a buggy candidate needs
-   a witness search anyway, and a truncated sweep's sets are partial. *)
-let advisor_key ~config (b : B.t) ords =
-  Store.job_key ~kind:`Advisor ~bench:b.name ~test:"*" ~ords:(Ords.to_list ords)
-    ~sched:b.scheduler ~prune:false ~engine:`Arena ~max_execs:config.max_executions
-    ~checker:config.checker ~use_cache:false
-
 (* Explore every unit test under [ords] with the checker attached,
    collecting behaviour fingerprints per test. Stops at the first test
    with a bug: the verdict is already decided. *)
 let explore_tests ~config (b : B.t) ords =
-  let key = Option.map (fun s -> (s, advisor_key ~config b ords)) config.store in
-  let stored = match key with Some (s, k) -> Store.load s k | None -> None in
-  match stored with
-  | Some e ->
-    ( None,
-      List.map (fun (name, fps) -> (name, AS.behaviour_set_of_list fps)) e.Store.behaviours,
-      e.Store.explored )
-  | None ->
-
-    let mu = Mutex.create () in
-    let explored = ref 0 in
-    let first_bug = ref None in
-    let truncated = ref false in
-    let sets = ref [] in
-    (try
-       List.iter
-         (fun (t : B.test) ->
-           let bset = AS.behaviour_set_create () in
-           let on_feasible exec annots =
-             Mutex.protect mu (fun () -> AS.behaviour_add bset exec);
-             Cdsspec.Checker.hook ~config:config.checker b.spec exec annots
-           in
-           let econfig =
-             {
-               Mc.Explorer.default_config with
-               scheduler = b.scheduler;
-               max_executions = config.max_executions;
-               (* The advisor's evidence counters are per-execution, like
-                  the access summary's: keep interleaving counts exact. *)
-               prune = false;
-             }
-           in
-           let r =
-             if config.jobs > 1 then
-               Mc.Parallel.explore ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
-             else Mc.Explorer.explore ~config:econfig ~on_feasible (t.program ords)
-           in
-           explored := !explored + r.stats.explored;
-           if r.stats.truncated then truncated := true;
-           sets := (t.test_name, bset) :: !sets;
-           match r.bugs with
-           | bug :: _ ->
-             first_bug := Some (bug, t);
-             raise Exit
-           | [] -> ())
-         b.tests
-     with Exit -> ());
-    let sets = List.rev !sets in
-    (match key with
-    | Some (s, k) when !first_bug = None && not !truncated ->
-      Store.save s k
-        {
-          Store.graphs = [];
-          closed = [];
-          check_entries = [];
-          behaviours = List.map (fun (name, set) -> (name, AS.behaviour_elements set)) sets;
-          explored = !explored;
-          time = 0.;
-          partial = None;
-        }
-    | _ -> ());
-    (!first_bug, sets, !explored)
+  let mu = Mutex.create () in
+  let explored = ref 0 in
+  let first_bug = ref None in
+  let sets = ref [] in
+  (try
+     List.iter
+       (fun (t : B.test) ->
+         let bset = AS.behaviour_set_create () in
+         let on_feasible exec annots =
+           Mutex.protect mu (fun () -> AS.behaviour_add bset exec);
+           Cdsspec.Checker.hook b.spec exec annots
+         in
+         let econfig =
+           {
+             Mc.Explorer.default_config with
+             scheduler = b.scheduler;
+             max_executions = config.max_executions;
+             (* The advisor's evidence counters are per-execution, like
+                the access summary's: keep interleaving counts exact. *)
+             prune = false;
+           }
+         in
+         let r =
+           if config.jobs > 1 then
+             Mc.Parallel.explore ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
+           else Mc.Explorer.explore ~config:econfig ~on_feasible (t.program ords)
+         in
+         explored := !explored + r.stats.explored;
+         sets := (t.test_name, bset) :: !sets;
+         match r.bugs with
+         | bug :: _ ->
+           first_bug := Some (bug, t);
+           raise Exit
+         | [] -> ())
+       b.tests
+   with Exit -> ());
+  (!first_bug, List.rev !sets, !explored)
 
 let advise ?(config = default_config) ?only_sites ?(findings = []) (b : B.t)
     ~(summary : AS.t) =
@@ -199,8 +151,7 @@ let advise ?(config = default_config) ?only_sites ?(findings = []) (b : B.t)
                         match first_bug with
                         | Some (bug, t) ->
                           let witness =
-                            find_witness ~scheduler:b.scheduler ~checker:config.checker
-                              ~spec:b.spec ~max_runs:config.witness_max_runs (t.program ords)
+                            find_witness ~scheduler:b.scheduler ~spec:b.spec (t.program ords)
                           in
                           ( Spec_violating
                               {

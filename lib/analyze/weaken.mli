@@ -16,10 +16,12 @@
       appeared (or baseline ones vanished): the weaker order admits
       observable reorderings the spec happens to tolerate.
     - [Spec_violating] — the checker or a built-in check fired; the
-      verdict carries the bug key and, when the bounded witness search
-      succeeds, a decision trace replayable with
+      verdict carries the bug key and, when the witness search succeeds
+      within 200,000 runs, a decision trace replayable with
       [cdsspec_run check <bench> --replay TRACE] (the search re-runs the
       scheduler with sleep sets off, matching replay semantics).
+
+    Every candidate is checked under {!Cdsspec.Checker.default_config}.
 
     Each first-rung verdict is cross-checked against {!Lint}'s
     prediction for the site ([agrees_with_lint]). *)
@@ -29,20 +31,9 @@ type config = {
       (** per unit test per candidate; use the same cap as the baseline
           {!Access_summary.collect} or the fingerprint diff is noise *)
   jobs : int;  (** [> 1] re-explores candidates with {!Mc.Parallel} *)
-  checker : Cdsspec.Checker.config;
-  witness_max_runs : int;  (** bound on the serial witness search *)
   time_budget : float option;
       (** wall-clock budget; remaining candidates are skipped and the
           report marked truncated *)
-  store : Store.t option;
-      (** persistent cross-run store: each candidate's per-test behaviour
-          sweep is recalled instead of re-explored when an identical
-          sweep (same bench, ords table, caps, checker config, engine
-          revision) completed cleanly before. Verdicts are unchanged —
-          the behaviour sets diffed downstream are the stored ones.
-          Buggy or truncated sweeps are never stored, so those
-          candidates always re-explore (the witness search needs the
-          live run anyway). *)
 }
 
 val default_config : config

@@ -438,7 +438,7 @@ let fingerprint relation (calls : Call.t list) =
    object, which is also what makes fingerprints collide across
    executions and across objects). *)
 let check_spec (type st) ~config ?cache (spec : st Spec.t) exec annots =
-  let calls = History.calls_of_annots exec annots in
+  let calls = History.calls_of_annots annots in
   let objs = List.sort_uniq compare (List.map (fun (c : Call.t) -> c.obj) calls) in
   List.concat_map
     (fun obj ->

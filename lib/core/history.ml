@@ -11,7 +11,7 @@ type open_call = {
   mutable potential : (string * int) list;  (* labelled potential OPs *)
 }
 
-let calls_of_annots _exec annots =
+let calls_of_annots annots =
   let open_calls : (int, open_call) Hashtbl.t = Hashtbl.create 8 in
   let finished = ref [] in
   let count = ref 0 in

@@ -4,10 +4,10 @@
     histories (paper Definitions 2 and 3, section 5.2). The exhaustive
     history and justifying-subhistory walks live in {!Checker}. *)
 
-(** [calls_of_annots exec annots] reconstructs the outermost API method
+(** [calls_of_annots annots] reconstructs the outermost API method
     calls per thread. Ordering-point annotations inside nested (internal)
     calls accrue to the outermost call. *)
-val calls_of_annots : C11.Execution.t -> Mc.Scheduler.annot list -> Call.t list
+val calls_of_annots : Mc.Scheduler.annot list -> Call.t list
 
 (** [ordering_relation exec calls] is ⊑r: call [a] precedes call [b] when
     some ordering point of [a] is hb- or SC-ordered before one of [b].

@@ -8,7 +8,6 @@ type config = {
   time_budget : float option;
   stop_on_first_bug : bool;
   minimize : bool;
-  progress : (int -> unit) option;
 }
 
 let default_config =
@@ -19,7 +18,6 @@ let default_config =
     time_budget = None;
     stop_on_first_bug = false;
     minimize = true;
-    progress = None;
   }
 
 type stats = {
@@ -50,7 +48,6 @@ type result = {
   stats : stats;
   found : found list;
   graphs : int64 list;
-  first_buggy_trace : string option;
   first_buggy_exec : C11.Execution.t option;
 }
 
@@ -97,7 +94,6 @@ let run ?(config = default_config) ?on_feasible
   let found = ref [] in
   let minimization_replays = ref 0 in
   let time_to_first_bug = ref None in
-  let first_buggy_trace = ref None in
   let first_buggy_exec = ref None in
   let truncated = ref false in
   let continue_ = ref true in
@@ -108,9 +104,6 @@ let run ?(config = default_config) ?on_feasible
     let trace = Vec.create () in
     let r = S.run ~pick:(Bias.pick sampler) ~config:scheduler ~trace main in
     incr executions;
-    (match config.progress with
-    | Some f when !executions mod 256 = 0 -> f !executions
-    | _ -> ());
     (match r.outcome with
     | S.Complete -> (
       incr feasible;
@@ -121,10 +114,7 @@ let run ?(config = default_config) ?on_feasible
         incr buggy;
         if !time_to_first_bug = None then
           time_to_first_bug := Some (Mc.Monotonic.now () -. t0);
-        if !first_buggy_trace = None then begin
-          first_buggy_trace := Some (Fmt.str "%a" C11.Execution.pp r.exec);
-          first_buggy_exec := Some r.exec
-        end;
+        if Option.is_none !first_buggy_exec then first_buggy_exec := Some r.exec;
         let decisions = decisions_of_trace trace in
         List.iter
           (fun b ->
@@ -189,7 +179,6 @@ let run ?(config = default_config) ?on_feasible
     found = List.rev !found;
     graphs =
       List.sort_uniq Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) coverage []);
-    first_buggy_trace = !first_buggy_trace;
     first_buggy_exec = !first_buggy_exec;
   }
 
@@ -197,30 +186,19 @@ let explorer_result (r : result) : Mc.Explorer.result =
   {
     stats =
       {
+        Mc.Explorer.no_stats with
         explored = r.stats.executions;
         feasible = r.stats.feasible;
         pruned_loop_bound = r.stats.pruned_loop_bound;
         pruned_retry = r.stats.pruned_retry;
         pruned_max_actions = r.stats.pruned_max_actions;
-        pruned_sleep_set = 0;
-        pruned_equiv = 0;
         distinct_graphs = r.stats.coverage;
         buggy = r.stats.buggy;
         truncated = r.stats.truncated;
         time = r.stats.time;
-        minor_words = 0.;
-        snapshots = 0;
-        restores = 0;
-        commits = 0;
-        fiber_switches = 0;
-        inline_ops = 0;
-        rf_queries = 0;
-        rf_fast = 0;
-        rf_rejected = 0;
         check = r.stats.check;
       };
     bugs = List.map (fun f -> f.bug) r.found;
-    first_buggy_trace = r.first_buggy_trace;
     first_buggy_exec = r.first_buggy_exec;
     graphs = r.graphs;
     closed = [];

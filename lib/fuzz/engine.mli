@@ -25,7 +25,6 @@ type config = {
   time_budget : float option;  (** stop after this many seconds *)
   stop_on_first_bug : bool;  (** return as soon as any bug is found *)
   minimize : bool;  (** delta-debug each new bug's trace before reporting *)
-  progress : (int -> unit) option;  (** called with the run count periodically *)
 }
 
 (** [Prefer_stale_rf] bias, 10_000 executions, no time budget,
@@ -83,8 +82,9 @@ type result = {
           fingerprint), but not necessarily of one with sleep sets on,
           which explores one order of independent operations that the
           fingerprint tells apart *)
-  first_buggy_trace : string option;
   first_buggy_exec : C11.Execution.t option;
+      (** the first buggy execution ({!C11.Execution.pp} prints its
+          action log) *)
 }
 
 (** [run ~seed main] fuzzes [main]. [on_feasible] has the same signature

@@ -1,18 +1,9 @@
 module E = Mc.Explorer
 module B = Structures.Benchmark
 
-type limits = {
-  max_executions : int;
-  checker : Cdsspec.Checker.config;
-  jobs : int;
-}
+type limits = { max_executions : int; jobs : int }
 
-let default_limits =
-  {
-    max_executions = 150_000;
-    checker = Cdsspec.Checker.default_config;
-    jobs = 1;
-  }
+let default_limits = { max_executions = 150_000; jobs = 1 }
 
 let jobs_of_env () =
   match Sys.getenv_opt "CDSSPEC_JOBS" with
@@ -23,21 +14,12 @@ let jobs_of_env () =
     | _ -> invalid_arg (Printf.sprintf "CDSSPEC_JOBS=%S: expected a non-negative integer" s))
   | None -> 1
 
-(* One check cache per exploration run: the memoization is
-   cross-execution (that is the point) but never crosses a test, a
-   config or an ords choice. *)
+(* [cdsspec_run check]'s path without a store. *)
 let explore ~limits (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache () in
-  Mc.Parallel.explore ~jobs:limits.jobs
-    ~config:
-      {
-        E.default_config with
-        scheduler = b.scheduler;
-        max_executions = Some limits.max_executions;
-      }
-    ~on_feasible:(Cdsspec.Checker.hook ~config:limits.checker ~cache b.spec)
-    ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
-    (t.program ords)
+  fst
+    (Store.explore_checked ~checker:Cdsspec.Checker.default_config ~use_cache:true
+       ~max_execs:(Some limits.max_executions) ~jobs:limits.jobs ~prune:true
+       ~engine:E.default_config.engine b ~ords t)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7                                                            *)

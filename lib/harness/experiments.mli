@@ -5,10 +5,12 @@
     table the paper prints. *)
 
 (** Caps applied to every exploration, so experiment wall-clock stays
-    bounded on adversarial configurations. *)
+    bounded on adversarial configurations. Every exploration runs
+    {!Store.explore_checked} without a store, under the same defaults as
+    [cdsspec_run check]: {!Cdsspec.Checker.default_config}, the check
+    cache on and pruning on. *)
 type limits = {
   max_executions : int;
-  checker : Cdsspec.Checker.config;
   jobs : int;  (** exploration domains per unit test; 1 = serial explorer *)
 }
 

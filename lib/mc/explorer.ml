@@ -58,10 +58,34 @@ type stats = {
   check : check_counters;
 }
 
+let no_stats =
+  {
+    explored = 0;
+    feasible = 0;
+    pruned_loop_bound = 0;
+    pruned_max_actions = 0;
+    pruned_sleep_set = 0;
+    pruned_equiv = 0;
+    pruned_retry = 0;
+    distinct_graphs = 0;
+    buggy = 0;
+    truncated = false;
+    time = 0.;
+    minor_words = 0.;
+    snapshots = 0;
+    restores = 0;
+    commits = 0;
+    fiber_switches = 0;
+    inline_ops = 0;
+    rf_queries = 0;
+    rf_fast = 0;
+    rf_rejected = 0;
+    check = no_check_counters;
+  }
+
 type result = {
   stats : stats;
   bugs : Bug.t list;
-  first_buggy_trace : string option;
   first_buggy_exec : C11.Execution.t option;
   graphs : int64 list;
   closed : Scheduler.prune_key list;
@@ -141,7 +165,6 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   let truncated = ref false in
   let seen_bugs : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let bugs = ref [] in
-  let first_buggy_trace = ref None in
   let first_buggy_exec = ref None in
   (* Fully-explored decision-point states: a fresh decision point whose
      key is in here can only replay an already-explored subtree, so the
@@ -178,10 +201,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   let record_bugs exec found =
     if found <> [] then begin
       incr buggy;
-      if !first_buggy_trace = None then begin
-        first_buggy_trace := Some (Fmt.str "%a" C11.Execution.pp exec);
-        first_buggy_exec := Some (retain_exec exec)
-      end;
+      if Option.is_none !first_buggy_exec then first_buggy_exec := Some (retain_exec exec);
       List.iter
         (fun b ->
           let key = Bug.key b in
@@ -326,7 +346,6 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         check = check ();
       };
     bugs = List.rev !bugs;
-    first_buggy_trace = !first_buggy_trace;
     first_buggy_exec = !first_buggy_exec;
     graphs = graph_list;
     closed = Hashtbl.fold (fun k () acc -> k :: acc) visited [];

@@ -112,13 +112,16 @@ type stats = {
           search ({!no_check_counters} when none was supplied) *)
 }
 
+(** All-zero stats with no truncation and {!no_check_counters}: the
+    base for results built by hand ([{ no_stats with explored = 1 }]). *)
+val no_stats : stats
+
 type result = {
   stats : stats;
   bugs : Bug.t list;  (** deduplicated by {!Bug.key}, discovery order *)
-  first_buggy_trace : string option;
-      (** pretty-printed action log of the first buggy execution *)
   first_buggy_exec : C11.Execution.t option;
-      (** the graph itself, e.g. for {!C11.Dot} rendering *)
+      (** the first buggy execution graph, for {!C11.Execution.pp} (its
+          action log) or {!C11.Dot} rendering *)
   graphs : int64 list;
       (** sorted canonical fingerprints of every distinct feasible
           execution graph — what the pruned-vs-unpruned differential

@@ -5,36 +5,12 @@ module Vec = C11.Vec
 
 (* [results] must arrive in DFS (canonical-prefix) order — never
    completion order — so parallel runs report the serial explorer's bug
-   list order and first buggy trace. [check] is a single end-of-run
+   list order and first buggy execution. [check] is a single end-of-run
    snapshot of the (shared) checking-hook counters: per-subtree
    snapshots of a cache shared across domains are cumulative at whatever
    moment each subtree finished, so summing them would double-count. *)
 let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result =
-  let zero =
-    {
-      Explorer.explored = 0;
-      feasible = 0;
-      pruned_loop_bound = 0;
-      pruned_max_actions = 0;
-      pruned_sleep_set = 0;
-      pruned_equiv = 0;
-      pruned_retry = 0;
-      distinct_graphs = 0;
-      buggy = 0;
-      truncated = stopped;
-      time = 0.;
-      minor_words = 0.;
-      snapshots = 0;
-      restores = 0;
-      commits = 0;
-      fiber_switches = 0;
-      inline_ops = 0;
-      rf_queries = 0;
-      rf_fast = 0;
-      rf_rejected = 0;
-      check;
-    }
-  in
+  let zero = { Explorer.no_stats with truncated = stopped; check } in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let graphs : (int64, unit) Hashtbl.t = Hashtbl.create 256 in
   (* Closed states union across subtrees: each work item's closures are
@@ -43,7 +19,6 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
   let closed : (Scheduler.prune_key, unit) Hashtbl.t = Hashtbl.create 256 in
   let stats = ref zero in
   let bugs = ref [] in
-  let first_trace = ref None in
   let first_exec = ref None in
   List.iter
     (fun (r : Explorer.result) ->
@@ -82,13 +57,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
             bugs := b :: !bugs
           end)
         r.bugs;
-      if !first_trace = None then begin
-        match r.first_buggy_trace with
-        | Some _ ->
-          first_trace := r.first_buggy_trace;
-          first_exec := r.first_buggy_exec
-        | None -> ()
-      end)
+      if Option.is_none !first_exec then first_exec := r.first_buggy_exec)
     results;
   let graph_list =
     List.sort_uniq Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) graphs [])
@@ -101,7 +70,6 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
         time = Monotonic.now () -. t0;
       };
     bugs = List.rev !bugs;
-    first_buggy_trace = !first_trace;
     first_buggy_exec = !first_exec;
     graphs = graph_list;
     closed = Hashtbl.fold (fun k () acc -> k :: acc) closed [];

@@ -15,7 +15,7 @@
     where the tree was split; the *semantic* outputs are still
     deterministic and identical to the serial pruned run: the
     distinct-graph set ([graphs] / [distinct_graphs]), the deduplicated
-    bug list in the same order, the first buggy trace, and hence all
+    bug list in the same order, the first buggy execution, and hence all
     checker verdicts. Both guarantees rest on merging per-subtree
     results in canonical prefix (DFS) order — work-item keys are
     chosen-index paths, and their lexicographic order is DFS order —

@@ -69,22 +69,3 @@ let recv ?timeout t =
   go ()
 
 let job_id j = Option.bind (J.member "job" j) J.to_int
-
-let wait ?(on_event = fun _ -> ()) t ~job =
-  let rec go acc =
-    match recv t with
-    | Eof -> failwith "Serve.Client.wait: connection closed before job finished"
-    | Timeout -> assert false (* no timeout requested *)
-    | Msg j ->
-      if job_id j = Some job then begin
-        let acc = j :: acc in
-        match Option.bind (J.member "event" j) J.to_str with
-        | Some ("done" | "error") -> List.rev acc
-        | _ -> go acc
-      end
-      else begin
-        on_event j;
-        go acc
-      end
-  in
-  go []

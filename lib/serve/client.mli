@@ -22,13 +22,5 @@ type msg =
     a protocol violation, not a recoverable condition. *)
 val recv : ?timeout:float -> t -> msg
 
-(** [wait ?on_event t ~job] collects events carrying ["job"] = [job]
-    until the terminal ["done"] or ["error"] event, returning all of the
-    job's events in order (terminal last). Events for other jobs on the
-    same connection are passed to [on_event] (default: dropped), so two
-    interleaved jobs can be driven from one connection. Raises [Failure]
-    on EOF before the terminal event. *)
-val wait : ?on_event:(Analyze.Json.t -> unit) -> t -> job:int -> Analyze.Json.t list
-
 (** [job_id j] is the ["job"] field of an ["accepted"] event. *)
 val job_id : Analyze.Json.t -> int option

@@ -382,69 +382,89 @@ let reap server =
   Mutex.unlock server.mu;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()) dead
 
+(* Bind and listen on [socket]. Only a socket already at the path (left
+   by a daemon that died) is replaced; anything else there is an error,
+   and so is a failed bind or listen. *)
+let listen_on socket =
+  let fail e = Error (Printf.sprintf "%s: %s" socket (Unix.error_message e)) in
+  match Unix.lstat socket with
+  | { Unix.st_kind = Unix.S_SOCK; _ } | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> (
+    (try Unix.unlink socket with Unix.Unix_error (_, _, _) -> ());
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      Unix.bind fd (Unix.ADDR_UNIX socket);
+      Unix.listen fd 16
+    with
+    | () -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      fail e)
+  | _ -> Error (socket ^ ": exists and is not a socket")
+  | exception Unix.Unix_error (e, _, _) -> fail e
+
 let serve ~socket ~jobs ?store () =
   (* A worker writing to a vanished client must get EPIPE as a return
      value, not a process-killing signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  if Sys.file_exists socket then Sys.remove socket;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
-  Unix.listen listen_fd 16;
-  let server =
-    {
-      listen_fd;
-      socket_path = socket;
-      pool = Mc.Parallel.pool_create ~jobs;
-      store;
-      mu = Mutex.create ();
-      conns = [];
-      next_job = 0;
-      shutdown = false;
-    }
-  in
-  Printf.printf "serving on %s (%d workers%s, engine %s)\n%!" socket
-    (Mc.Parallel.pool_size server.pool)
-    (match store with Some s -> ", store " ^ Store.dir s | None -> "")
-    Mc.Engine_rev.current;
-  while not server.shutdown do
-    let live = List.filter (fun c -> c.alive && not c.closed) server.conns in
-    let fds = server.listen_fd :: List.map (fun c -> c.fd) live in
-    let readable, _, _ =
-      try Unix.select fds [] [] 0.2
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+  match listen_on socket with
+  | Error _ as e -> e
+  | Ok listen_fd ->
+    let server =
+      {
+        listen_fd;
+        socket_path = socket;
+        pool = Mc.Parallel.pool_create ~jobs;
+        store;
+        mu = Mutex.create ();
+        conns = [];
+        next_job = 0;
+        shutdown = false;
+      }
     in
+    Printf.printf "serving on %s (%d workers%s, engine %s)\n%!" socket
+      (Mc.Parallel.pool_size server.pool)
+      (match store with Some s -> ", store " ^ Store.dir s | None -> "")
+      Mc.Engine_rev.current;
+    while not server.shutdown do
+      let live = List.filter (fun c -> c.alive && not c.closed) server.conns in
+      let fds = server.listen_fd :: List.map (fun c -> c.fd) live in
+      let readable, _, _ =
+        try Unix.select fds [] [] 0.2
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      List.iter
+        (fun fd ->
+          if fd = server.listen_fd then begin
+            match Unix.accept server.listen_fd with
+            | client_fd, _ ->
+              Mutex.lock server.mu;
+              let conn =
+                {
+                  fd = client_fd;
+                  inbuf = Buffer.create 256;
+                  out_mu = Mutex.create ();
+                  alive = true;
+                  jobs_active = 0;
+                  closed = false;
+                }
+              in
+              server.conns <- conn :: server.conns;
+              Mutex.unlock server.mu
+            | exception Unix.Unix_error (_, _, _) -> ()
+          end
+          else
+            match List.find_opt (fun c -> c.fd = fd) live with
+            | Some conn -> read_conn server conn
+            | None -> ())
+        readable;
+      reap server
+    done;
+    (* Shutdown: running jobs finish (jobs of vanished clients abort
+       through their stop hook), then workers exit and are joined. *)
+    Mc.Parallel.pool_shutdown server.pool;
     List.iter
-      (fun fd ->
-        if fd = server.listen_fd then begin
-          match Unix.accept server.listen_fd with
-          | client_fd, _ ->
-            Mutex.lock server.mu;
-            let conn =
-              {
-                fd = client_fd;
-                inbuf = Buffer.create 256;
-                out_mu = Mutex.create ();
-                alive = true;
-                jobs_active = 0;
-                closed = false;
-              }
-            in
-            server.conns <- conn :: server.conns;
-            Mutex.unlock server.mu
-          | exception Unix.Unix_error (_, _, _) -> ()
-        end
-        else
-          match List.find_opt (fun c -> c.fd = fd) live with
-          | Some conn -> read_conn server conn
-          | None -> ())
-      readable;
-    reap server
-  done;
-  (* Shutdown: running jobs finish (jobs of vanished clients abort
-     through their stop hook), then workers exit and are joined. *)
-  Mc.Parallel.pool_shutdown server.pool;
-  List.iter
-    (fun c -> if not c.closed then try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
-    server.conns;
-  (try Unix.close server.listen_fd with Unix.Unix_error (_, _, _) -> ());
-  if Sys.file_exists server.socket_path then Sys.remove server.socket_path
+      (fun c -> if not c.closed then try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
+      server.conns;
+    (try Unix.close server.listen_fd with Unix.Unix_error (_, _, _) -> ());
+    if Sys.file_exists server.socket_path then Sys.remove server.socket_path;
+    Ok ()

@@ -25,12 +25,21 @@
     abort within one exploration step; aborted (truncated) runs are
     never written to the store. *)
 
-(** [serve ~socket ~jobs ?store ()] binds [socket] (an existing socket
-    file is replaced), prints one "serving ..." line to stdout, and
-    blocks until a client sends [{"op":"shutdown"}]. [jobs] is the
-    resident worker-domain count. [store], when given, is shared by all
-    jobs. The caller opens it with {!Store.open_dir} (engine-rev flush
-    semantics apply) before calling, so a successful connect means the
-    store is open, and an unusable store directory fails before any
-    socket file exists. *)
-val serve : socket:string -> jobs:int -> ?store:Store.t -> unit -> unit
+(** [serve ~socket ~jobs ?store ()] binds [socket], prints one
+    "serving ..." line to stdout, and blocks until a client sends
+    [{"op":"shutdown"}]; it then removes the socket file and returns
+    [Ok ()]. [jobs] is the resident worker-domain count. [store], when
+    given, is shared by all jobs. The caller opens it with
+    {!Store.open_dir} (engine-rev flush semantics apply) before calling,
+    so a successful connect means the store is open, and an unusable
+    store directory fails before any socket file exists.
+
+    Socket rule: a socket already at [socket] (left by a daemon that
+    died) is replaced. Anything else there — a regular file, a
+    directory — is left untouched, and [serve] returns
+    [Error "PATH: exists and is not a socket"]. A failed [lstat],
+    [bind] or [listen] (a missing parent directory, say) returns
+    [Error "PATH: <system message>"]. Either way the listening socket
+    is closed and no worker domain has started. *)
+val serve :
+  socket:string -> jobs:int -> ?store:Store.t -> unit -> (unit, string) result

@@ -77,13 +77,17 @@ type key = { descr : string; fp : string }
 
 let fingerprint k = k.fp
 
-let job_key ~kind ~bench ~test ~ords ~sched ~prune ~engine ~max_execs ~checker ~use_cache =
+(* [kind] and [max_execs] are accepted and ignored: there is one entry
+   kind, and entries are cap-agnostic — the cap lives in the entry's
+   [partial] field, so runs under different caps share one key and a
+   clean-but-capped run can warm a later, smaller-capped one. *)
+let job_key ~kind:`Check ~bench ~test ~ords ~sched ~prune ~engine ~max_execs:_
+    ~checker ~use_cache =
   let buf = Buffer.create 256 in
   let add s =
     Buffer.add_string buf s;
     Buffer.add_char buf '\x1f'
   in
-  add (match kind with `Check -> "check" | `Advisor -> "advisor");
   add bench;
   add test;
   List.iter
@@ -96,16 +100,6 @@ let job_key ~kind ~bench ~test ~ords ~sched ~prune ~engine ~max_execs ~checker ~
   add (string_of_bool sched.Mc.Scheduler.sleep_sets);
   add (string_of_bool prune);
   add (match engine with `Arena -> "arena" | `Legacy -> "legacy");
-  (* Check entries are cap-agnostic: the cap lives in the entry's
-     [partial] field, so runs under different caps share one key and a
-     clean-but-capped run can warm a later, smaller-capped one. Advisor
-     entries keep the cap in the key — their behaviour sets are a
-     function of exactly how far the sweep got. *)
-  add
-    (match kind, max_execs with
-    | `Check, _ -> "any"
-    | `Advisor, None -> "none"
-    | `Advisor, Some m -> string_of_int m);
   add (string_of_int checker.Cdsspec.Checker.max_histories);
   add
     (match checker.Cdsspec.Checker.sample_histories with
@@ -124,9 +118,6 @@ type entry = {
   graphs : int64 list;
   closed : Mc.Scheduler.prune_key list;
   check_entries : Cdsspec.Checker.cache_entry list;
-  behaviours : (string * int64 list) list;
-  explored : int;
-  time : float;
   partial : int option;
       (* None: the run explored to completion. Some cap: a clean run
          truncated by max_execs = cap — its closed keys and graphs are
@@ -254,14 +245,6 @@ let encode (key : key) e =
   List.iter (put_prune_key buf) e.closed;
   put_int buf (List.length e.check_entries);
   List.iter (put_check_entry buf) e.check_entries;
-  put_int buf (List.length e.behaviours);
-  List.iter
-    (fun (name, fps) ->
-      put_str buf name;
-      put_i64_list buf fps)
-    e.behaviours;
-  put_int buf e.explored;
-  put_i64 buf (Int64.bits_of_float e.time);
   (match e.partial with
   | None -> put_bool buf false
   | Some cap ->
@@ -282,17 +265,9 @@ let decode (key : key) s =
   let graphs = get_i64_list r in
   let closed = get_list r get_prune_key in
   let check_entries = get_list r get_check_entry in
-  let behaviours =
-    get_list r (fun r ->
-        let name = get_str r in
-        let fps = get_i64_list r in
-        (name, fps))
-  in
-  let explored = get_int r in
-  let time = Int64.float_of_bits (get_i64 r) in
   let partial = if get_bool r then Some (get_int r) else None in
   if r.pos <> lim then raise Corrupt;
-  { graphs; closed; check_entries; behaviours; explored; time; partial }
+  { graphs; closed; check_entries; partial }
 
 (* ------------------------------------------------------------------ *)
 (* Store handle and its resident table *)
@@ -553,23 +528,14 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
     let unchanged =
       match stored with Some rs -> rs.entry.partial = None && added_nothing | None -> false
     in
-    if (complete && not unchanged) || (cap_partial <> None && not covered) then begin
-      let explored, time =
-        match stored with
-        | Some rs -> (rs.entry.explored, rs.entry.time)
-        | None -> (r.stats.explored, r.stats.time)
-      in
+    if (complete && not unchanged) || (cap_partial <> None && not covered) then
       save s k
         {
           graphs = r.graphs;
           closed = r.closed;
           check_entries = Cdsspec.Checker.export_entries cache;
-          behaviours = [];
-          explored;
-          time;
           partial = (if complete then None else cap_partial);
         }
-    end
   | _ -> ());
   let disposition =
     match store with None -> `Off | Some _ -> ( match stored with Some _ -> `Hit | None -> `Miss)

@@ -2,14 +2,13 @@
     checking-as-a-service.
 
     A store is a directory of binary entry files, each holding the
-    artifacts of one fully-completed exploration — the distinct-graph
+    artifacts of one clean checked exploration — the distinct-graph
     fingerprint set, the closed prune keys ({!Mc.Explorer.result}
-    [closed]), the memoized check-cache verdicts, and (for advisor
-    entries) per-test behaviour fingerprint sets. Entries are keyed by a
-    canonical fingerprint of everything the result is a function of: the
-    program identity (benchmark + test name), the full per-site
-    memory-order table, the scheduler bounds, the explorer and checker
-    configs.
+    [closed]), the memoized check-cache verdicts and, for a run stopped
+    by its execution cap, that cap. Entries are keyed by a canonical
+    fingerprint of everything the result is a function of: the program
+    identity (benchmark + test name), the full per-site memory-order
+    table, the scheduler bounds, the explorer and checker configs.
 
     Soundness rests on two rules, both coarse by design:
 
@@ -60,11 +59,12 @@ val stats : t -> stats
     string and its fingerprint (the entry filename). *)
 type key
 
-(** [`Check] entries hold graphs/closed/check-cache; [`Advisor] entries
-    hold per-test behaviour sets (the advisor explores with pruning off,
-    so it has no closed keys to save). *)
+(** The key of one [check] job. It describes the bench, test, ords
+    table, scheduler bounds, [prune], [engine], the checker config and
+    [use_cache]. [kind] and [max_execs] are not part of it: there is one
+    entry kind, and a run's cap lives in the entry's [partial] field. *)
 val job_key :
-  kind:[ `Check | `Advisor ] ->
+  kind:[ `Check ] ->
   bench:string ->
   test:string ->
   ords:(string * C11.Memory_order.t) list ->
@@ -86,10 +86,7 @@ type entry = {
       (** fully-explored decision-point states — a later identical run
           preloads these as the explorer's [warm] set *)
   check_entries : Cdsspec.Checker.cache_entry list;
-  behaviours : (string * int64 list) list;
-      (** advisor entries: per-test behaviour fingerprints, test order *)
-  explored : int;  (** the original cold run's execution count *)
-  time : float;  (** the original cold run's wall-clock seconds *)
+      (** the check cache's memoized verdicts, preloaded on a hit *)
   partial : int option;
       (** [None]: the run explored to completion. [Some cap]: a clean
           run truncated by [max_execs = cap]; sound but incomplete, and
@@ -128,7 +125,8 @@ val resident_bytes : t -> int
 (** {2 Checked exploration through the store} *)
 
 (** [explore_checked ?store ... b ~ords t] is the one checked-exploration
-    path shared by [cdsspec_run check --store], the serve daemon and the
+    path shared by [cdsspec_run check] (with or without [--store]), the
+    serve daemon, the paper's tables ({!Harness.Experiments}) and the
     benchmarks: build a check cache, consult the store, explore, check,
     and save back.
 

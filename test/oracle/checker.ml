@@ -161,7 +161,7 @@ let check_object (type st) ~(config : Ck.config) (spec : st Spec.t) relation cal
 (* Each object instance is checked on its own, its calls renumbered
    densely (paper section 3.2). *)
 let check_execution ?(config = Ck.default_config) (Spec.Packed spec) exec annots =
-  let calls = History.calls_of_annots exec annots in
+  let calls = History.calls_of_annots annots in
   let objs = List.sort_uniq compare (List.map (fun (c : Call.t) -> c.obj) calls) in
   List.concat_map
     (fun obj ->

@@ -13,6 +13,9 @@ module S = Mc.Scheduler
 module P = Mc.Program
 module B = Structures.Benchmark
 
+(* The first buggy execution's action log, as [check -v] prints it. *)
+let render = Format.asprintf "%a" C11.Execution.pp
+
 let find name =
   match Structures.Registry.find name with
   | Some b -> b
@@ -53,7 +56,10 @@ let check_identical name (a : E.result) (l : E.result) =
     (name ^ ": bug keys")
     (List.map Mc.Bug.key l.bugs)
     (List.map Mc.Bug.key a.bugs);
-  Alcotest.(check (option string)) (name ^ ": first trace") l.first_buggy_trace a.first_buggy_trace
+  Alcotest.(check (option string))
+    (name ^ ": first trace")
+    (Option.map render l.first_buggy_exec)
+    (Option.map render a.first_buggy_exec)
 
 (* What work-stealing runs must agree on: with pruning the
    explored/pruned counters legitimately vary with donation timing. *)
@@ -63,7 +69,10 @@ let check_same_outputs name (a : E.result) (l : E.result) =
     (name ^ ": bug keys")
     (List.map Mc.Bug.key l.bugs)
     (List.map Mc.Bug.key a.bugs);
-  Alcotest.(check (option string)) (name ^ ": first trace") l.first_buggy_trace a.first_buggy_trace
+  Alcotest.(check (option string))
+    (name ^ ": first trace")
+    (Option.map render l.first_buggy_exec)
+    (Option.map render a.first_buggy_exec)
 
 (* Serial sweep: every exhaustive registry structure, both prune modes.
    The cap keeps the suite fast; serial DFS truncates deterministically,

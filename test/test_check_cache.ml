@@ -358,7 +358,7 @@ let one_execution program =
 
 let calls_of program =
   let exec, annots = one_execution program in
-  (exec, Cdsspec.History.calls_of_annots exec annots)
+  (exec, Cdsspec.History.calls_of_annots annots)
 
 let ops_of program =
   match snd (calls_of program) with

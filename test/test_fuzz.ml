@@ -7,6 +7,9 @@
 module P = Mc.Program
 module E = Mc.Explorer
 module F = Fuzz.Engine
+
+(* The first buggy execution's action log, as [check -v] prints it. *)
+let render = Format.asprintf "%a" C11.Execution.pp
 open C11.Memory_order
 
 let bench name =
@@ -294,7 +297,10 @@ let test_explorer_result_shim () =
     "bug list carried over"
     (List.map (fun (f : F.found) -> Mc.Bug.key f.bug) r.found)
     (List.map Mc.Bug.key er.bugs);
-  Alcotest.(check (option string)) "first trace" r.first_buggy_trace er.first_buggy_trace
+  Alcotest.(check (option string))
+    "first trace"
+    (Option.map render r.first_buggy_exec)
+    (Option.map render er.first_buggy_exec)
 
 (* ------------------------ trace strings --------------------------- *)
 

@@ -5,12 +5,7 @@
 module X = Harness.Experiments
 module B = Structures.Benchmark
 
-let cheap_limits =
-  {
-    X.max_executions = 20_000;
-    checker = Cdsspec.Checker.default_config;
-    jobs = 1;
-  }
+let cheap_limits = { X.max_executions = 20_000; jobs = 1 }
 
 (* ------------------------------ Ords ----------------------------- *)
 

@@ -11,6 +11,9 @@ module P = Mc.Program
 module E = Mc.Explorer
 module Par = Mc.Parallel
 module Vec = C11.Vec
+
+(* The first buggy execution's action log, as [check -v] prints it. *)
+let render = Format.asprintf "%a" C11.Execution.pp
 open C11.Memory_order
 
 let bench name =
@@ -53,7 +56,7 @@ let check_deterministic ?ords name =
     (List.map Mc.Bug.key s.bugs) (List.map Mc.Bug.key p.bugs);
   Alcotest.(check (option string))
     (name ^ ": first buggy trace")
-    s.first_buggy_trace p.first_buggy_trace
+    (Option.map render s.first_buggy_exec) (Option.map render p.first_buggy_exec)
 
 let test_registry_determinism () =
   List.iter check_deterministic
@@ -77,7 +80,7 @@ let check_pruned_deterministic ?ords name =
     (List.map Mc.Bug.key s.bugs) (List.map Mc.Bug.key p.bugs);
   Alcotest.(check (option string))
     (name ^ ": pruned first buggy trace")
-    s.first_buggy_trace p.first_buggy_trace
+    (Option.map render s.first_buggy_exec) (Option.map render p.first_buggy_exec)
 
 let test_pruned_determinism () =
   List.iter check_pruned_deterministic [ "Treiber Stack"; "Seqlock"; "M&S Queue" ];

@@ -12,6 +12,9 @@
 module E = Mc.Explorer
 module B = Structures.Benchmark
 
+(* The first buggy execution's action log, as [check -v] prints it. *)
+let render = Format.asprintf "%a" C11.Execution.pp
+
 (* Large enough that every gated structure exhausts; runs that still
    truncate are skipped (truncated pruned/unpruned pairs legitimately
    diverge) but the test fails if too few structures were actually
@@ -48,7 +51,7 @@ let check_against ~where (off : E.result) (on_ : E.result) =
   Alcotest.(check (list string)) (where ^ ": bug keys") (keys off) (keys on_);
   Alcotest.(check (option string))
     (where ^ ": first buggy trace")
-    off.first_buggy_trace on_.first_buggy_trace
+    (Option.map render off.first_buggy_exec) (Option.map render on_.first_buggy_exec)
 
 let check_structure ?ords ?(label = "") (b : B.t) gated =
   let ords = match ords with Some o -> o | None -> Structures.Ords.default b.B.sites in

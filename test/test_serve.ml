@@ -84,11 +84,18 @@ let socket_counter = ref 0
 (* Run [f] against an in-process daemon; clean shutdown (with the "bye"
    ack) and domain join are part of every test's teardown, so a wedged
    server fails the test rather than leaking. [on_connect] runs at each
-   successful readiness probe, before [f]. *)
-let with_server ?store_dir ?(on_connect = ignore) ~jobs f =
-  incr socket_counter;
-  let socket = Printf.sprintf "serve-test-%d.sock" !socket_counter in
-  if Sys.file_exists socket then Sys.remove socket;
+   successful readiness probe, before [f]. [socket] defaults to a fresh
+   path. *)
+let with_server ?store_dir ?(on_connect = ignore) ?socket ~jobs f =
+  let socket =
+    match socket with
+    | Some path -> path
+    | None ->
+      incr socket_counter;
+      let path = Printf.sprintf "serve-test-%d.sock" !socket_counter in
+      if Sys.file_exists path then Sys.remove path;
+      path
+  in
   let d =
     Domain.spawn (fun () ->
         Serve.Server.serve ~socket ~jobs ?store:(Option.map Store.open_dir store_dir) ())
@@ -117,7 +124,7 @@ let with_server ?store_dir ?(on_connect = ignore) ~jobs f =
            (Option.bind (J.member "event" j) J.to_str)
        | _ -> Alcotest.fail "no bye on shutdown");
        Serve.Client.close c);
-      Domain.join d;
+      Alcotest.(check (result unit string)) "daemon stops with Ok" (Ok ()) (Domain.join d);
       if Sys.file_exists socket then Sys.remove socket)
     (fun () -> f socket)
 
@@ -133,8 +140,9 @@ let ev j = Option.bind (J.member "event" j) J.to_str
 let str_f k j = Option.bind (J.member k j) J.to_str
 let int_f k j = Option.bind (J.member k j) J.to_int
 
-(* Like {!Serve.Client.wait} but with a timeout on every line, so a
-   wedged daemon fails loudly instead of hanging the suite. *)
+(* Collect one job's events up to its [done] or [error], with a timeout
+   on every line, so a wedged daemon fails loudly instead of hanging the
+   suite. *)
 let wait_job c ~job =
   let rec go acc =
     match Serve.Client.recv ~timeout:300. c with
@@ -466,6 +474,43 @@ let test_oversized_line () =
             Alcotest.(check (option string)) "daemon still answers" (Some "pong") (ev j)
           | _ -> Alcotest.fail "no pong after the oversized line"))
 
+(* [serve] replaces a stale socket left at its path and nothing else: a
+   regular file or a directory there, or a missing parent directory, is
+   an [Error] before any worker starts, and the file keeps its bytes. *)
+let test_socket_path_rule () =
+  let file = "serve-not-a-socket.txt" in
+  let oc = open_out_bin file in
+  output_string oc "not a socket\n";
+  close_out oc;
+  let refused path =
+    match Serve.Server.serve ~socket:path ~jobs:1 () with
+    | Ok () -> Alcotest.failf "served on %s" path
+    | Error m ->
+      Alcotest.(check bool) (path ^ ": error names the path") true
+        (String.starts_with ~prefix:path m)
+  in
+  refused file;
+  refused ".";
+  refused "no-such-dir/d.sock";
+  let ic = open_in_bin file in
+  let kept = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove file;
+  Alcotest.(check string) "regular file intact" "not a socket\n" kept;
+  let stale = "serve-stale.sock" in
+  if Sys.file_exists stale then Sys.remove stale;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  with_server ~socket:stale ~jobs:1 (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+          match Serve.Client.recv ~timeout:30. c with
+          | Serve.Client.Msg j ->
+            Alcotest.(check (option string)) "stale socket replaced" (Some "pong") (ev j)
+          | _ -> Alcotest.fail "no pong on the replaced socket"))
+
 let () =
   Alcotest.run "serve"
     [
@@ -486,5 +531,6 @@ let () =
           Alcotest.test_case "raising job reports error" `Quick test_raising_job_reports_error;
           Alcotest.test_case "store ready before connect" `Quick test_store_ready_before_connect;
           Alcotest.test_case "oversized request line" `Quick test_oversized_line;
+          Alcotest.test_case "socket path rule" `Quick test_socket_path_rule;
         ] );
     ]
