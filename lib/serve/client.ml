@@ -1,11 +1,20 @@
 module J = Analyze.Json
 
-type t = { fd : Unix.file_descr; inbuf : Buffer.t }
+(* [chunk] is the one read buffer, allocated at [connect]: a read fills
+   it from 0, and [chunk.[start..stop)] are its bytes not yet framed.
+   [pending] holds the head of a line that a read did not finish. *)
+type t = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  pending : Buffer.t;
+}
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
-  { fd; inbuf = Buffer.create 256 }
+  { fd; chunk = Bytes.create 65536; start = 0; stop = 0; pending = Buffer.create 256 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
@@ -22,16 +31,29 @@ let send t j =
 
 type msg = Msg of J.t | Eof | Timeout
 
-(* Pop one complete line from the buffer, if any. *)
+(* Pop one complete line, if the unframed bytes hold one. Each byte is
+   scanned once: bytes with no newline after them move to [pending]. *)
 let take_line t =
-  let s = Buffer.contents t.inbuf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-    let line = String.sub s 0 i in
-    Buffer.clear t.inbuf;
-    Buffer.add_substring t.inbuf s (i + 1) (String.length s - i - 1);
-    Some line
+  let i = ref t.start in
+  while !i < t.stop && Bytes.get t.chunk !i <> '\n' do
+    incr i
+  done;
+  let head = t.start in
+  if !i = t.stop then begin
+    Buffer.add_subbytes t.pending t.chunk head (t.stop - head);
+    t.start <- t.stop;
+    None
+  end
+  else begin
+    t.start <- !i + 1;
+    if Buffer.length t.pending = 0 then Some (Bytes.sub_string t.chunk head (!i - head))
+    else begin
+      Buffer.add_subbytes t.pending t.chunk head (!i - head);
+      let line = Buffer.contents t.pending in
+      Buffer.clear t.pending;
+      Some line
+    end
+  end
 
 let recv ?timeout t =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
@@ -58,11 +80,13 @@ let recv ?timeout t =
         match readable with
         | [] -> if deadline <> None then Timeout else go ()
         | _ -> (
-          let bytes = Bytes.create 65536 in
-          match Unix.read t.fd bytes 0 (Bytes.length bytes) with
-          | 0 -> if Buffer.length t.inbuf > 0 then failwith "Serve.Client.recv: truncated line" else Eof
+          match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+          | 0 ->
+            if Buffer.length t.pending > 0 then failwith "Serve.Client.recv: truncated line"
+            else Eof
           | n ->
-            Buffer.add_subbytes t.inbuf bytes 0 n;
+            t.start <- 0;
+            t.stop <- n;
             go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()))
   in

@@ -25,6 +25,17 @@
     abort within one exploration step; aborted (truncated) runs are
     never written to the store. *)
 
+(** The socket rule, checked without touching the path: [Ok ()] when
+    nothing is at [socket] and its directory can take a new file, or
+    when a socket is there (left by a daemon that died; {!serve}
+    replaces it). Anything else there — a regular file, a directory —
+    gives [Error "PATH: exists and is not a socket"], and a failed
+    [lstat] or a missing or unwritable directory gives
+    [Error "PATH: <system message>"]. [cdsspec_run serve] calls it
+    before it opens its store, so a refused path leaves the store
+    untouched. *)
+val check_socket : string -> (unit, string) result
+
 (** [serve ~socket ~jobs ?store ()] binds [socket], prints one
     "serving ..." line to stdout, and blocks until a client sends
     [{"op":"shutdown"}]; it then removes the socket file and returns
@@ -32,14 +43,12 @@
     given, is shared by all jobs. The caller opens it with
     {!Store.open_dir} (engine-rev flush semantics apply) before calling,
     so a successful connect means the store is open, and an unusable
-    store directory fails before any socket file exists.
+    store directory fails before any socket file exists. [serve] leaves
+    the GC settings alone; the [cdsspec_run serve] process sets its own.
 
-    Socket rule: a socket already at [socket] (left by a daemon that
-    died) is replaced. Anything else there — a regular file, a
-    directory — is left untouched, and [serve] returns
-    [Error "PATH: exists and is not a socket"]. A failed [lstat],
-    [bind] or [listen] (a missing parent directory, say) returns
-    [Error "PATH: <system message>"]. Either way the listening socket
-    is closed and no worker domain has started. *)
+    [serve] applies {!check_socket} itself, then binds: a path the rule
+    refuses, or a failed [bind] or [listen], returns [Error] with the
+    listening socket closed and no worker domain started, and the file
+    at [socket] keeps its bytes. *)
 val serve :
   socket:string -> jobs:int -> ?store:Store.t -> unit -> (unit, string) result

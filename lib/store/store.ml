@@ -35,14 +35,29 @@ let entry_files dir =
   |> List.filter (fun f -> Filename.check_suffix f ".bin")
   |> List.map (Filename.concat dir)
 
+(* Store files go through a bare fd, closed on every path: a channel
+   brings a 64 KiB buffer per call, freed only at finalisation, and one
+   left open by a failed read keeps its fd for good. [read_file] is the
+   whole regular file at [path], or [None] when there is none to read
+   whole (missing, a directory, shrunk under the read). *)
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  with Sys_error _ | End_of_file -> None
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (_, _, _) -> None
+  | fd -> (
+    let read () =
+      match Unix.fstat fd with
+      | { Unix.st_kind = Unix.S_REG; st_size = n; _ } ->
+        let buf = Bytes.create n in
+        let rec fill off =
+          if off = n then Some (Bytes.unsafe_to_string buf)
+          else match Unix.read fd buf off (n - off) with 0 -> None | k -> fill (off + k)
+        in
+        fill 0
+      | _ -> None
+    in
+    match Fun.protect ~finally:(fun () -> Unix.close fd) read with
+    | s -> s
+    | exception Unix.Unix_error (_, _, _) -> None)
 
 let tmp_counter = Atomic.make 0
 
@@ -58,15 +73,18 @@ let write_file path content =
       (Domain.self () :> int)
       (Atomic.fetch_and_add tmp_counter 1)
   in
-  let oc = open_out_bin tmp in
+  let sys_error e = Sys_error (Printf.sprintf "%s: %s" tmp (Unix.error_message e)) in
+  let fd =
+    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666
+    with Unix.Unix_error (e, _, _) -> raise (sys_error e)
+  in
   try
-    output_string oc content;
-    close_out oc;
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        ignore (Unix.write_substring fd content 0 (String.length content)));
     Sys.rename tmp path
   with e ->
-    close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+    raise (match e with Unix.Unix_error (e, _, _) -> sys_error e | e -> e)
 
 let flush_entries dir = List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) (entry_files dir)
 

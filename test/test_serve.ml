@@ -511,6 +511,113 @@ let test_socket_path_rule () =
             Alcotest.(check (option string)) "stale socket replaced" (Some "pong") (ev j)
           | _ -> Alcotest.fail "no pong on the replaced socket"))
 
+(* ------------------------------------------------------------------ *)
+(* Client framing *)
+
+(* Run [f] with a client connected to a listener of the test's own and
+   [write], which sends crafted bytes from the peer end. [hang_up]
+   closes the peer end. *)
+let with_peer f =
+  incr socket_counter;
+  let path = Printf.sprintf "serve-peer-%d.sock" !socket_counter in
+  if Sys.file_exists path then Sys.remove path;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let c = Serve.Client.connect path in
+  let peer, _ = Unix.accept lfd in
+  Unix.close lfd;
+  Sys.remove path;
+  let open_ = ref true in
+  let hang_up () =
+    if !open_ then begin
+      open_ := false;
+      Unix.close peer
+    end
+  in
+  let write s = ignore (Unix.write_substring peer s 0 (String.length s)) in
+  Fun.protect
+    ~finally:(fun () ->
+      hang_up ();
+      Serve.Client.close c)
+    (fun () -> f c ~write ~hang_up)
+
+let expect_msg c what line =
+  match Serve.Client.recv ~timeout:10. c with
+  | Serve.Client.Msg j -> Alcotest.(check string) what line (J.to_line j)
+  | Serve.Client.Eof -> Alcotest.failf "%s: Eof" what
+  | Serve.Client.Timeout -> Alcotest.failf "%s: Timeout" what
+
+(* No complete line is buffered: the client reads what has arrived and
+   times out. *)
+let expect_timeout c what =
+  match Serve.Client.recv ~timeout:0.05 c with
+  | Serve.Client.Timeout -> ()
+  | Serve.Client.Msg j -> Alcotest.failf "%s: got %s" what (J.to_line j)
+  | Serve.Client.Eof -> Alcotest.failf "%s: Eof" what
+
+let test_two_events_one_write () =
+  with_peer (fun c ~write ~hang_up:_ ->
+      write "{\"a\":1}\n{\"b\":2}\n";
+      expect_msg c "first event" {|{"a":1}|};
+      expect_msg c "second event" {|{"b":2}|};
+      expect_timeout c "nothing more")
+
+let test_event_split_over_writes () =
+  with_peer (fun c ~write ~hang_up:_ ->
+      write "{\"event\":\"res";
+      expect_timeout c "half an event";
+      write "ult\",\"job\":7}\n";
+      expect_msg c "whole event" {|{"event":"result","job":7}|})
+
+let test_bytes_after_newline_kept () =
+  with_peer (fun c ~write ~hang_up:_ ->
+      write "{\"a\":1}\n{\"b\":";
+      expect_msg c "complete event" {|{"a":1}|};
+      expect_timeout c "tail alone";
+      write "2}\n";
+      expect_msg c "tail completed by the next write" {|{"b":2}|})
+
+(* A line longer than the client's 64 KiB read buffer takes several
+   reads; the writer runs in its own domain because the socket buffer
+   holds less than the line. *)
+let test_line_longer_than_buffer () =
+  with_peer (fun c ~write ~hang_up:_ ->
+      let long = J.to_line (J.Obj [ ("s", J.Str (String.make 200_000 'x')) ]) in
+      let writer = Domain.spawn (fun () -> write (long ^ "\n{\"b\":2}\n")) in
+      expect_msg c "long event" long;
+      expect_msg c "event after it" {|{"b":2}|};
+      Domain.join writer)
+
+let test_eof_after_line () =
+  with_peer (fun c ~write ~hang_up ->
+      write "{\"a\":1}\n";
+      hang_up ();
+      expect_msg c "last event" {|{"a":1}|};
+      match Serve.Client.recv ~timeout:10. c with
+      | Serve.Client.Eof -> ()
+      | Serve.Client.Msg j -> Alcotest.failf "expected Eof, got %s" (J.to_line j)
+      | Serve.Client.Timeout -> Alcotest.fail "expected Eof, got Timeout")
+
+let test_eof_mid_line () =
+  with_peer (fun c ~write ~hang_up ->
+      write "{\"a\":1}\n{\"b\":";
+      hang_up ();
+      expect_msg c "complete event" {|{"a":1}|};
+      match Serve.Client.recv ~timeout:10. c with
+      | exception Failure m ->
+        Alcotest.(check bool) ("truncated line: " ^ m) true
+          (String.ends_with ~suffix:"truncated line" m)
+      | _ -> Alcotest.fail "a close mid-line must raise Failure")
+
+let test_silent_peer () =
+  with_peer (fun c ~write:_ ~hang_up:_ ->
+      let t0 = Unix.gettimeofday () in
+      (match Serve.Client.recv ~timeout:0.2 c with
+      | Serve.Client.Timeout -> ()
+      | _ -> Alcotest.fail "a silent peer must give Timeout");
+      Alcotest.(check bool) "waited for the timeout" true (Unix.gettimeofday () -. t0 >= 0.15))
+
 let () =
   Alcotest.run "serve"
     [
@@ -532,5 +639,15 @@ let () =
           Alcotest.test_case "store ready before connect" `Quick test_store_ready_before_connect;
           Alcotest.test_case "oversized request line" `Quick test_oversized_line;
           Alcotest.test_case "socket path rule" `Quick test_socket_path_rule;
+        ] );
+      ( "client framing",
+        [
+          Alcotest.test_case "two events in one write" `Quick test_two_events_one_write;
+          Alcotest.test_case "event split over two writes" `Quick test_event_split_over_writes;
+          Alcotest.test_case "bytes after a newline kept" `Quick test_bytes_after_newline_kept;
+          Alcotest.test_case "line longer than the buffer" `Quick test_line_longer_than_buffer;
+          Alcotest.test_case "eof after a line" `Quick test_eof_after_line;
+          Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;
+          Alcotest.test_case "silent peer times out" `Quick test_silent_peer;
         ] );
     ]

@@ -433,6 +433,25 @@ let check_key (b : B.t) (t : B.test) ~ords =
   Store.job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
     ~sched:b.scheduler ~prune:true ~engine:`Arena ~max_execs:(Some cap) ~checker ~use_cache:true
 
+(* A directory where a key's entry file belongs reads as a miss every
+   time, and each failed read closes the descriptor it opened: an
+   unclosed one is never closed by the GC either. *)
+let test_directory_entry () =
+  let dir = scratch_dir () in
+  let s = Store.open_dir dir in
+  let key = default_key [ ("a", C11.Memory_order.Seq_cst) ] in
+  Sys.mkdir (entry_path dir key) 0o755;
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for i = 1 to 100 do
+    Alcotest.(check bool) (Printf.sprintf "load %d misses" i) true (Store.load s key = None)
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "no descriptor left open" before (open_fds ());
+  Alcotest.(check int) "every load a miss" 100 (Store.stats s).misses;
+  rm_rf dir
+
 (* A warm hit that adds nothing to a complete entry leaves the file
    alone: same inode, same bytes. *)
 let test_warm_hit_no_rewrite () =
@@ -615,6 +634,7 @@ let () =
         [
           Alcotest.test_case "corrupt entry discarded" `Quick test_corrupt_entry_discarded;
           Alcotest.test_case "engine-rev flush" `Quick test_engine_rev_flush;
+          Alcotest.test_case "directory at entry path" `Quick test_directory_entry;
         ] );
       ( "resident",
         [
