@@ -97,11 +97,8 @@ let report_result ~verbose ~dot (r : E.result) =
   | _ -> ());
   r.bugs <> []
 
-let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~profile (b : B.t)
-    ~ords (t : B.test) =
-  let r, disposition =
-    Store.explore_checked ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine b ~ords t
-  in
+let exhaustive_one ?store ~checker ~max_execs ~jobs ~prune ~profile (b : B.t) ~ords (t : B.test) =
+  let r, disposition = Store.explore_checked ?store ~checker ~max_execs ~jobs ~prune b ~ords t in
   Format.printf "%s/%s: explored %d, feasible %d, %d distinct graph%s, %.2fs%s@." b.name
     t.test_name r.stats.explored r.stats.feasible r.stats.distinct_graphs
     (if r.stats.distinct_graphs = 1 then "" else "s")
@@ -126,8 +123,7 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
     Format.printf
       "  pruned: %d equivalence, %d sleep-set, %d loop-bound, %d retry, %d max-actions@."
       s.pruned_equiv s.pruned_sleep_set s.pruned_loop_bound s.pruned_retry s.pruned_max_actions;
-  Format.printf "  engine: %s, %.0f minor words/exec%s@."
-    (match engine with `Arena -> "arena" | `Legacy -> "legacy")
+  Format.printf "  engine: arena, %.0f minor words/exec%s@."
     (if s.explored > 0 then s.minor_words /. float_of_int s.explored else 0.)
     (if s.snapshots > 0 || s.restores > 0 then
        Printf.sprintf ", %d snapshots, %d restores" s.snapshots s.restores
@@ -151,9 +147,8 @@ let exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune ~engine ~p
   end;
   r
 
-let fuzz_one ~checker ~use_cache ~max_execs ~seed ~time_budget ~bias (b : B.t) ~ords (t : B.test)
-    =
-  let cache = Cdsspec.Checker.create_cache ~memoize:use_cache () in
+let fuzz_one ~checker ~max_execs ~seed ~time_budget ~bias (b : B.t) ~ords (t : B.test) =
+  let cache = Cdsspec.Checker.create_cache () in
   let r =
     Fuzz.Engine.run
       ~config:
@@ -186,8 +181,8 @@ let fuzz_one ~checker ~use_cache ~max_execs ~seed ~time_budget ~bias (b : B.t) ~
     r.found;
   Fuzz.Engine.explorer_result r
 
-let replay_one ~checker ~use_cache ~decisions (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache ~memoize:use_cache () in
+let replay_one ~checker ~decisions (b : B.t) ~ords (t : B.test) =
+  let cache = Cdsspec.Checker.create_cache () in
   let run_r, bugs =
     Fuzz.Engine.replay
       ~scheduler:b.scheduler
@@ -237,7 +232,7 @@ let open_store = function
 
 let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_prune profile
     fuzzing replay store_dir =
-  let fuzz, seed, time_budget, bias, (checker : Cdsspec.Checker.config), use_cache = fuzzing in
+  let fuzz, seed, time_budget, bias, (checker : Cdsspec.Checker.config) = fuzzing in
   match (find_bench name, checker.sample_histories) with
   | _, Some (n, _) when n < 1 ->
     `Msg (Printf.sprintf "--sample-histories: N must be at least 1 (got %d)" n)
@@ -259,14 +254,11 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
         match replay with
         | Some s -> (
           match Fuzz.Engine.trace_of_string s with
-          | Some decisions -> Ok (replay_one ~checker ~use_cache ~decisions)
+          | Some decisions -> Ok (replay_one ~checker ~decisions)
           | None -> Error (`Msg (Printf.sprintf "bad trace %S: expected dot-separated indices" s)))
         | None ->
-          if fuzz then Ok (fuzz_one ~checker ~use_cache ~max_execs ~seed ~time_budget ~bias)
-          else
-            Ok
-              (exhaustive_one ?store ~checker ~use_cache ~max_execs ~jobs ~prune:(not no_prune)
-                 ~engine:E.default_config.engine ~profile)
+          if fuzz then Ok (fuzz_one ~checker ~max_execs ~seed ~time_budget ~bias)
+          else Ok (exhaustive_one ?store ~checker ~max_execs ~jobs ~prune:(not no_prune) ~profile)
       in
       match run with
       | Error e -> e
@@ -289,17 +281,37 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
           if !any_bug then `Bug else `Ok
         end))
 
+(* [--site] restricts the advisor, so it needs [--advise], and each
+   site it names must be a site of a linted benchmark: a typo would
+   advise on nothing and exit 0. *)
+let site_error ~advise only_sites (benches : B.t list) =
+  let site_of (b : B.t) s = List.exists (fun (x : Structures.Ords.site) -> x.name = s) b.sites in
+  match only_sites with
+  | Some _ when not advise -> Some "requires --advise"
+  | Some sites -> (
+    match List.find_opt (fun s -> not (List.exists (fun b -> site_of b s) benches)) sites with
+    | Some s ->
+      let where = match benches with [ b ] -> b.name | _ -> "any linted benchmark" in
+      Some (Printf.sprintf "no site named %S in %s" s where)
+    | None -> None)
+  | None -> None
+
 (* The static-analysis pass: aggregate per-site facts, run the lint
    rules and (with --advise) the counterexample-guided weakening
    advisor. Exit codes are CI-friendly: 1 iff an error-severity finding
    (a violation under the published orders) exists. *)
 let lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir =
   let benches =
-    if all then Ok Structures.Registry.exhaustive
-    else
-      match name with
-      | Some n -> Result.map (fun b -> [ b ]) (find_bench n)
-      | None -> Error (`Msg "lint: name a benchmark or pass --all")
+    Result.bind
+      (if all then Ok Structures.Registry.exhaustive
+       else
+         match name with
+         | Some n -> Result.map (fun b -> [ b ]) (find_bench n)
+         | None -> Error (`Msg "lint: name a benchmark or pass --all"))
+      (fun benches ->
+        match site_error ~advise only_sites benches with
+        | Some m -> Error (`Msg ("--site: " ^ m))
+        | None -> Ok benches)
   in
   match benches with
   | Error e -> e
@@ -542,11 +554,15 @@ let exit_of = function
     prerr_endline m;
     2
 
-(* [--max-executions N] takes N >= 1: a smaller cap would explore one
-   run, report it truncated and exit 0. *)
-let with_cap max_execs run =
-  match max_execs with
-  | Some n when n < 1 -> `Msg (Printf.sprintf "--max-executions: N must be at least 1 (got %d)" n)
+(* [--max-executions N] takes N >= 1 and [--time-budget SECONDS] a
+   positive number: a smaller cap would explore one run and report it
+   truncated, and a budget of 0 or less stops before the first run, so a
+   gate that checks nothing would exit 0. *)
+let with_limits ?time_budget max_execs run =
+  match max_execs, time_budget with
+  | Some n, _ when n < 1 -> `Msg (Printf.sprintf "--max-executions: N must be at least 1 (got %d)" n)
+  | _, Some s when not (s > 0.) ->
+    `Msg (Printf.sprintf "--time-budget: SECONDS must be a positive number (got %g)" s)
   | _ -> run ()
 
 let ord_conv =
@@ -637,26 +653,16 @@ let fuzzing_term =
              cap hit) as a reported violation instead of a warning: a capped check is only a \
              partial proof.")
   in
-  let no_check_cache =
-    Arg.(
-      value & flag
-      & info [ "no-check-cache" ]
-          ~doc:
-            "Disable the cross-execution check cache (verdicts memoized by canonical \
-             call-history fingerprint). Hit/miss/truncation counters are still reported.")
-  in
   Term.(
-    const (fun fuzz seed time_budget bias sample hseed strict no_cache ->
+    const (fun fuzz seed time_budget bias sample hseed strict ->
         let checker =
           {
-            Cdsspec.Checker.default_config with
-            sample_histories = Option.map (fun n -> (n, hseed)) sample;
+            Cdsspec.Checker.sample_histories = Option.map (fun n -> (n, hseed)) sample;
             strict_histories = strict;
           }
         in
-        (fuzz, seed, time_budget, bias, checker, not no_cache))
-    $ fuzz $ seed $ time_budget $ bias $ sample_histories $ history_seed $ strict_histories
-    $ no_check_cache)
+        (fuzz, seed, time_budget, bias, checker))
+    $ fuzz $ seed $ time_budget $ bias $ sample_histories $ history_seed $ strict_histories)
 
 let check_term =
   let test =
@@ -728,8 +734,9 @@ let check_term =
     const
       (fun name test weaken overrides max_execs verbose dot jobs no_prune profile fuzzing replay
            store_dir ->
+        let _, _, time_budget, _, _ = fuzzing in
         exit_of
-          (with_cap max_execs (fun () ->
+          (with_limits ?time_budget max_execs (fun () ->
                check_cmd name test weaken overrides max_execs verbose dot jobs no_prune profile
                  fuzzing replay store_dir)))
     $ bench_arg $ test $ weaken $ overrides $ max_execs $ verbose $ dot $ jobs_term $ no_prune
@@ -792,7 +799,7 @@ let lint_term =
     const (fun name all json advise max_execs time_budget jobs sites dot_dir ->
         let only_sites = match sites with [] -> None | l -> Some l in
         exit_of
-          (with_cap max_execs (fun () ->
+          (with_limits ?time_budget max_execs (fun () ->
                lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir)))
     $ bench $ all $ json $ advise $ max_execs $ time_budget $ jobs_term $ sites $ dot_dir)
 
@@ -855,7 +862,7 @@ let client_term =
   Term.(
     const (fun socket op bench test overrides max_execs json ->
         exit_of
-          (with_cap max_execs (fun () ->
+          (with_limits max_execs (fun () ->
                client_cmd socket op bench test overrides max_execs json)))
     $ socket $ op $ bench $ test $ overrides $ max_execs $ json)
 

@@ -391,14 +391,9 @@ let collect ?(config = default_config) ?ords (b : B.t) =
             prune = false;
           }
         in
+        let stop = Option.map (fun d () -> Mc.Monotonic.now () > d) deadline in
         let r =
-          if config.jobs > 1 then
-            Mc.Parallel.explore ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
-          else begin
-            let stop = Option.map (fun d () -> Mc.Monotonic.now () > d) deadline in
-            Mc.Explorer.explore_subtree ?stop ~config:econfig ~on_feasible
-              ~trace:(C11.Vec.create ()) ~frozen:0 (t.program ords)
-          end
+          Mc.Parallel.explore ?stop ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
         in
         explored := !explored + r.stats.explored;
         feasible := !feasible + r.stats.feasible;

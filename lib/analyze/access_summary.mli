@@ -2,8 +2,8 @@
     benchmark's unit tests: the fact base the {!Lint} rules and the
     {!Weaken} advisor consume.
 
-    The collector re-runs each unit test under the exhaustive explorer
-    (or {!Mc.Parallel} when [jobs > 1]) with an [on_feasible] hook that
+    The collector re-runs each unit test under {!Mc.Parallel.explore}
+    over [jobs] domains with an [on_feasible] hook that
     walks every complete, builtin-bug-free execution graph and folds its
     edges into per-site counters. Racy or otherwise buggy executions
     never reach the hook; their reports surface through [bugs]/[races]
@@ -14,8 +14,8 @@ type config = {
   max_executions : int option;  (** per unit test; [None] exhausts *)
   time_budget : float option;
       (** overall wall-clock budget for the whole collection; checked
-          between tests (and per run when [jobs = 1]) *)
-  jobs : int;  (** [> 1] explores each test with {!Mc.Parallel} *)
+          between tests and after every run, at any [jobs] *)
+  jobs : int;  (** worker domains per test exploration *)
 }
 
 val default_config : config

@@ -100,9 +100,7 @@ let explore_tests ~config (b : B.t) ords =
            }
          in
          let r =
-           if config.jobs > 1 then
-             Mc.Parallel.explore ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
-           else Mc.Explorer.explore ~config:econfig ~on_feasible (t.program ords)
+           Mc.Parallel.explore ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
          in
          explored := !explored + r.stats.explored;
          sets := (t.test_name, bset) :: !sets;

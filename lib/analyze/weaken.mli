@@ -30,7 +30,7 @@ type config = {
   max_executions : int option;
       (** per unit test per candidate; use the same cap as the baseline
           {!Access_summary.collect} or the fingerprint diff is noise *)
-  jobs : int;  (** [> 1] re-explores candidates with {!Mc.Parallel} *)
+  jobs : int;  (** worker domains per re-exploration ({!Mc.Parallel.explore}) *)
   time_budget : float option;
       (** wall-clock budget; remaining candidates are skipped and the
           report marked truncated *)

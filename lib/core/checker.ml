@@ -1,17 +1,9 @@
-type config = {
-  max_histories : int;
-  sample_histories : (int * int) option;
-  max_prefixes : int;
-  strict_histories : bool;
-}
+type config = { sample_histories : (int * int) option; strict_histories : bool }
 
-let default_config =
-  {
-    max_histories = 5000;
-    sample_histories = None;
-    max_prefixes = 2000;
-    strict_histories = false;
-  }
+let default_config = { sample_histories = None; strict_histories = false }
+
+let max_histories = 5000
+let max_prefixes = 2000
 
 type violation = {
   kind : [ `Admissibility | `Assertion | `Unjustified | `Cyclic_ordering | `Truncated ];
@@ -248,7 +240,7 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
                 | Some (call, why) -> Some (assertion_violation ~history ~call why))
               (History.sample_histories ~count ~seed relation calls),
             false )
-        | None -> check_histories_shared ~max:config.max_histories spec info_of relation calls find
+        | None -> check_histories_shared ~max:max_histories spec info_of relation calls find
       in
       match history_violation with
       | Some v -> { clean with violations = [ v ]; histories_truncated = h_trunc }
@@ -264,7 +256,7 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
               if not (Spec.needs_justification ms) then None
               else begin
                 let justified, truncated =
-                  justified_shared ~max:config.max_prefixes spec info_of relation find m
+                  justified_shared ~max:max_prefixes spec info_of relation find m
                 in
                 if truncated then p_trunc := true;
                 if justified then None
@@ -289,7 +281,7 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
                      str
                        "sequential-history enumeration hit the max_histories cap (%d): \
                         unchecked histories remain"
-                       config.max_histories;
+                       max_histories;
                  };
                ]
              else [])
@@ -302,7 +294,7 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
                     str
                       "justifying-subhistory enumeration hit the max_prefixes cap (%d): \
                        unchecked subhistories remain"
-                      config.max_prefixes;
+                      max_prefixes;
                 };
               ]
             else []
@@ -321,7 +313,6 @@ let check_object (type st) ~config (spec : st Spec.t) relation calls =
 type cached = { verdict : violation list; h_trunc : bool; p_trunc : bool }
 
 type cache = {
-  memoize : bool;
   table : (string, cached) Hashtbl.t;
   lock : Mutex.t;
   mutable hits : int;
@@ -330,9 +321,8 @@ type cache = {
   mutable prefixes_truncated : int;
 }
 
-let create_cache ?(memoize = true) () =
+let create_cache () =
   {
-    memoize;
     table = Hashtbl.create 256;
     lock = Mutex.create ();
     hits = 0;
@@ -377,19 +367,16 @@ let export_entries c =
 
 (* Imported entries land in the table without bumping hit/miss counters:
    a preloaded verdict is neither — the counters describe this run's
-   lookups. No-op with memoization off, so [--no-check-cache] keeps its
-   meaning even against a warm store. *)
+   lookups. *)
 let import_entries c entries =
-  if c.memoize then begin
-    Mutex.lock c.lock;
-    List.iter
-      (fun e ->
-        if not (Hashtbl.mem c.table e.entry_key) then
-          Hashtbl.replace c.table e.entry_key
-            { verdict = e.entry_verdict; h_trunc = e.entry_h_trunc; p_trunc = e.entry_p_trunc })
-      entries;
-    Mutex.unlock c.lock
-  end
+  Mutex.lock c.lock;
+  List.iter
+    (fun e ->
+      if not (Hashtbl.mem c.table e.entry_key) then
+        Hashtbl.replace c.table e.entry_key
+          { verdict = e.entry_verdict; h_trunc = e.entry_h_trunc; p_trunc = e.entry_p_trunc })
+    entries;
+  Mutex.unlock c.lock
 
 (* Canonical fingerprint of one per-object check instance: the calls in
    dense-id order (name, args, C_RET, tid) plus the reachability closure
@@ -450,15 +437,9 @@ let check_spec (type st) ~config ?cache (spec : st Spec.t) exec annots =
         | None -> check_object ~config spec relation group
         | Some cache ->
           let key = fingerprint relation group in
-          let cached =
-            if not cache.memoize then None
-            else begin
-              Mutex.lock cache.lock;
-              let r = Hashtbl.find_opt cache.table key in
-              Mutex.unlock cache.lock;
-              r
-            end
-          in
+          Mutex.lock cache.lock;
+          let cached = Hashtbl.find_opt cache.table key in
+          Mutex.unlock cache.lock;
           (match cached with
           | Some c ->
             Mutex.lock cache.lock;
@@ -484,7 +465,7 @@ let check_spec (type st) ~config ?cache (spec : st Spec.t) exec annots =
               cache.histories_truncated <- cache.histories_truncated + 1;
             if o.prefixes_truncated then
               cache.prefixes_truncated <- cache.prefixes_truncated + 1;
-            if cache.memoize && not (Hashtbl.mem cache.table key) then
+            if not (Hashtbl.mem cache.table key) then
               Hashtbl.add cache.table key
                 {
                   verdict = o.violations;

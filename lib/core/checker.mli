@@ -20,24 +20,30 @@
     Both walks visit linear extensions in
     {!C11.Relation.walk_linear_extensions}' child order, which is
     lexicographic in call id, and charge one unit of budget per complete
-    extension: [max_histories] per sequential history, [max_prefixes]
-    per justifying subhistory of one call, accepted or not. So an
-    assertion violation names the first failing history in that order
-    (its failing prefix completed by {!C11.Relation.any_topological_sort})
-    and the call that failed in it. A check is truncated when a walk
-    reaches its cap before a verdict: more than [max_histories]
-    histories and none of the first [max_histories] failing, or more
-    than [max_prefixes] justifying subhistories for a call and none of
-    the first [max_prefixes] accepting. *)
+    extension, against two fixed caps: {!max_histories} per object
+    check's sequential histories, {!max_prefixes} per justifying
+    subhistory of one call, accepted or not. So an assertion violation
+    names the first failing history in that order (its failing prefix
+    completed by {!C11.Relation.any_topological_sort}) and the call that
+    failed in it. A check is truncated when a walk reaches its cap
+    before a verdict: more than {!max_histories} histories and none of
+    the first {!max_histories} failing, or more than {!max_prefixes}
+    justifying subhistories for a call and none of the first
+    {!max_prefixes} accepting. Eight concurrent calls (8! histories)
+    reach the first cap; a call after seven concurrent ones (7!
+    justifying subhistories) reaches the second. *)
+
+(** Cap on the sequential histories one object check enumerates: 5,000. *)
+val max_histories : int
+
+(** Cap on the justifying subhistories enumerated for one call: 2,000. *)
+val max_prefixes : int
 
 type config = {
-  max_histories : int;
-      (** truncate exhaustive enumeration of sequential histories *)
   sample_histories : (int * int) option;
       (** [(count, seed)]: randomly sample instead of exhausting — the
           checker's "check a user-customized number of histories" option.
           Each sampled history is replayed from the initial state. *)
-  max_prefixes : int;  (** cap on justifying subhistories per call *)
   strict_histories : bool;
       (** report a [`Truncated] violation when an enumeration cap was
           hit (a capped check is only a partial proof); otherwise the
@@ -63,11 +69,8 @@ type violation = {
 
 type cache
 
-(** [create_cache ()] makes an empty cache. [~memoize:false] disables
-    the verdict table but keeps every counter, so hit/miss/truncation
-    accounting still flows to {!cache_counters} — this is the
-    [--no-check-cache] path. *)
-val create_cache : ?memoize:bool -> unit -> cache
+(** [create_cache ()] makes an empty cache. *)
+val create_cache : unit -> cache
 
 (** Snapshot the counters in the shape {!Mc.Explorer.stats} carries
     ([cache_entries] is the current table size; the truncation counters
@@ -91,8 +94,8 @@ type cache_entry = {
 val export_entries : cache -> cache_entry list
 
 (** Preload verdicts from an earlier run of the identical spec/config.
-    Existing keys are kept, hit/miss counters are untouched (preloading
-    is neither), and the call is a no-op on a [~memoize:false] cache. *)
+    Existing keys are kept, and hit/miss counters are untouched
+    (preloading is neither). *)
 val import_entries : cache -> cache_entry list -> unit
 
 (** Canonical fingerprint of one per-object check instance: the calls

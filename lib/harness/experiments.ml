@@ -17,9 +17,8 @@ let jobs_of_env () =
 (* [cdsspec_run check]'s path without a store. *)
 let explore ~limits (b : B.t) ~ords (t : B.test) =
   fst
-    (Store.explore_checked ~checker:Cdsspec.Checker.default_config ~use_cache:true
-       ~max_execs:(Some limits.max_executions) ~jobs:limits.jobs ~prune:true
-       ~engine:E.default_config.engine b ~ords t)
+    (Store.explore_checked ~checker:Cdsspec.Checker.default_config
+       ~max_execs:(Some limits.max_executions) ~jobs:limits.jobs ~prune:true b ~ords t)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7                                                            *)

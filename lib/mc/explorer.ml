@@ -5,7 +5,7 @@ type config = {
   max_executions : int option;
   progress : (int -> unit) option;
   prune : bool;
-  engine : [ `Arena | `Legacy ];
+  engine : [ `Arena ];
 }
 
 let default_config =
@@ -47,8 +47,8 @@ type stats = {
   truncated : bool;
   time : float;
   minor_words : float;  (* minor-heap words allocated during the search *)
-  snapshots : int;  (* arena snapshots captured (0 under the legacy engine) *)
-  restores : int;  (* arena snapshot restores (0 under the legacy engine) *)
+  snapshots : int;  (* arena snapshots captured *)
+  restores : int;  (* arena snapshot restores *)
   commits : int;  (* actions committed (incl. re-commits after restore) *)
   fiber_switches : int;  (* ops that suspended their fiber via an effect *)
   inline_ops : int;  (* ops committed in the dispatch hook, no suspension *)
@@ -193,15 +193,12 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
      recorded at its first (DFS-earliest) occurrence. *)
   let graphs : (int64, unit) Hashtbl.t = Hashtbl.create 256 in
   let frozen = ref frozen in
-  (* Under the arena engine [exec] is the session's single graph, valid
-     only until the next run: retaining it requires a deep copy. *)
-  let retain_exec =
-    match config.engine with `Arena -> C11.Execution.copy | `Legacy -> fun exec -> exec
-  in
   let record_bugs exec found =
     if found <> [] then begin
       incr buggy;
-      if Option.is_none !first_buggy_exec then first_buggy_exec := Some (retain_exec exec);
+      (* [exec] is the session's single graph, valid only until the
+         next run: retaining it takes a deep copy. *)
+      if Option.is_none !first_buggy_exec then first_buggy_exec := Some (C11.Execution.copy exec);
       List.iter
         (fun b ->
           let key = Bug.key b in
@@ -212,40 +209,17 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         found
     end
   in
-  let session =
-    match config.engine with
-    | `Arena -> Some (Scheduler.session_create ?prune ~config:config.scheduler ~trace main)
-    | `Legacy -> None
-  in
-  (* rf-kernel counters: under the arena engine the session's single
-     execution accumulates them for the whole search (read once at the
-     end); the legacy engine builds a fresh execution per run, so each
-     run's totals are summed as they go. *)
-  let rf_q = ref 0 and rf_r = ref 0 in
-  (* Same split for the phase counters: [switches]/[inline_ops] are
-     cumulative across a session but per-run under the legacy engine, and
-     the arena's single execution accumulates commits for the whole
-     search where the legacy engine's per-run executions must be summed. *)
-  let commits = ref 0 and switches = ref 0 and inlined = ref 0 in
+  let session = Scheduler.session_create ?prune ~config:config.scheduler ~trace main in
+  (* The session's counters are cumulative: [switches] and [inline_ops]
+     of the last run, and the single execution's commit and rf counters
+     read once at the end, cover the whole search. *)
+  let switches = ref 0 and inlined = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let r =
-      match session with
-      | Some s -> Scheduler.session_run s
-      | None -> Scheduler.run ?prune ~config:config.scheduler ~trace main
-    in
+    let r = Scheduler.session_run session in
     incr explored;
-    (match session with
-    | None ->
-      let q, rej = C11.Execution.rf_counters r.exec in
-      rf_q := !rf_q + q;
-      rf_r := !rf_r + rej;
-      commits := !commits + C11.Execution.commit_count r.exec;
-      switches := !switches + r.switches;
-      inlined := !inlined + r.inline_ops
-    | Some _ ->
-      switches := r.switches;
-      inlined := r.inline_ops);
+    switches := r.switches;
+    inlined := r.inline_ops;
     (match config.progress with
     | Some f when !explored mod 1024 = 0 ->
       let p0 = Monotonic.now () in
@@ -308,18 +282,11 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
       | _ -> ()
     end
   done;
-  Option.iter Scheduler.session_close session;
+  Scheduler.session_close session;
   let graph_list = List.sort_uniq Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) graphs []) in
-  let snapshots, restores =
-    match session with Some s -> Scheduler.session_counters s | None -> (0, 0)
-  in
-  (match session with
-  | Some s ->
-    let q, rej = C11.Execution.rf_counters (Scheduler.session_exec s) in
-    rf_q := q;
-    rf_r := rej;
-    commits := C11.Execution.commit_count (Scheduler.session_exec s)
-  | None -> ());
+  let snapshots, restores = Scheduler.session_counters session in
+  let exec = Scheduler.session_exec session in
+  let rf_queries, rf_rejected = C11.Execution.rf_counters exec in
   {
     stats =
       {
@@ -337,12 +304,12 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
         minor_words = Gc.minor_words () -. g0;
         snapshots;
         restores;
-        commits = !commits;
+        commits = C11.Execution.commit_count exec;
         fiber_switches = !switches;
         inline_ops = !inlined;
-        rf_queries = !rf_q;
+        rf_queries;
         rf_fast = 0;
-        rf_rejected = !rf_r;
+        rf_rejected;
         check = check ();
       };
     bugs = List.rev !bugs;
@@ -351,5 +318,5 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     closed = Hashtbl.fold (fun k () acc -> k :: acc) visited [];
   }
 
-let explore ?config ?on_feasible ?check ?warm main =
-  explore_subtree ?config ?on_feasible ?check ?warm ~trace:(Vec.create ()) ~frozen:0 main
+let explore ?config ?on_feasible ?check ?stop ?warm main =
+  explore_subtree ?config ?on_feasible ?check ?stop ?warm ~trace:(Vec.create ()) ~frozen:0 main

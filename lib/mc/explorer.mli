@@ -1,8 +1,11 @@
-(** Exhaustive stateless exploration: depth-first search over the choice
-    tree (scheduling choices × reads-from choices), replaying the program
-    from scratch for each execution, as CDSChecker does — augmented with
-    execution-graph equivalence pruning, so each *behaviour* is visited
-    once rather than each *interleaving*. *)
+(** Exhaustive exploration: depth-first search over the choice tree
+    (scheduling choices × reads-from choices), as CDSChecker does, run in
+    one {!Scheduler.session} that rewinds its arena-backed graph by
+    snapshot restore on each backtrack instead of re-running the program
+    prefix — augmented with execution-graph equivalence pruning, so each
+    *behaviour* is visited once rather than each *interleaving*. The
+    fresh-run-per-execution DFS the tests compare this engine with is
+    [Oracle.Explorer] in [test/oracle]. *)
 
 type config = {
   scheduler : Scheduler.config;
@@ -17,14 +20,9 @@ type config = {
           checker verdicts are unchanged; [explored]-style counters
           shrink (that is the point). [--no-prune] in [cdsspec_run] maps
           to [false]. *)
-  engine : [ `Arena | `Legacy ];
-      (** [`Arena] (default): one persistent {!Scheduler.session} whose
-          arena-backed graph is rewound by snapshot restore on each
-          backtrack instead of re-running the program prefix. [`Legacy]:
-          a fresh {!Scheduler.run} per execution, rebuilding from action
-          zero — the differential oracle the tests compare against.
-          Both produce bit-identical verdicts, graph sets, bug lists and
-          traces. *)
+  engine : [ `Arena ];
+      (** one value, read by nothing: kept only because the benchmark
+          passes it on *)
 }
 
 val default_config : config
@@ -81,8 +79,8 @@ type stats = {
       (** minor-heap words allocated by this domain during the search
           ([Gc.minor_words] delta, exact to the word); divide by
           [explored] for the allocation per execution *)
-  snapshots : int;  (** arena snapshots captured; 0 under [`Legacy] *)
-  restores : int;  (** arena snapshot restores; 0 under [`Legacy] *)
+  snapshots : int;  (** arena snapshots captured *)
+  restores : int;  (** arena snapshot restores *)
   commits : int;
       (** actions committed through the {!C11.Execution} commit path
           during the search, including re-commits after a restore
@@ -163,6 +161,11 @@ val backtrack :
     of the search and its snapshot lands in [stats.check] — the checking
     hook's counter export.
 
+    [stop] is polled once after every run (after it is counted);
+    returning [true] ends the search, marked [truncated] as the
+    [max_executions] cap does. {!Parallel.explore} takes the same
+    [stop] at any [jobs].
+
     [warm], when given, is a read-only set of decision-point states
     proven fully explored by an earlier run of the *identical*
     program/config (a prior run's [result.closed], persisted by the
@@ -178,16 +181,18 @@ val explore :
   ?config:config ->
   ?on_feasible:(C11.Execution.t -> Scheduler.annot list -> Bug.t list) ->
   ?check:(unit -> check_counters) ->
+  ?stop:(unit -> bool) ->
   ?warm:(Scheduler.prune_key, unit) Hashtbl.t ->
   (unit -> unit) ->
   result
 
-(** [explore_subtree ~trace ~frozen main] is the DFS engine underlying
-    {!explore}, seeded with an explicit decision [trace] whose first
-    [frozen] decisions are pinned: only the subtree below that prefix is
-    enumerated. [stop] is polled once per completed run (after it is
-    counted); returning [true] truncates the search — the parallel
-    explorer uses it to enforce a global execution cap across domains.
+(** [explore_subtree ~trace ~frozen main] is {!Parallel}'s work-item
+    driver: the DFS underlying {!explore}, seeded with an explicit
+    decision [trace] whose first [frozen] decisions are pinned, so only
+    the subtree below that prefix is enumerated. Callers outside [Mc]
+    explore through {!Parallel.explore} (or {!explore}). [stop] is as in
+    {!explore}; the parallel explorer also enforces its global execution
+    cap through it.
 
     [want_split]/[on_split] are the work-stealing donation hooks: after
     every successful backtrack, if [want_split ()] holds (the pool has

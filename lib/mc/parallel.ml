@@ -75,19 +75,19 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
     closed = Hashtbl.fold (fun k () acc -> k :: acc) closed [];
   }
 
-(* Global execution cap across domains: each worker polls [stop] after
-   every counted run; the shared counter trips [halted] exactly once. *)
-let make_stop ~halted = function
-  | None -> None
-  | Some m ->
-    let counter = Atomic.make 0 in
-    Some
-      (fun () ->
-        if Atomic.fetch_and_add counter 1 + 1 >= m then begin
-          Atomic.set halted true;
-          true
-        end
-        else Atomic.get halted)
+(* What every worker polls after each counted run: the global execution
+   cap (a shared counter) and the caller's [stop]. Either one sets
+   [halted], which ends every other worker's search at its next poll. *)
+let make_stop ~halted ~cap ~stop =
+  let counter = Atomic.make 0 in
+  fun () ->
+    let capped = match cap with Some m -> Atomic.fetch_and_add counter 1 + 1 >= m | None -> false in
+    let stopped = match stop with Some f -> f () | None -> false in
+    if capped || stopped then begin
+      Atomic.set halted true;
+      true
+    end
+    else Atomic.get halted
 
 (* ------------------------------------------------------------------ *)
 (* Work stealing                                                       *)
@@ -104,7 +104,7 @@ let make_stop ~halted = function
    key reproduces the serial explorer's bug order exactly. *)
 type work_item = { key : int list; prefix : Scheduler.decision array; frozen : int }
 
-let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
+let explore_steal ~config ?on_feasible ?check ?stop ?warm ~jobs main =
   let t0 = Monotonic.now () in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
@@ -116,7 +116,7 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
      [want_split] must be cheap enough to poll after every backtrack. *)
   let waiting = Atomic.make 0 in
   let halted = Atomic.make false in
-  let stop = make_stop ~halted config.Explorer.max_executions in
+  let stop = make_stop ~halted ~cap:config.Explorer.max_executions ~stop in
   let subtree_config = { config with Explorer.max_executions = None } in
   Queue.push { key = []; prefix = [||]; frozen = 0 } queue;
   let want_split () = Atomic.get waiting > 0 && not (Atomic.get halted) in
@@ -177,7 +177,7 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
           let trace = Vec.create () in
           Array.iter (fun d -> Vec.push trace (Explorer.copy_decision d)) item.prefix;
           let r =
-            Explorer.explore_subtree ~config:subtree_config ?on_feasible ?stop ?warm ~want_split
+            Explorer.explore_subtree ~config:subtree_config ?on_feasible ~stop ?warm ~want_split
               ~on_split:give ~trace ~frozen:item.frozen main
           in
           finish item.key (Some r)
@@ -195,9 +195,9 @@ let explore_steal ~config ?on_feasible ?check ?warm ~jobs main =
   in
   merge ~t0 ~stopped:(Atomic.get halted) ~check:final_check ordered
 
-let explore ?(config = Explorer.default_config) ?on_feasible ?check ?warm ?(jobs = 1) main =
-  if jobs <= 1 then Explorer.explore ~config ?on_feasible ?check ?warm main
-  else explore_steal ~config ?on_feasible ?check ?warm ~jobs main
+let explore ?(config = Explorer.default_config) ?on_feasible ?check ?stop ?warm ?(jobs = 1) main =
+  if jobs <= 1 then Explorer.explore ~config ?on_feasible ?check ?stop ?warm main
+  else explore_steal ~config ?on_feasible ?check ?stop ?warm ~jobs main
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                       *)

@@ -26,6 +26,12 @@
 (** [explore ?jobs main] explores like {!Explorer.explore}. [jobs <= 1]
     (the default) is exactly the serial explorer.
 
+    [stop] holds at every [jobs]: each worker polls it, from its own
+    domain, after every run. Once it returns [true] the pool halts, and
+    the merged result is marked [truncated] as by the [max_executions]
+    cap. A stop that turns true at its [n]th poll leaves at most
+    [n + jobs - 1] runs.
+
     [check] is snapshotted exactly once, after every domain has joined,
     and lands in the merged [stats.check]: the checking hook's counters
     are shared across domains (the cdsspec check cache is domain-safe),
@@ -41,6 +47,7 @@ val explore :
   ?config:Explorer.config ->
   ?on_feasible:(C11.Execution.t -> Scheduler.annot list -> Bug.t list) ->
   ?check:(unit -> Explorer.check_counters) ->
+  ?stop:(unit -> bool) ->
   ?warm:(Scheduler.prune_key, unit) Hashtbl.t ->
   ?jobs:int ->
   (unit -> unit) ->

@@ -838,7 +838,7 @@ type session = {
    append to), and re-executing some closures' effects but not others
    tears that state in ways a fresh run never would. A full replay
    re-executes every effect in a spawn-tree-compatible order, exactly
-   like the fresh run the legacy engine does — just without performing
+   like a fresh {!run} does — just without performing
    a single scheduling effect or graph commit. Threads the snapshot has
    as not-yet-started only need their closure re-registered, which
    their parent's replayed Spawn does; a spawned child always has a

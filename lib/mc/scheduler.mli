@@ -126,8 +126,8 @@ type run_result = {
     already fully explored an identical state, so the subtree can only
     repeat known graphs). When it returns [false] the key is recorded in
     the decision's [state] field so the caller can close it on
-    backtrack. Only the DFS explorer passes this; it is meaningless
-    under [pick]. *)
+    backtrack. Sessions take the same hook; it is meaningless under
+    [pick]. *)
 val run :
   ?pick:(decision -> int) ->
   ?prune:(prune_key -> bool) ->

@@ -11,9 +11,13 @@ type t = {
   pending : Buffer.t;
 }
 
+(* A failed connect closes its socket: the GC never closes an fd. *)
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
+  (try Unix.connect fd (Unix.ADDR_UNIX path)
+   with e ->
+     Unix.close fd;
+     raise e);
   { fd; chunk = Bytes.create 65536; start = 0; stop = 0; pending = Buffer.create 256 }
 
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()

@@ -13,6 +13,8 @@
 
 type t
 
+(** Raises [Unix.Unix_error], with the socket it opened closed, when the
+    connect fails. *)
 val connect : string -> t
 
 val close : t -> unit

@@ -61,19 +61,31 @@ let send_error conn ?job ?(suggestions = []) message =
 (* ------------------------------------------------------------------ *)
 (* Request parsing *)
 
-let str_field j name = Option.bind (J.member name j) J.to_str
+let ( let* ) = Result.bind
 
-let int_field j name = Option.bind (J.member name j) J.to_int
+(* A request field: [Ok None] when absent (the caller's default), an
+   [Error] naming the field and the type it needs when present with
+   another type — never a silent default. *)
+let field conv ty j name =
+  match Option.map conv (J.member name j) with
+  | None -> Ok None
+  | Some (Some x) -> Ok (Some x)
+  | Some None -> Error (Printf.sprintf "%s must be %s" name ty)
+
+let str_field = field J.to_str "a string"
+let int_field = field J.to_int "an integer"
+let bool_field = field (function J.Bool b -> Some b | _ -> None) "a boolean"
 
 (* A job's [max_executions] cap must be at least 1: a smaller one would
    explore one run and report it truncated. *)
-let cap_error j =
+let cap_field j =
   match int_field j "max_executions" with
-  | Some n when n < 1 -> Some (Printf.sprintf "max_executions must be at least 1 (got %d)" n)
-  | _ -> None
+  | Ok (Some n) when n < 1 -> Error (Printf.sprintf "max_executions must be at least 1 (got %d)" n)
+  | r -> r
 
-let bool_field j name =
-  match J.member name j with Some (J.Bool b) -> Some b | _ -> None
+(* The [bench] field every job op needs. *)
+let bench_field ~op j =
+  Result.bind (str_field j "bench") (Option.to_result ~none:(op ^ ": missing \"bench\""))
 
 (* overrides: [["site","order"], ...] *)
 let overrides_field j =
@@ -133,64 +145,64 @@ let result_json ~job ~(t : B.test) ~store_disposition (r : Mc.Explorer.result) =
 (* Jobs *)
 
 let run_check server conn ~job req =
-  match str_field req "bench" with
-  | None -> send_error conn ~job "check: missing \"bench\""
-  | Some name -> (
+  match
+    let* name = bench_field ~op:"check" req in
+    let* test = str_field req "test" in
+    let* max_execs = cap_field req in
+    let* prune = bool_field req "prune" in
+    let* overrides = overrides_field req in
+    Ok (name, test, max_execs, Option.value prune ~default:true, overrides)
+  with
+  | Error m -> send_error conn ~job m
+  | Ok (name, test, max_execs, prune, overrides) -> (
     match find_bench_or_report conn ~job name with
     | None -> ()
     | Some b -> (
-      match overrides_field req with
-      | Error m -> send_error conn ~job m
-      | Ok overrides -> (
-        match Ords.with_overrides b.sites overrides with
-        | exception Invalid_argument m -> send_error conn ~job m
-        | sites -> (
-          let ords = Ords.default sites in
-          match tests_of b (str_field req "test") with
-          | [] -> send_error conn ~job "no matching test"
-          | tests ->
-            let max_execs = int_field req "max_executions" in
-            let prune = Option.value (bool_field req "prune") ~default:true in
-            let any_bug = ref false in
-            let aborted = ref false in
-            List.iter
-              (fun (t : B.test) ->
-                if conn.alive && not !aborted then begin
-                  let r, disposition =
-                    Store.explore_checked ?store:server.store
-                      ~stop:(fun () -> not conn.alive)
-                      ~progress:(fun n ->
-                        send conn
-                          (event "progress"
-                             [ ("job", J.Int job); ("test", J.Str t.test_name); ("explored", J.Int n) ]))
-                      ~checker:Cdsspec.Checker.default_config ~use_cache:true ~max_execs
-                      ~jobs:1 ~prune ~engine:`Arena b ~ords t
-                  in
-                  if not conn.alive then aborted := true
-                  else begin
-                    if r.bugs <> [] then any_bug := true;
-                    send conn (result_json ~job ~t ~store_disposition:disposition r)
-                  end
-                end)
-              tests;
-            if not !aborted then
-              send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool (not !any_bug)) ])))))
+      match Ords.with_overrides b.sites overrides with
+      | exception Invalid_argument m -> send_error conn ~job m
+      | sites -> (
+        let ords = Ords.default sites in
+        match tests_of b test with
+        | [] -> send_error conn ~job "no matching test"
+        | tests ->
+          let any_bug = ref false in
+          let aborted = ref false in
+          List.iter
+            (fun (t : B.test) ->
+              if conn.alive && not !aborted then begin
+                let r, disposition =
+                  Store.explore_checked ?store:server.store
+                    ~stop:(fun () -> not conn.alive)
+                    ~progress:(fun n ->
+                      send conn
+                        (event "progress"
+                           [ ("job", J.Int job); ("test", J.Str t.test_name); ("explored", J.Int n) ]))
+                    ~checker:Cdsspec.Checker.default_config ~max_execs ~jobs:1 ~prune b ~ords t
+                in
+                if not conn.alive then aborted := true
+                else begin
+                  if r.bugs <> [] then any_bug := true;
+                  send conn (result_json ~job ~t ~store_disposition:disposition r)
+                end
+              end)
+            tests;
+          if not !aborted then
+            send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool (not !any_bug)) ]))))
 
 let severity_json s = J.Str (Analyze.Lint.severity_to_string s)
 
 let run_lint _server conn ~job req =
-  match str_field req "bench" with
-  | None -> send_error conn ~job "lint: missing \"bench\""
-  | Some name -> (
+  match
+    let* name = bench_field ~op:"lint" req in
+    let* max_execs = cap_field req in
+    Ok (name, max_execs)
+  with
+  | Error m -> send_error conn ~job m
+  | Ok (name, max_executions) -> (
     match find_bench_or_report conn ~job name with
     | None -> ()
     | Some b ->
-      let config =
-        {
-          Analyze.Access_summary.default_config with
-          max_executions = int_field req "max_executions";
-        }
-      in
+      let config = { Analyze.Access_summary.default_config with max_executions } in
       let summary = Analyze.Access_summary.collect ~config b in
       let findings = Analyze.Lint.lint summary in
       let ok = Analyze.Lint.max_severity findings <> Some Analyze.Lint.Error in
@@ -215,17 +227,21 @@ let run_lint _server conn ~job req =
       send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool ok) ]))
 
 let run_fuzz _server conn ~job req =
-  match str_field req "bench" with
-  | None -> send_error conn ~job "fuzz: missing \"bench\""
-  | Some name -> (
+  match
+    let* name = bench_field ~op:"fuzz" req in
+    let* test = str_field req "test" in
+    let* seed = int_field req "seed" in
+    let* max_execs = cap_field req in
+    Ok (name, test, Option.value seed ~default:0, Option.value max_execs ~default:10_000)
+  with
+  | Error m -> send_error conn ~job m
+  | Ok (name, test, seed, max_execs) -> (
     match find_bench_or_report conn ~job name with
     | None -> ()
     | Some b -> (
-      match tests_of b (str_field req "test") with
+      match tests_of b test with
       | [] -> send_error conn ~job "no matching test"
       | tests ->
-        let seed = Option.value (int_field req "seed") ~default:0 in
-        let max_execs = Option.value (int_field req "max_executions") ~default:10_000 in
         let ords = Ords.default b.sites in
         let any_bug = ref false in
         let aborted = ref false in
@@ -285,7 +301,7 @@ let submit_job server conn ~op run req =
   send conn
     (event "accepted"
        ([ ("job", J.Int job); ("op", J.Str op) ]
-       @ match str_field req "bench" with Some b -> [ ("bench", J.Str b) ] | None -> []));
+       @ match str_field req "bench" with Ok (Some b) -> [ ("bench", J.Str b) ] | _ -> []));
   Mc.Parallel.pool_submit server.pool (fun () ->
       Fun.protect
         ~finally:(fun () ->
@@ -296,18 +312,14 @@ let submit_job server conn ~op run req =
           (* A job that raises (say, its store directory vanished) still
              ends with a structured event: the pool would only log the
              exception, leaving the client waiting for a [done]. *)
-          try
-            match cap_error req with
-            | Some m -> send_error conn ~job m
-            | None -> run server conn ~job req
-          with e -> send_error conn ~job (Printf.sprintf "%s failed: %s" op (Printexc.to_string e))))
+          try run server conn ~job req with e -> send_error conn ~job (Printf.sprintf "%s failed: %s" op (Printexc.to_string e))))
 
 let handle_request server conn line =
   match J.of_string line with
   | Error m -> send_error conn (Printf.sprintf "bad request: %s" m)
   | Ok req -> (
     match str_field req "op" with
-    | Some "ping" ->
+    | Ok (Some "ping") ->
       send conn
         (event "pong"
            [
@@ -315,15 +327,16 @@ let handle_request server conn line =
              ("jobs", J.Int (Mc.Parallel.pool_size server.pool));
              ("store", match server.store with Some s -> J.Str (Store.dir s) | None -> J.Null);
            ])
-    | Some "list" -> send conn (event "benchmarks" [ ("benchmarks", benchmarks_json ()) ])
-    | Some "shutdown" ->
+    | Ok (Some "list") -> send conn (event "benchmarks" [ ("benchmarks", benchmarks_json ()) ])
+    | Ok (Some "shutdown") ->
       send conn (event "bye" []);
       server.shutdown <- true
-    | Some "check" -> submit_job server conn ~op:"check" run_check req
-    | Some "lint" -> submit_job server conn ~op:"lint" run_lint req
-    | Some "fuzz" -> submit_job server conn ~op:"fuzz" run_fuzz req
-    | Some op -> send_error conn (Printf.sprintf "unknown op %S" op)
-    | None -> send_error conn "missing \"op\"")
+    | Ok (Some "check") -> submit_job server conn ~op:"check" run_check req
+    | Ok (Some "lint") -> submit_job server conn ~op:"lint" run_lint req
+    | Ok (Some "fuzz") -> submit_job server conn ~op:"fuzz" run_fuzz req
+    | Ok (Some op) -> send_error conn (Printf.sprintf "unknown op %S" op)
+    | Ok None -> send_error conn "missing \"op\""
+    | Error m -> send_error conn m)
 
 (* ------------------------------------------------------------------ *)
 (* Main loop *)

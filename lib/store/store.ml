@@ -95,12 +95,13 @@ type key = { descr : string; fp : string }
 
 let fingerprint k = k.fp
 
-(* [kind] and [max_execs] are accepted and ignored: there is one entry
-   kind, and entries are cap-agnostic — the cap lives in the entry's
-   [partial] field, so runs under different caps share one key and a
+(* [kind], [engine], [max_execs] and [use_cache] are accepted and
+   ignored: there is one entry kind, one engine and one cache mode, and
+   entries are cap-agnostic — the cap lives in the entry's [partial]
+   field, so runs under different caps share one key and a
    clean-but-capped run can warm a later, smaller-capped one. *)
-let job_key ~kind:`Check ~bench ~test ~ords ~sched ~prune ~engine ~max_execs:_
-    ~checker ~use_cache =
+let job_key ~kind:`Check ~bench ~test ~ords ~sched ~prune ~engine:_ ~max_execs:_ ~checker
+    ~use_cache:_ =
   let buf = Buffer.create 256 in
   let add s =
     Buffer.add_string buf s;
@@ -117,15 +118,11 @@ let job_key ~kind:`Check ~bench ~test ~ords ~sched ~prune ~engine ~max_execs:_
   add (string_of_int sched.Mc.Scheduler.max_actions);
   add (string_of_bool sched.Mc.Scheduler.sleep_sets);
   add (string_of_bool prune);
-  add (match engine with `Arena -> "arena" | `Legacy -> "legacy");
-  add (string_of_int checker.Cdsspec.Checker.max_histories);
   add
     (match checker.Cdsspec.Checker.sample_histories with
     | None -> "none"
     | Some (count, seed) -> Printf.sprintf "%d:%d" count seed);
-  add (string_of_int checker.Cdsspec.Checker.max_prefixes);
   add (string_of_bool checker.Cdsspec.Checker.strict_histories);
-  add (string_of_bool use_cache);
   let descr = Buffer.contents buf in
   { descr; fp = hex64 (fnv64 descr) }
 
@@ -439,14 +436,14 @@ let rec sorted_subset a b =
     let c = Int64.compare x y in
     if c = 0 then sorted_subset a' b' else if c > 0 then sorted_subset a b' else false
 
-let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs ~prune ~engine
-    (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache ~memoize:use_cache () in
+let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_execs ~jobs
+    ~prune (b : B.t) ~ords (t : B.test) =
+  let cache = Cdsspec.Checker.create_cache () in
   let key =
     Option.map
       (fun _ ->
         job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
-          ~sched:b.scheduler ~prune ~engine ~max_execs ~checker ~use_cache)
+          ~sched:b.scheduler ~prune ~engine:`Arena ~max_execs ~checker ~use_cache:true)
       store
   in
   let stored =
@@ -474,25 +471,13 @@ let explore_checked ?store ?stop ?progress ~checker ~use_cache ~max_execs ~jobs 
   let verdicts_in = (Cdsspec.Checker.cache_counters cache).cache_entries in
   let warm = match stored with Some rs when prune -> Some rs.warm | _ -> None in
   let config =
-    {
-      Mc.Explorer.scheduler = b.scheduler;
-      max_executions = max_execs;
-      progress;
-      prune;
-      engine;
-    }
+    { Mc.Explorer.default_config with scheduler = b.scheduler; max_executions = max_execs; progress;
+      prune }
   in
   let on_feasible = Cdsspec.Checker.hook ~config:checker ~cache b.spec in
   let check () = Cdsspec.Checker.cache_counters cache in
   let program = t.program ords in
-  let r =
-    match stop with
-    | Some stop ->
-      (* Cancellable path (the serve daemon): serial, polled per run. *)
-      Mc.Explorer.explore_subtree ~config ~on_feasible ~check ~stop ?warm
-        ~trace:(C11.Vec.create ()) ~frozen:0 program
-    | None -> Mc.Parallel.explore ~config ~on_feasible ~check ?warm ~jobs program
-  in
+  let r = Mc.Parallel.explore ~config ~on_feasible ~check ?stop ?warm ~jobs program in
   (* A warm run only re-discovers graphs reachable without entering a
      closed subtree; the stored set is the rest. The union equals the
      cold run's graph set exactly. When the run found nothing the entry

@@ -8,7 +8,7 @@
     by its execution cap, that cap. Entries are keyed by a canonical
     fingerprint of everything the result is a function of: the program
     identity (benchmark + test name), the full per-site memory-order
-    table, the scheduler bounds, the explorer and checker configs.
+    table, the scheduler bounds, the prune flag and the checker config.
 
     Soundness rests on two rules, both coarse by design:
 
@@ -60,9 +60,13 @@ val stats : t -> stats
 type key
 
 (** The key of one [check] job. It describes the bench, test, ords
-    table, scheduler bounds, [prune], [engine], the checker config and
-    [use_cache]. [kind] and [max_execs] are not part of it: there is one
-    entry kind, and a run's cap lives in the entry's [partial] field. *)
+    table, scheduler bounds ([loop_bound], [max_actions],
+    [sleep_sets]), [prune], and the checker config ([sample_histories]
+    and [strict_histories]). [kind] and [max_execs] are not part of it:
+    there is one entry kind, and a run's cap lives in the entry's
+    [partial] field. [engine] and [use_cache] are ignored too (there is
+    one engine and one cache mode); they are kept, as [kind] and
+    [max_execs] are, only because the benchmark passes them. *)
 val job_key :
   kind:[ `Check ] ->
   bench:string ->
@@ -70,7 +74,7 @@ val job_key :
   ords:(string * C11.Memory_order.t) list ->
   sched:Mc.Scheduler.config ->
   prune:bool ->
-  engine:[ `Arena | `Legacy ] ->
+  engine:[ `Arena ] ->
   max_execs:int option ->
   checker:Cdsspec.Checker.config ->
   use_cache:bool ->
@@ -142,8 +146,10 @@ val resident_bytes : t -> int
     nothing: the result carries the stored graph and closed-key lists
     as they are, and the entry file is left untouched.
 
-    [stop] forces a serial exploration polled per run (the serve daemon
-    cancels abandoned jobs this way); [jobs] is used otherwise.
+    The exploration is one {!Mc.Parallel.explore} call over [jobs]
+    domains. [stop] is polled after every run at any [jobs] (the serve
+    daemon cancels abandoned jobs this way). [engine] and [use_cache]
+    are ignored: they are kept only because the benchmark passes them.
 
     Check keys are cap-agnostic ([max_execs] is not part of the key):
     clean-but-capped runs save partial entries scoped by their cap, a
@@ -156,12 +162,12 @@ val explore_checked :
   ?store:t ->
   ?stop:(unit -> bool) ->
   ?progress:(int -> unit) ->
+  ?engine:[ `Arena ] ->
+  ?use_cache:bool ->
   checker:Cdsspec.Checker.config ->
-  use_cache:bool ->
   max_execs:int option ->
   jobs:int ->
   prune:bool ->
-  engine:[ `Arena | `Legacy ] ->
   Structures.Benchmark.t ->
   ords:Structures.Ords.t ->
   Structures.Benchmark.test ->

@@ -97,7 +97,7 @@ let check_object (type st) ~(config : Ck.config) (spec : st Spec.t) relation cal
         match config.sample_histories with
         | Some (count, seed) ->
           (C11.Relation.sample_linear_extensions ~count ~seed ~nodes relation, false)
-        | None -> Linear_extensions.enumerate ~max:config.max_histories ~nodes relation
+        | None -> Linear_extensions.enumerate ~max:Ck.max_histories ~nodes relation
       in
       let failure =
         List.find_map
@@ -129,7 +129,7 @@ let check_object (type st) ~(config : Ck.config) (spec : st Spec.t) relation cal
               if not (Spec.needs_justification (Spec.method_spec spec m.name)) then None
               else begin
                 let subhistories, truncated =
-                  justifying_subhistories ~max:config.max_prefixes relation calls m
+                  justifying_subhistories ~max:Ck.max_prefixes relation calls m
                 in
                 if truncated then p_trunc := true;
                 if List.exists (replay_justifying spec info_of) subhistories then None
@@ -151,12 +151,12 @@ let check_object (type st) ~(config : Ck.config) (spec : st Spec.t) relation cal
             (str
                "sequential-history enumeration hit the max_histories cap (%d): unchecked \
                 histories remain"
-               config.max_histories)
+               Ck.max_histories)
         @ truncated !p_trunc
             (str
                "justifying-subhistory enumeration hit the max_prefixes cap (%d): unchecked \
                 subhistories remain"
-               config.max_prefixes))
+               Ck.max_prefixes))
 
 (* Each object instance is checked on its own, its calls renumbered
    densely (paper section 3.2). *)

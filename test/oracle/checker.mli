@@ -6,7 +6,9 @@
     that needs one and replays those. Verdicts and messages must be
     byte-identical to {!Cdsspec.Checker.check_execution}'s under the
     same config; the differential tests hold the merging walk and the
-    check cache to that. It keeps no cache. *)
+    check cache to that. It keeps no cache, and enumerates under the
+    checker's caps, {!Cdsspec.Checker.max_histories} and
+    {!Cdsspec.Checker.max_prefixes}. *)
 
 (** [justifying_subhistories ?max r calls m] lists the justifying
     subhistories of [m] (Def. 3): the linearizations of ⊑r's strict

@@ -1,11 +1,12 @@
 (* Differential oracle for the arena engine: the copy-free
    snapshot/restore scheduler sessions must be observably identical to
-   the legacy fresh-run-per-execution engine — same stats, same graph
-   sets, same bug lists, same first buggy traces — over every registry
-   structure, serially and under work-stealing parallelism, with and
-   without equivalence pruning, with and without the specification
-   checker. A seeded fuzz campaign is checked against both engines.
-   Plus direct unit tests of the arena watermark snapshot/restore
+   the fresh-run-per-execution reference [Oracle.Explorer] — same stats,
+   same graph sets, same bug lists, same first buggy traces — over every
+   registry structure, with and without equivalence pruning, with and
+   without the specification checker. Under work-stealing parallelism
+   the engine is held to the serial reference, as [Parallel]'s
+   determinism contract says. A seeded fuzz campaign is checked against
+   both. Plus direct unit tests of the arena watermark snapshot/restore
    machinery. *)
 
 module E = Mc.Explorer
@@ -37,17 +38,20 @@ let stats_key (s : E.stats) =
     (if s.truncated then 1 else 0);
   ]
 
-(* [checked] runs the specification checker on every feasible
+(* [`Arena jobs] is the engine under test, through [Parallel.explore];
+   [`Reference] is [Oracle.Explorer]'s fresh-run DFS, always serial.
+   [checked] runs the specification checker on every feasible
    execution, as the CLI does. *)
-let run_bench ?loop_bound ?(checked = false) ~engine ~prune ~jobs ~cap (b : B.t) (t : B.test) =
+let run_bench ?loop_bound ?(checked = false) ~engine ~prune ~cap (b : B.t) (t : B.test) =
   let scheduler =
     match loop_bound with None -> b.scheduler | Some loop_bound -> { b.scheduler with S.loop_bound }
   in
   let on_feasible = if checked then Some (Cdsspec.Checker.hook b.spec) else None in
-  E.(
-    Mc.Parallel.explore ~jobs ?on_feasible
-      ~config:{ default_config with scheduler; engine; prune; max_executions = cap }
-      (t.program (Structures.Ords.default b.sites)))
+  let config = { E.default_config with scheduler; prune; max_executions = cap } in
+  let program = t.program (Structures.Ords.default b.sites) in
+  match engine with
+  | `Arena jobs -> Mc.Parallel.explore ~jobs ?on_feasible ~config program
+  | `Reference -> Oracle.Explorer.explore ?on_feasible ~config program
 
 let check_identical name (a : E.result) (l : E.result) =
   Alcotest.(check (list int)) (name ^ ": stats") (stats_key l.stats) (stats_key a.stats);
@@ -61,8 +65,9 @@ let check_identical name (a : E.result) (l : E.result) =
     (Option.map render l.first_buggy_exec)
     (Option.map render a.first_buggy_exec)
 
-(* What work-stealing runs must agree on: with pruning the
-   explored/pruned counters legitimately vary with donation timing. *)
+(* What a pruned work-stealing run must agree on with the serial
+   reference: the explored/pruned counters legitimately vary with
+   donation timing. *)
 let check_same_outputs name (a : E.result) (l : E.result) =
   Alcotest.(check bool) (name ^ ": graph set") true (a.graphs = l.graphs);
   Alcotest.(check (list string))
@@ -85,27 +90,28 @@ let test_serial_differential () =
           List.iter
             (fun prune ->
               let name = Printf.sprintf "%s/%s prune=%b" b.name t.test_name prune in
-              let a = run_bench ~engine:`Arena ~prune ~jobs:1 ~cap:(Some 10_000) b t in
-              let l = run_bench ~engine:`Legacy ~prune ~jobs:1 ~cap:(Some 10_000) b t in
+              let a = run_bench ~engine:(`Arena 1) ~prune ~cap:(Some 10_000) b t in
+              let l = run_bench ~engine:`Reference ~prune ~cap:(Some 10_000) b t in
               check_identical name a l)
             [ true; false ])
         b.tests)
     Structures.Registry.exhaustive
 
-(* Work-stealing parallelism: uncapped (a shared execution budget
-   truncates at a scheduling-dependent point), so only each structure's
-   first unit test — small enough to exhaust — is swept. With pruning
-   only the order-independent outputs are compared. *)
+(* Work-stealing parallelism against the serial reference: uncapped (a
+   shared execution budget truncates at a scheduling-dependent point),
+   so only each structure's first unit test — small enough to exhaust —
+   is swept. With pruning off the stats are identical; with pruning on
+   only the split-independent outputs are compared. *)
 let test_parallel_differential () =
   List.iter
     (fun name ->
       let b = find name in
       let t = List.hd b.tests in
-      let a = run_bench ~engine:`Arena ~prune:false ~jobs:2 ~cap:None b t in
-      let l = run_bench ~engine:`Legacy ~prune:false ~jobs:2 ~cap:None b t in
+      let a = run_bench ~engine:(`Arena 2) ~prune:false ~cap:None b t in
+      let l = run_bench ~engine:`Reference ~prune:false ~cap:None b t in
       check_identical (name ^ "/" ^ t.test_name ^ " -j2") a l;
-      let a = run_bench ~engine:`Arena ~prune:true ~jobs:2 ~cap:None b t in
-      let l = run_bench ~engine:`Legacy ~prune:true ~jobs:2 ~cap:None b t in
+      let a = run_bench ~engine:(`Arena 2) ~prune:true ~cap:None b t in
+      let l = run_bench ~engine:`Reference ~prune:true ~cap:None b t in
       check_same_outputs (name ^ "/" ^ t.test_name ^ " -j2 pruned") a l)
     [ "Lazy Init"; "Seqlock"; "Treiber Stack" ]
 
@@ -118,10 +124,10 @@ let test_checked_differential () =
       let t = List.hd b.tests in
       List.iter
         (fun prune ->
-          let run engine = run_bench ~checked:true ~engine ~prune ~jobs:1 ~cap:(Some 10_000) b t in
+          let run engine = run_bench ~checked:true ~engine ~prune ~cap:(Some 10_000) b t in
           check_identical
             (Printf.sprintf "%s/%s prune=%b checked" b.name t.test_name prune)
-            (run `Arena) (run `Legacy))
+            (run (`Arena 1)) (run `Reference))
         [ true; false ])
     Structures.Registry.exhaustive
 
@@ -137,21 +143,22 @@ let test_spin_differential () =
       let b = find name in
       let t = List.find (fun (t : B.test) -> t.test_name = test_name) b.tests in
       let run engine =
-        run_bench ?loop_bound ~checked:true ~engine ~prune:false ~jobs:1 ~cap:(Some 20_000) b t
+        run_bench ?loop_bound ~checked:true ~engine ~prune:false ~cap:(Some 20_000) b t
       in
-      let a = run `Arena in
-      check_identical (Printf.sprintf "%s/%s prune=false" name test_name) a (run `Legacy);
+      let a = run (`Arena 1) in
+      check_identical (Printf.sprintf "%s/%s prune=false" name test_name) a (run `Reference);
       if loop_bound <> None then
         Alcotest.(check bool) (name ^ ": still spins to the cap") true
           (a.stats.truncated && a.stats.pruned_loop_bound > 0))
     [ ("Dekker Lock", "two-threads", Some 48); ("Chase-Lev Deque", "small", None) ]
 
-(* MCS Lock under -j2 work stealing with the checker on. *)
+(* MCS Lock under -j2 work stealing with the checker on, against the
+   serial reference. *)
 let test_checked_parallel_differential () =
   let b = find "MCS Lock" in
   let t = List.hd b.tests in
-  let run engine = run_bench ~checked:true ~engine ~prune:true ~jobs:2 ~cap:None b t in
-  check_same_outputs "MCS Lock -j2 checked" (run `Arena) (run `Legacy)
+  let run engine = run_bench ~checked:true ~engine ~prune:true ~cap:None b t in
+  check_same_outputs "MCS Lock -j2 checked" (run (`Arena 2)) (run `Reference)
 
 (* Same seed, same campaign: the fuzzer rides the same commit path as
    the engines, so a seeded campaign must be reproducible down to the
@@ -185,9 +192,9 @@ let test_fuzz_deterministic () =
 
 (* Commit paths agree: a seeded fuzz campaign runs each execution fresh
    under sampled picks, the arena engine restores a snapshot and feeds
-   its threads their logged values, and [`Legacy] runs each DFS
+   its threads their logged values, and [Oracle.Explorer] runs each DFS
    execution fresh. With sleep sets off every graph the campaign commits
-   must be one both exhaustive engines commit, and every bug it finds
+   must be one both exhaustive explorers commit, and every bug it finds
    one they find — on the seeded-buggy M&S queue, so the bug half
    cannot go vacuous. *)
 let test_fuzz_within_engines () =
@@ -202,14 +209,10 @@ let test_fuzz_within_engines () =
       ~on_feasible ~seed:1 (t.program ords)
   in
   Alcotest.(check bool) "fuzz: found a bug" true (campaign.found <> []);
+  let config = { E.default_config with scheduler; prune = false; max_executions = None } in
   List.iter
-    (fun (name, engine) ->
-      let r =
-        E.(
-          Mc.Parallel.explore ~jobs:1 ~on_feasible
-            ~config:{ default_config with scheduler; engine; prune = false; max_executions = None }
-            (t.program ords))
-      in
+    (fun (name, explore) ->
+      let r : E.result = explore ~config ~on_feasible (t.program ords) in
       Alcotest.(check bool) (name ^ ": exhaustive") false r.stats.truncated;
       Alcotest.(check bool)
         (name ^ ": holds every fuzzed graph")
@@ -221,7 +224,10 @@ let test_fuzz_within_engines () =
           let k = Mc.Bug.key f.bug in
           Alcotest.(check bool) (name ^ ": finds " ^ k) true (List.mem k keys))
         campaign.found)
-    [ ("arena", `Arena); ("legacy", `Legacy) ]
+    [
+      ("arena", fun ~config ~on_feasible p -> E.explore ~config ~on_feasible p);
+      ("reference", fun ~config ~on_feasible p -> Oracle.Explorer.explore ~config ~on_feasible p);
+    ]
 
 (* Direct watermark unit test: mark, commit past it, restore, and the
    arena is back — lengths and fingerprint — including across nested
@@ -292,24 +298,24 @@ let test_side_effect_replay () =
     P.join t1;
     P.join t2
   in
-  let outcomes engine =
+  let outcomes explore =
     let o = ref OS.empty in
     ignore
-      (E.explore
-         ~config:{ E.default_config with engine }
+      (explore
          ~on_feasible:(fun _ _ ->
            o := OS.add (List.concat (Array.to_list observations)) !o;
            [])
          program);
     !o
   in
-  let a = outcomes `Arena and l = outcomes `Legacy in
+  let a = outcomes (fun ~on_feasible p -> E.explore ~on_feasible p)
+  and l = outcomes (fun ~on_feasible p -> Oracle.Explorer.explore ~on_feasible p) in
   Alcotest.(check int) "single outcome" 1 (OS.cardinal a);
-  Alcotest.(check bool) "matches legacy" true (OS.equal a l)
+  Alcotest.(check bool) "matches the fresh-run reference" true (OS.equal a l)
 
 (* Session-level snapshot/restore: drive a session through a full DFS by
    hand (the explorer's backtracking contract) and check that every
-   execution matches a fresh legacy run of the same trace, that restores
+   execution matches a fresh run of the same trace, that restores
    happen, and that the arena rewinds rather than accumulates. *)
 let test_session_restore () =
   let program () =
@@ -344,16 +350,17 @@ let test_session_restore () =
   (match !lens with
   | [] -> Alcotest.fail "no executions"
   | n :: rest -> List.iter (Alcotest.(check int) "arena rewound between runs" n) rest);
-  (* same DFS with the legacy engine: same graphs in the same order *)
-  let legacy_trace = C11.Vec.create () in
-  let legacy_fps = ref [] in
+  (* same DFS with a fresh run per execution: same graphs in the same
+     order *)
+  let fresh_trace = C11.Vec.create () in
+  let fresh_fps = ref [] in
   let continue_ = ref true in
   while !continue_ do
-    let r = S.run ~config ~trace:legacy_trace program in
-    legacy_fps := C11.Execution.fingerprint r.exec :: !legacy_fps;
-    if not (E.backtrack legacy_trace) then continue_ := false
+    let r = S.run ~config ~trace:fresh_trace program in
+    fresh_fps := C11.Execution.fingerprint r.exec :: !fresh_fps;
+    if not (E.backtrack fresh_trace) then continue_ := false
   done;
-  Alcotest.(check bool) "graphs match legacy" true (!fps = !legacy_fps)
+  Alcotest.(check bool) "graphs match fresh runs" true (!fps = !fresh_fps)
 
 (* ------------------------------------------------------------------ *)
 (* Fiber stacks *)

@@ -31,11 +31,9 @@ let contains_substring s sub =
 let reference spec = Oracle.Checker.hook spec
 let checked ?cache spec = Ck.hook ?cache spec
 
-let explore ~check ?(jobs = 1) ?cap (b : B.t) ~ords (t : B.test) =
+let explore ~check ?jobs ?cap (b : B.t) ~ords (t : B.test) =
   let econfig = { E.default_config with scheduler = b.B.scheduler; max_executions = cap } in
-  let hook = check b.B.spec in
-  if jobs <= 1 then E.explore ~config:econfig ~on_feasible:hook (t.B.program ords)
-  else Mc.Parallel.explore ~config:econfig ~on_feasible:hook ~jobs (t.B.program ords)
+  Mc.Parallel.explore ~config:econfig ~on_feasible:(check b.B.spec) ?jobs (t.B.program ords)
 
 let keys (r : E.result) = List.map Mc.Bug.key r.bugs
 
@@ -206,9 +204,9 @@ let campaign ~check ?(spec = fun s -> s) ~seed (b : B.t) ~ords =
 let campaign_keys ~check ~seed b ~ords =
   List.map (fun (f : Fuzz.Engine.found) -> Mc.Bug.key f.bug) (campaign ~check ~seed b ~ords).found
 
-(* The default path (merged walk, memoizing cache), the list-then-replay
-   reference and the merged walk with memoization off must
-   report the same bugs, under the published orders, under both of
+(* The default path (merged walk, memoizing cache) and the
+   list-then-replay reference must report the same bugs, under the
+   published orders, under both of
    M&S's published weakenings (data races), and under one weakening per
    structure that only the spec catches, so that assertion messages
    (the failing history and call) are compared too. *)
@@ -225,17 +223,10 @@ let test_differential_8calls () =
                 campaign_keys ~check:(checked ~cache:(Ck.create_cache ())) ~seed b ~ords
               in
               let expected = campaign_keys ~check:reference ~seed b ~ords in
-              let unmemoized =
-                campaign_keys
-                  ~check:(checked ~cache:(Ck.create_cache ~memoize:false ()))
-                  ~seed b ~ords
-              in
               if default <> [] then found := true;
               if List.exists (fun k -> String.length k > 5 && String.sub k 0 5 = "spec:") default
               then spec_found := true;
-              Alcotest.(check (list string)) (where ^ ": default = reference") expected default;
-              Alcotest.(check (list string)) (where ^ ": memoize:false = reference") expected
-                unmemoized)
+              Alcotest.(check (list string)) (where ^ ": default = reference") expected default)
             [ 1; 2; 3 ])
         cases)
     [
@@ -467,81 +458,55 @@ let trivial_spec methods =
       accounting;
     }
 
-(* Two concurrent calls: two sequential histories. *)
-let two_concurrent () =
+(* [n] concurrent calls to [a], one per thread, then (with [then_c]) a
+   call to [c] after all of them. *)
+let concurrent_calls ?(then_c = false) n () =
   let x = P.malloc ~init:0 1 in
-  let t1 =
-    P.spawn (fun () ->
-        A.api_proc ~name:"a" ~args:[] (fun () ->
-            P.store Relaxed x 1;
-            A.op_define ()))
+  let call name v =
+    A.api_proc ~name ~args:[] (fun () ->
+        P.store Relaxed x v;
+        A.op_define ())
   in
-  let t2 =
-    P.spawn (fun () ->
-        A.api_proc ~name:"b" ~args:[] (fun () ->
-            P.store Relaxed x 2;
-            A.op_define ()))
-  in
-  P.join t1;
-  P.join t2
+  List.iter P.join (List.init n (fun i -> P.spawn (fun () -> call "a" (i + 1))));
+  if then_c then call "c" (n + 1)
 
+(* Eight concurrent calls have 8! = 40,320 sequential histories, past
+   the 5,000 of [Ck.max_histories]. *)
 let test_strict_histories () =
-  let exec, annots = one_execution two_concurrent in
-  let spec = trivial_spec [ ("a", Spec.default_method); ("b", Spec.default_method) ] in
-  let capped = { Ck.default_config with max_histories = 1 } in
+  Alcotest.(check bool) "8! exceeds the cap" true (40_320 > Ck.max_histories);
+  let exec, annots = one_execution (concurrent_calls 8) in
+  let spec = trivial_spec [ ("a", Spec.default_method) ] in
   (* default: the capped check passes silently at the verdict level... *)
   Alcotest.(check int) "non-strict: no violation" 0
-    (List.length (Ck.check_execution ~config:capped spec exec annots));
-  (* ...but the truncation is counted, even with memoization off *)
-  let cache = Ck.create_cache ~memoize:false () in
-  ignore (Ck.check_execution ~config:capped ~cache spec exec annots);
+    (List.length (Ck.check_execution spec exec annots));
+  (* ...but the truncation is counted *)
+  let cache = Ck.create_cache () in
+  ignore (Ck.check_execution ~cache spec exec annots);
   let c = Ck.cache_counters cache in
   Alcotest.(check bool) "histories_truncated counted" true (c.histories_truncated >= 1);
-  Alcotest.(check int) "memoize:false stores nothing" 0 c.cache_entries;
   (* strict mode turns the partial proof into a failure *)
   let vs =
-    Ck.check_execution ~config:{ capped with strict_histories = true } spec exec annots
+    Ck.check_execution ~config:{ Ck.default_config with strict_histories = true } spec exec annots
   in
   Alcotest.(check bool) "strict: `Truncated violation" true
     (List.exists (fun (v : Ck.violation) -> v.kind = `Truncated) vs)
 
-(* Justifying-subhistory cap: a∥b then c, where c needs justification
-   and never gets it — its down-set has two linear extensions, so
-   max_prefixes = 1 truncates, and strict mode reports it alongside the
-   unjustified-call violation. *)
+(* Justifying-subhistory cap: seven concurrent calls then c, where c
+   needs justification and never gets it — its down-set has 7! = 5,040
+   linear extensions, past the 2,000 of [Ck.max_prefixes], and strict
+   mode reports the truncation alongside the unjustified-call
+   violation. *)
 let test_strict_prefixes () =
-  let program () =
-    let x = P.malloc ~init:0 1 in
-    let t1 =
-      P.spawn (fun () ->
-          A.api_proc ~name:"a" ~args:[] (fun () ->
-              P.store Relaxed x 1;
-              A.op_define ()))
-    in
-    let t2 =
-      P.spawn (fun () ->
-          A.api_proc ~name:"b" ~args:[] (fun () ->
-              P.store Relaxed x 2;
-              A.op_define ()))
-    in
-    P.join t1;
-    P.join t2;
-    A.api_proc ~name:"c" ~args:[] (fun () ->
-        P.store Relaxed x 3;
-        A.op_define ())
-  in
-  let exec, annots = one_execution program in
+  Alcotest.(check bool) "7! exceeds the cap" true (5_040 > Ck.max_prefixes);
+  let exec, annots = one_execution (concurrent_calls ~then_c:true 7) in
   let never_justified =
     {
       Spec.default_method with
       justifying_postcondition = Some (fun _ _ ~s_ret:_ -> false);
     }
   in
-  let spec =
-    trivial_spec
-      [ ("a", Spec.default_method); ("b", Spec.default_method); ("c", never_justified) ]
-  in
-  let config = { Ck.default_config with max_prefixes = 1; strict_histories = true } in
+  let spec = trivial_spec [ ("a", Spec.default_method); ("c", never_justified) ] in
+  let config = { Ck.default_config with strict_histories = true } in
   let vs = Ck.check_execution ~config spec exec annots in
   Alcotest.(check bool) "unjustified call reported" true
     (List.exists (fun (v : Ck.violation) -> v.kind = `Unjustified) vs);
@@ -616,22 +581,15 @@ let test_fingerprint () =
     (Ck.fingerprint (chain ()) (calls ()) <> Ck.fingerprint (free ()) (calls ()))
 
 let test_cache_hits () =
-  let exec, annots = one_execution two_concurrent in
-  let spec = trivial_spec [ ("a", Spec.default_method); ("b", Spec.default_method) ] in
+  let exec, annots = one_execution (concurrent_calls 2) in
+  let spec = trivial_spec [ ("a", Spec.default_method) ] in
   let cache = Ck.create_cache () in
   ignore (Ck.check_execution ~cache spec exec annots);
   ignore (Ck.check_execution ~cache spec exec annots);
   let c = Ck.cache_counters cache in
   Alcotest.(check int) "one miss" 1 c.cache_misses;
   Alcotest.(check int) "one hit" 1 c.cache_hits;
-  Alcotest.(check int) "one entry" 1 c.cache_entries;
-  let off = Ck.create_cache ~memoize:false () in
-  ignore (Ck.check_execution ~cache:off spec exec annots);
-  ignore (Ck.check_execution ~cache:off spec exec annots);
-  let c = Ck.cache_counters off in
-  Alcotest.(check int) "memoize:false never hits" 0 c.cache_hits;
-  Alcotest.(check int) "memoize:false counts misses" 2 c.cache_misses;
-  Alcotest.(check int) "memoize:false stores nothing" 0 c.cache_entries
+  Alcotest.(check int) "one entry" 1 c.cache_entries
 
 (* ------------------------------ main ------------------------------ *)
 

@@ -247,6 +247,81 @@ let test_ordering_sc_only () =
   Alcotest.(check bool) "but sc-ordered" true (C11.Relation.has_edge r 0 1);
   Alcotest.(check bool) "not symmetric" false (C11.Relation.has_edge r 1 0)
 
+(* The checked-program half of [test_ordering_sc_only]: only the SC
+   order of two seq_cst ordering points orders the calls, and the
+   verdict depends on that order. Thread 1 stores f = 1 (relaxed), then
+   calls r, whose ordering point is a seq_cst store to b and which
+   returns 0. Thread 2 waits for f = 1 (relaxed), then calls w, whose
+   ordering point is a seq_cst store to a. w sets the state to 1 and r
+   must return the state, so the history w -> r = 0 fails r's
+   postcondition. A named gap: [Scheduler.dependent] treats seq_cst
+   accesses to different locations as independent, so with sleep sets
+   on the run where w's store comes first in SC order is never
+   completed and no bug is reported; with sleep sets off it is. Once
+   the gap closes, the first assertion fails. *)
+let test_ordering_sc_checked () =
+  let spec =
+    Spec.Packed
+      {
+        name = "sc-order";
+        initial = (fun () -> 0);
+        methods =
+          [
+            ("w", { Spec.default_method with side_effect = Some (fun _ _ -> (1, None)) });
+            ( "r",
+              {
+                Spec.default_method with
+                side_effect = Some (fun st _ -> (st, Some st));
+                postcondition = Some (fun _ (info : Spec.info) ~s_ret -> info.call.ret = s_ret);
+              } );
+          ];
+        admissibility = [];
+        accounting =
+          { spec_lines = 0; ordering_point_lines = 0; admissibility_lines = 0; api_methods = 2 };
+      }
+  in
+  let program () =
+    let f = P.malloc ~init:0 1 and a = P.malloc ~init:0 1 and b = P.malloc ~init:0 1 in
+    let t1 =
+      P.spawn (fun () ->
+          P.store Relaxed f 1;
+          ignore
+            (A.api_fun ~name:"r" ~args:[] (fun () ->
+                 P.store Seq_cst b 1;
+                 A.op_define ();
+                 0)))
+    in
+    let t2 =
+      P.spawn (fun () ->
+          ignore (P.await Relaxed f ~until:(fun v -> v = 1));
+          A.api_proc ~name:"w" ~args:[] (fun () ->
+              P.store Seq_cst a 1;
+              A.op_define ()))
+    in
+    P.join t1;
+    P.join t2
+  in
+  let bugs sleep_sets =
+    let r =
+      Mc.Explorer.explore
+        ~config:
+          {
+            Mc.Explorer.default_config with
+            scheduler = { Mc.Scheduler.default_config with sleep_sets };
+          }
+        ~on_feasible:(Cdsspec.Checker.hook spec) program
+    in
+    List.map (Fmt.str "%a" Mc.Bug.pp) r.bugs
+  in
+  Alcotest.(check (list string)) "gap: sleep sets on, no bug" [] (bugs true);
+  Alcotest.(check (list string))
+    "sleep sets off: the violation"
+    [
+      "specification violation (assertion): postcondition failed (C_RET=0, S_RET=1) in history \
+       w() [T2] -> r() = 0 [T1] for call r() = 0 [T1]";
+    ]
+    (bugs false)
+
 let test_justifying_subhistories () =
   let exec, calls =
     calls_of (fun () ->
@@ -429,6 +504,7 @@ let () =
           Alcotest.test_case "same thread" `Quick test_ordering_same_thread;
           Alcotest.test_case "concurrent" `Quick test_ordering_concurrent;
           Alcotest.test_case "sc order alone" `Quick test_ordering_sc_only;
+          Alcotest.test_case "sc order decides a verdict" `Quick test_ordering_sc_checked;
           Alcotest.test_case "justifying subhistories" `Quick test_justifying_subhistories;
         ] );
       ( "checker",

@@ -129,6 +129,27 @@ let test_truncation () =
   Alcotest.(check bool) "stopped early" true (r.stats.explored < 842);
   Alcotest.(check bool) "ran at least the cap" true (r.stats.explored >= 10)
 
+(* The caller's [stop] holds under work stealing: each worker polls it
+   after every run, and once it returns true the pool halts. A stop that
+   turns true at its [n]th poll leaves at most one more run, the one the
+   other worker may be in. *)
+let test_stop () =
+  let b = bench "Seqlock" in
+  let t = List.hd b.Structures.Benchmark.tests in
+  let n = 50 in
+  let polls = Atomic.make 0 in
+  let stop () = Atomic.fetch_and_add polls 1 + 1 >= n in
+  let r =
+    Par.explore ~jobs:2 ~stop
+      ~config:{ E.default_config with scheduler = b.scheduler; prune = false }
+      (t.program (Structures.Ords.default b.sites))
+  in
+  Alcotest.(check bool) "truncated" true r.stats.truncated;
+  Alcotest.(check bool)
+    (Printf.sprintf "explored %d, between %d and %d" r.stats.explored n (n + 1))
+    true
+    (r.stats.explored >= n && r.stats.explored <= n + 1)
+
 (* ------------------- prefix partition coverage -------------------- *)
 
 (* Store buffering with relaxed accesses: a small tree with both
@@ -232,6 +253,7 @@ let () =
           Alcotest.test_case "buggy configuration" `Quick test_buggy_determinism;
           Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
           Alcotest.test_case "truncation" `Quick test_truncation;
+          Alcotest.test_case "stop at -j2" `Quick test_stop;
         ] );
       ( "partition",
         [

@@ -30,9 +30,7 @@ let explore ~prune ~jobs (b : B.t) ~ords (t : B.test) =
       prune;
     }
   in
-  let hook = Cdsspec.Checker.hook b.B.spec in
-  if jobs <= 1 then E.explore ~config ~on_feasible:hook (t.B.program ords)
-  else Mc.Parallel.explore ~config ~on_feasible:hook ~jobs (t.B.program ords)
+  Mc.Parallel.explore ~config ~on_feasible:(Cdsspec.Checker.hook b.B.spec) ~jobs (t.B.program ords)
 
 let keys (r : E.result) = List.map Mc.Bug.key r.bugs
 

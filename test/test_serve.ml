@@ -195,8 +195,8 @@ let direct_results ?store bench ~test =
   List.map
     (fun (t : B.test) ->
       let r, _ =
-        Store.explore_checked ?store ~checker:Cdsspec.Checker.default_config ~use_cache:true
-          ~max_execs:(Some cap) ~jobs:1 ~prune:true ~engine:`Arena b ~ords t
+        Store.explore_checked ?store ~checker:Cdsspec.Checker.default_config
+          ~max_execs:(Some cap) ~jobs:1 ~prune:true b ~ords t
       in
       (t.B.test_name, List.map Mc.Bug.key r.Mc.Explorer.bugs, r.Mc.Explorer.stats.explored,
        r.Mc.Explorer.stats.distinct_graphs))
@@ -299,6 +299,67 @@ let test_bad_cap () =
                   (Printf.sprintf "%s max_executions=%d: expected one error event, got %d events"
                      op n (List.length evs)))
             [ ("check", 0); ("check", -5); ("lint", 0) ]))
+
+(* A field of the wrong type is an error naming the field and the type
+   it needs, never a silent default: for each op that reads the field,
+   the job ends with exactly one [error] event and no [result], and the
+   connection keeps serving. *)
+let test_wrong_field_types () =
+  with_server ~jobs:1 (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          List.iter
+            (fun (op, field, bad, needs) ->
+              let fields =
+                ("bench", J.Str "SPSC Queue")
+                :: (if op = "lint" then [] else [ ("test", J.Str "1enq-1deq") ])
+              in
+              let req =
+                J.Obj (("op", J.Str op) :: (field, bad) :: List.remove_assoc field fields)
+              in
+              let where = Printf.sprintf "%s with %s" op (J.to_line req) in
+              (match wait_job c ~job:(submit c req) with
+              | [ j ] ->
+                Alcotest.(check (option string)) (where ^ ": error") (Some "error") (ev j);
+                Alcotest.(check (option string))
+                  (where ^ ": message")
+                  (Some (Printf.sprintf "%s must be %s" field needs))
+                  (str_f "message" j)
+              | evs ->
+                Alcotest.failf "%s: expected one error event, got %s" where
+                  (String.concat " " (List.map J.to_line evs)));
+              Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+              match Serve.Client.recv ~timeout:30. c with
+              | Serve.Client.Msg j -> Alcotest.(check (option string)) (where ^ ": pong") (Some "pong") (ev j)
+              | _ -> Alcotest.failf "%s: no pong" where)
+            [
+              ("check", "bench", J.Int 5, "a string");
+              ("check", "test", J.Int 5, "a string");
+              ("check", "max_executions", J.Str "5", "an integer");
+              ("check", "prune", J.Str "no", "a boolean");
+              ("lint", "bench", J.Int 5, "a string");
+              ("lint", "max_executions", J.Str "5", "an integer");
+              ("fuzz", "bench", J.Int 5, "a string");
+              ("fuzz", "test", J.Int 5, "a string");
+              ("fuzz", "seed", J.Str "1", "an integer");
+              ("fuzz", "max_executions", J.Str "5", "an integer");
+            ]))
+
+(* A failed connect closes the socket it opened: each of 100 connects to
+   a path where no daemon listens raises, and no descriptor is left. *)
+let test_failed_connect_closes () =
+  let path = "no-daemon-here.sock" in
+  if Sys.file_exists path then Sys.remove path;
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for i = 1 to 100 do
+    match Serve.Client.connect path with
+    | c ->
+      Serve.Client.close c;
+      Alcotest.failf "connect %d succeeded" i
+    | exception Unix.Unix_error (_, _, _) -> ()
+  done;
+  Alcotest.(check int) "open descriptors unchanged" before (open_fds ())
 
 let test_concurrent_clients () =
   (* two clients with overlapping jobs on a 2-worker pool; each client's
@@ -632,6 +693,8 @@ let () =
           Alcotest.test_case "unknown bench suggestions" `Quick test_unknown_bench_suggestions;
           Alcotest.test_case "bad override" `Quick test_bad_override;
           Alcotest.test_case "max_executions below 1" `Quick test_bad_cap;
+          Alcotest.test_case "wrong field types" `Quick test_wrong_field_types;
+          Alcotest.test_case "failed connect closes its socket" `Quick test_failed_connect_closes;
           Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;

@@ -57,8 +57,7 @@ let treiber () =
   | None -> Alcotest.fail "Treiber Stack registered"
 
 let run ?store ~jobs ~prune (b : B.t) ~ords (t : B.test) =
-  Store.explore_checked ?store ~checker ~use_cache:true ~max_execs:(Some cap) ~jobs ~prune
-    ~engine:`Arena b ~ords t
+  Store.explore_checked ?store ~checker ~max_execs:(Some cap) ~jobs ~prune b ~ords t
 
 let keys (r : E.result) = List.map Mc.Bug.key r.bugs
 
@@ -150,15 +149,15 @@ let test_entry_roundtrip () =
 let golden_hex =
   String.concat ""
     [
-      "43445353314b00000000000000676f6c64656e1f741f611f7365715f6373741f";
-      "621f72656c617865641f321f3330301f747275651f747275651f6172656e611f";
-      "313030301f6e6f6e651f36341f66616c73651f747275651f0300000000000000";
-      "0300000000000000110000000000000000000000000000800200000000000000";
-      "2a00000000000000020000000000000001000000000000000300000000000000";
-      "0700000000000000f7ffffffffffffff00000000000000000000000000000000";
-      "010000000000000002000000000000006b310200000000000000000000000000";
-      "000002000000000000006d31020000000000000011000000000000006d322077";
-      "697468200a206e65776c696e650100014101000000000000b626e8e6b607b020";
+      "43445353313800000000000000676f6c64656e1f741f611f7365715f6373741f";
+      "621f72656c617865641f321f3330301f747275651f747275651f6e6f6e651f66";
+      "616c73651f030000000000000003000000000000001100000000000000000000";
+      "000000008002000000000000002a000000000000000200000000000000010000";
+      "000000000003000000000000000700000000000000f7ffffffffffffff000000";
+      "00000000000000000000000000010000000000000002000000000000006b3102";
+      "00000000000000000000000000000002000000000000006d3102000000000000";
+      "0011000000000000006d322077697468200a206e65776c696e65010001410100";
+      "0000000000d3bca4a3837e1e93";
     ]
 
 let test_encode_golden () =
@@ -167,20 +166,13 @@ let test_encode_golden () =
   (* every key field spelled out, so a change of defaults cannot move
      the bytes *)
   let sched = { Mc.Scheduler.loop_bound = 2; max_actions = 300; sleep_sets = true } in
-  let checker =
-    {
-      Cdsspec.Checker.max_histories = 1000;
-      sample_histories = None;
-      max_prefixes = 64;
-      strict_histories = false;
-    }
-  in
+  let checker = { Cdsspec.Checker.sample_histories = None; strict_histories = false } in
   let key =
     Store.job_key ~kind:`Check ~bench:"golden" ~test:"t"
       ~ords:[ ("a", C11.Memory_order.Seq_cst); ("b", C11.Memory_order.Relaxed) ]
       ~sched ~prune:true ~engine:`Arena ~max_execs:None ~checker ~use_cache:true
   in
-  Alcotest.(check string) "golden key fingerprint" "d5a16cdec60739de" (Store.fingerprint key);
+  Alcotest.(check string) "golden key fingerprint" "4cd4e7f05ca4374a" (Store.fingerprint key);
   Store.save s key sample_entry;
   let raw = read_bytes (Filename.concat dir (Store.fingerprint key ^ ".bin")) in
   let hex =
@@ -220,12 +212,7 @@ let test_check_cache_roundtrip () =
   let c = Cdsspec.Checker.cache_counters cache in
   Alcotest.(check int) "imports are not hits" 0 c.Mc.Explorer.cache_hits;
   Alcotest.(check int) "imports are not misses" 0 c.Mc.Explorer.cache_misses;
-  Alcotest.(check int) "imports land in the table" 2 c.Mc.Explorer.cache_entries;
-  (* no-op on a memoization-off cache: --no-check-cache keeps its meaning *)
-  let off = Cdsspec.Checker.create_cache ~memoize:false () in
-  Cdsspec.Checker.import_entries off entries;
-  Alcotest.(check int) "memoize-off cache stays empty" 0
-    (Cdsspec.Checker.cache_counters off).Mc.Explorer.cache_entries
+  Alcotest.(check int) "imports land in the table" 2 c.Mc.Explorer.cache_entries
 
 (* ------------------------------------------------------------------ *)
 (* Cold/warm differential over the registry *)
@@ -301,8 +288,7 @@ let test_partial_capped_runs () =
   let ords = Ords.default b.B.sites in
   let t = List.hd b.B.tests in
   let runc ?store max_execs =
-    Store.explore_checked ?store ~checker ~use_cache:true ~max_execs ~jobs:1 ~prune:true
-      ~engine:`Arena b ~ords t
+    Store.explore_checked ?store ~checker ~max_execs ~jobs:1 ~prune:true b ~ords t
   in
   (* uncapped storeless reference *)
   let reference, _ = runc None in
