@@ -113,7 +113,10 @@ let exhaustive_one ?store ~checker ~max_execs ~jobs ~prune ~profile (b : B.t) ~o
         if r.stats.truncated then ", saved (partial)" else ", saved"
       else ", not saved"
     in
-    Format.printf "  store: miss (cold run%s)@." saved);
+    Format.printf "  store: miss (cold run%s)@." saved
+  | `Save_failed m ->
+    Format.printf "  store: not saved (write failed)@.";
+    Format.eprintf "warning: store entry not saved, verdict kept: %s@." m);
   let s = r.stats in
   if
     s.pruned_equiv + s.pruned_sleep_set + s.pruned_loop_bound + s.pruned_retry
@@ -147,20 +150,21 @@ let exhaustive_one ?store ~checker ~max_execs ~jobs ~prune ~profile (b : B.t) ~o
   end;
   r
 
+(* [--time-budget SECONDS] as a [stop] callback: true once SECONDS have
+   passed since the call that built it. *)
+let deadline_stop seconds =
+  let deadline = Mc.Monotonic.now () +. seconds in
+  fun () -> Mc.Monotonic.now () >= deadline
+
 let fuzz_one ~checker ~max_execs ~seed ~time_budget ~bias (b : B.t) ~ords (t : B.test) =
   let cache = Cdsspec.Checker.create_cache () in
   let r =
     Fuzz.Engine.run
       ~config:
-        {
-          Fuzz.Engine.default_config with
-          scheduler = b.scheduler;
-          bias;
-          max_executions = max_execs;
-          time_budget;
-        }
+        { Fuzz.Engine.default_config with scheduler = b.scheduler; bias; max_executions = max_execs }
       ~on_feasible:(Cdsspec.Checker.hook ~config:checker ~cache b.spec)
       ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
+      ?stop:(Option.map deadline_stop time_budget)
       ~seed (t.program ords)
   in
   Format.printf "%s/%s: fuzzed %d (%s, seed %d), feasible %d, coverage %d, %.0f execs/s, %.2fs%s@."
@@ -236,6 +240,9 @@ let check_cmd name test_filter weaken overrides max_execs verbose dot jobs no_pr
   match (find_bench name, checker.sample_histories) with
   | _, Some (n, _) when n < 1 ->
     `Msg (Printf.sprintf "--sample-histories: N must be at least 1 (got %d)" n)
+  (* neither mode reads or writes the store, so it is not opened *)
+  | _ when store_dir <> None && (fuzz || replay <> None) ->
+    `Msg "--store: not used by --fuzz or --replay"
   | Error e, _ -> e
   | Ok b, _ -> (
     let setup =
@@ -320,6 +327,8 @@ let lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir 
     let remaining () =
       Option.map (fun budget -> Float.max 0. (budget -. (Mc.Monotonic.now () -. t0))) time_budget
     in
+    (* the command's deadline, polled by the fact collection *)
+    let stop = Option.map deadline_stop time_budget in
     let any_error = ref false in
     let reports =
       List.filter_map
@@ -328,11 +337,9 @@ let lint_cmd name all json advise max_execs time_budget jobs only_sites dot_dir 
           | Some r when r <= 0. ->
             if not json then Format.printf "== %s == skipped (time budget exhausted)@." b.name;
             None
-          | budget ->
-            let scfg =
-              { Analyze.Access_summary.max_executions = max_execs; time_budget = budget; jobs }
-            in
-            let summary = Analyze.Access_summary.collect ~config:scfg b in
+          | _ ->
+            let scfg = { Analyze.Access_summary.max_executions = max_execs; jobs } in
+            let summary = Analyze.Access_summary.collect ~config:scfg ?stop b in
             let findings = Analyze.Lint.lint summary in
             if Analyze.Lint.max_severity findings = Some Analyze.Lint.Error then
               any_error := true;
@@ -455,6 +462,9 @@ let render_event ev =
     let store =
       match Option.bind (J.member "store" ev) J.to_str with
       | Some ("hit" | "miss" as s) -> Printf.sprintf ", store %s" s
+      | Some "save-failed" ->
+        Printf.sprintf ", store not saved (%s)"
+          (Option.value (Option.bind (J.member "store_error" ev) J.to_str) ~default:"write failed")
       | _ -> ""
     in
     Format.printf "%s: %s, explored %d, %d distinct graphs%s@." test
@@ -487,17 +497,23 @@ let render_event ev =
 
 let client_cmd socket op bench test overrides max_execs json_out =
   let module C = Serve.Client in
+  (* A write to a server that has gone fails with EPIPE instead of a
+     process-killing signal. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match C.connect socket with
   | exception Unix.Unix_error (e, _, _) ->
     `Msg (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
   | c -> (
     let finally () = C.close c in
     Fun.protect ~finally @@ fun () ->
+    (* A write to a server that has closed the connection fails; the
+       next [recv] reports the close. *)
+    let send j = try C.send c j with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> () in
     let print_ev ev =
       if json_out then print_endline (J.to_line ev) else render_event ev
     in
     let one_shot req =
-      C.send c (J.Obj [ ("op", J.Str req) ]);
+      send (J.Obj [ ("op", J.Str req) ]);
       match C.recv ~timeout:30. c with
       | C.Msg ev ->
         if json_out then print_endline (J.to_line ev) else print_string (J.to_string ev);
@@ -527,7 +543,7 @@ let client_cmd socket op bench test overrides max_execs json_out =
               ])
           @ match max_execs with Some n -> [ ("max_executions", J.Int n) ] | None -> []
         in
-        C.send c (J.Obj fields);
+        send (J.Obj fields);
         let rec stream () =
           match C.recv c with
           | C.Msg ev -> (

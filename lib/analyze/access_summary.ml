@@ -5,9 +5,9 @@ module Clock = C11.Clock
 module Ords = Structures.Ords
 module B = Structures.Benchmark
 
-type config = { max_executions : int option; time_budget : float option; jobs : int }
+type config = { max_executions : int option; jobs : int }
 
-let default_config = { max_executions = Some 200_000; time_budget = None; jobs = 1 }
+let default_config = { max_executions = Some 200_000; jobs = 1 }
 
 type site_summary = {
   site : Ords.site;
@@ -196,10 +196,9 @@ let has_concurrent_conflict bases accesses =
   done;
   !found
 
-let collect ?(config = default_config) ?ords (b : B.t) =
+let collect ?(config = default_config) ?stop ?ords (b : B.t) =
   let ords = match ords with Some o -> o | None -> Ords.default b.sites in
   let t0 = Mc.Monotonic.now () in
-  let deadline = Option.map (fun s -> t0 +. s) config.time_budget in
   let site_accs : (string, site_acc) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (s : Ords.site) -> Hashtbl.replace site_accs s.name (fresh_acc s)) b.sites;
   let method_accs : (string, method_acc) Hashtbl.t = Hashtbl.create 16 in
@@ -367,10 +366,7 @@ let collect ?(config = default_config) ?ords (b : B.t) =
   let behaviours_rev = ref [] in
   List.iter
     (fun (t : B.test) ->
-      let expired =
-        match deadline with Some d -> Mc.Monotonic.now () > d | None -> false
-      in
-      if expired then truncated := true
+      if Option.fold ~none:false ~some:(fun f -> f ()) stop then truncated := true
       else begin
         let bset : behaviour_set = Hashtbl.create 256 in
         let on_feasible exec annots =
@@ -391,7 +387,6 @@ let collect ?(config = default_config) ?ords (b : B.t) =
             prune = false;
           }
         in
-        let stop = Option.map (fun d () -> Mc.Monotonic.now () > d) deadline in
         let r =
           Mc.Parallel.explore ?stop ~config:econfig ~on_feasible ~jobs:config.jobs (t.program ords)
         in

@@ -12,9 +12,6 @@
 
 type config = {
   max_executions : int option;  (** per unit test; [None] exhausts *)
-  time_budget : float option;
-      (** overall wall-clock budget for the whole collection; checked
-          between tests and after every run, at any [jobs] *)
   jobs : int;  (** worker domains per test exploration *)
 }
 
@@ -114,6 +111,16 @@ type t = {
 
 (** [collect b] explores [b]'s unit tests under [ords] (default: the
     published table) and aggregates the fact base. Deterministic for
-    [jobs = 1] with no budget. *)
+    [jobs = 1] with no [stop].
+
+    [stop] is polled before each test and after every run, at any
+    [jobs] (as {!Mc.Parallel.explore}'s); once it returns [true] the
+    collection ends, marked [truncated], and the tests not yet begun
+    are skipped. The CLI's [--time-budget] is a deadline [stop]; the
+    serve daemon stops a job whose client has gone. *)
 val collect :
-  ?config:config -> ?ords:Structures.Ords.t -> Structures.Benchmark.t -> t
+  ?config:config ->
+  ?stop:(unit -> bool) ->
+  ?ords:Structures.Ords.t ->
+  Structures.Benchmark.t ->
+  t

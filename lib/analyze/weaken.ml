@@ -42,17 +42,18 @@ let verdict_to_string = function
     Printf.sprintf "behaviour-changing (+%d/-%d)" new_behaviours lost_behaviours
   | Spec_violating { bug; _ } -> Printf.sprintf "spec-violating (%s)" bug
 
-(* Serial DFS for a replayable counterexample: the advisor's exhaustive
-   pass may find the bug under sleep-set reduction, whose decision
-   indices do not replay under `--replay` (replay runs with sleep sets
-   off). Re-search with the exact replay semantics, capped. *)
+(* Serial DFS, in one session, for a replayable counterexample: the
+   advisor's exhaustive pass may find the bug under sleep-set reduction,
+   whose decision indices do not replay under `--replay` (replay runs
+   with sleep sets off). Re-search with the exact replay semantics, capped. *)
 let find_witness ~(scheduler : Mc.Scheduler.config) ~spec program =
   let config = { scheduler with Mc.Scheduler.sleep_sets = false } in
   let trace : Mc.Scheduler.decision C11.Vec.t = C11.Vec.create () in
+  let session = Mc.Scheduler.session_create ~config ~trace program in
   let rec loop runs =
     if runs >= max_witness_runs then None
     else begin
-      let r = Mc.Scheduler.run ~config ~trace program in
+      let r = Mc.Scheduler.session_run session in
       let bugs =
         match r.outcome with
         | Mc.Scheduler.Complete ->
@@ -65,13 +66,13 @@ let find_witness ~(scheduler : Mc.Scheduler.config) ~spec program =
           List.init (C11.Vec.length trace) (fun i ->
               Mc.Scheduler.decision_chosen (C11.Vec.get trace i))
         in
-        Some (decisions, r.exec)
+        Some (decisions, C11.Execution.copy r.exec)
       end
       else if Mc.Explorer.backtrack trace then loop (runs + 1)
       else None
     end
   in
-  loop 0
+  Fun.protect ~finally:(fun () -> Mc.Scheduler.session_close session) (fun () -> loop 0)
 
 (* Explore every unit test under [ords] with the checker attached,
    collecting behaviour fingerprints per test. Stops at the first test

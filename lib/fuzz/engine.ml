@@ -5,7 +5,6 @@ type config = {
   scheduler : S.config;
   bias : Bias.policy;
   max_executions : int option;
-  time_budget : float option;
   stop_on_first_bug : bool;
   minimize : bool;
 }
@@ -15,7 +14,6 @@ let default_config =
     scheduler = S.default_config;
     bias = Bias.Prefer_stale_rf;
     max_executions = Some 10_000;
-    time_budget = None;
     stop_on_first_bug = false;
     minimize = true;
   }
@@ -67,7 +65,6 @@ let bugs_of_run ?on_feasible (r : S.run_result) =
     []
 
 let replay ?(scheduler = default_config.scheduler) ?on_feasible ~decisions main =
-  let scheduler = { scheduler with S.sleep_sets = false } in
   let remaining = ref decisions in
   let pick _ =
     match !remaining with
@@ -76,12 +73,12 @@ let replay ?(scheduler = default_config.scheduler) ?on_feasible ~decisions main 
       remaining := tl;
       i
   in
-  let r = S.run ~pick ~config:scheduler ~trace:(Vec.create ()) main in
+  let s = S.session_create ~pick ~config:scheduler ~trace:(Vec.create ()) main in
+  let r = Fun.protect ~finally:(fun () -> S.session_close s) (fun () -> S.session_run s) in
   (r, bugs_of_run ?on_feasible r)
 
 let run ?(config = default_config) ?on_feasible
-    ?(check = fun () -> Mc.Explorer.no_check_counters) ~seed main =
-  let scheduler = { config.scheduler with S.sleep_sets = false } in
+    ?(check = fun () -> Mc.Explorer.no_check_counters) ?stop ~seed main =
   let t0 = Mc.Monotonic.now () in
   let executions = ref 0 in
   let feasible = ref 0 in
@@ -97,12 +94,19 @@ let run ?(config = default_config) ?on_feasible
   let first_buggy_exec = ref None in
   let truncated = ref false in
   let continue_ = ref true in
+  (* one sampling session: each run installs its sampler, then restarts *)
+  let sampler = ref (Bias.sampler config.bias (Rng.make2 seed 0)) in
+  let trace = Vec.create () in
+  let session =
+    S.session_create ~pick:(fun d -> Bias.pick !sampler d) ~config:config.scheduler ~trace main
+  in
+  Fun.protect ~finally:(fun () -> S.session_close session) @@ fun () ->
   while !continue_ do
     let run_index = !executions in
     (* per-run stream: execution i depends only on (seed, i) *)
-    let sampler = Bias.sampler config.bias (Rng.make2 seed run_index) in
-    let trace = Vec.create () in
-    let r = S.run ~pick:(Bias.pick sampler) ~config:scheduler ~trace main in
+    sampler := Bias.sampler config.bias (Rng.make2 seed run_index);
+    Vec.truncate trace 0;
+    let r = S.session_run session in
     incr executions;
     (match r.outcome with
     | S.Complete -> (
@@ -114,7 +118,8 @@ let run ?(config = default_config) ?on_feasible
         incr buggy;
         if !time_to_first_bug = None then
           time_to_first_bug := Some (Mc.Monotonic.now () -. t0);
-        if Option.is_none !first_buggy_exec then first_buggy_exec := Some r.exec;
+        (* the next run rewinds the session's graph: keep a copy *)
+        if !first_buggy_exec = None then first_buggy_exec := Some (C11.Execution.copy r.exec);
         let decisions = decisions_of_trace trace in
         List.iter
           (fun b ->
@@ -125,7 +130,9 @@ let run ?(config = default_config) ?on_feasible
                 if not config.minimize then decisions
                 else begin
                   let check cand =
-                    let _, bugs = replay ~scheduler ?on_feasible ~decisions:cand main in
+                    let _, bugs =
+                      replay ~scheduler:config.scheduler ?on_feasible ~decisions:cand main
+                    in
                     List.exists (fun b' -> Mc.Bug.key b' = key) bugs
                   in
                   let m, replays = Minimize.run ~check decisions in
@@ -143,19 +150,15 @@ let run ?(config = default_config) ?on_feasible
     | S.Pruned_loop_bound _ -> incr pruned_loop
     | S.Pruned_retry -> incr pruned_retry
     | S.Pruned_max_actions -> incr pruned_max
-    | S.Pruned_sleep_set -> () (* unreachable: sleep sets are disabled *)
+    | S.Pruned_sleep_set -> () (* unreachable: sampling runs without sleep sets *)
     | S.Pruned_equiv -> () (* unreachable: no [prune] callback is passed *));
     if !continue_ then begin
       let capped =
         match config.max_executions with Some m -> !executions >= m | None -> false
       in
-      let timed_out =
-        match config.time_budget with
-        | Some b -> Mc.Monotonic.now () -. t0 >= b
-        | None -> false
-      in
-      if timed_out && not capped then truncated := true;
-      if capped || timed_out then continue_ := false
+      let stopped = (not capped) && match stop with Some f -> f () | None -> false in
+      if stopped then truncated := true;
+      if capped || stopped then continue_ := false
     end
   done;
   {

@@ -2,34 +2,34 @@
 
     Where {!Mc.Explorer} enumerates the decision tree exhaustively by
     DFS, this engine samples each scheduling / reads-from decision from a
-    seeded, biased PRNG and runs executions until a wall-clock or
-    execution budget expires. It reuses the scheduler's replay machinery:
-    a run is fully identified by its list of chosen decision indices, so
-    every reported bug ships with a seed and a delta-debugged, minimized
-    index trace that reproduces it deterministically via {!replay}.
+    seeded, biased PRNG, in one sampling {!Mc.Scheduler.session} whose
+    run [i] restarts from the root with the sampler for [(seed, i)],
+    until an execution cap or a [stop] callback ends it. A run is fully
+    identified by its list of chosen decision indices, so every reported
+    bug ships with a seed and a delta-debugged, minimized index trace
+    that reproduces it deterministically via {!replay}.
 
     Determinism contract: execution [i] of seed [s] depends only on
     [(s, i)] and the program, so [run ~seed] with the same
-    [max_executions] (and no [time_budget]) reports identical bug lists,
-    coverage counts and minimized traces on every host. Time budgets
-    trade that for wall-clock control. *)
+    [max_executions] (and no [stop]) reports identical bug lists,
+    coverage counts and minimized traces on every host. A deadline
+    [stop] trades that for wall-clock control. *)
 
 type config = {
   scheduler : Mc.Scheduler.config;
-      (** [sleep_sets] is ignored: {!run} and {!replay} force it off, so
-          callers pass a benchmark's scheduler as it is. Sleep sets
-          encode "earlier siblings were explored", which is false under
-          random sampling and would mis-prune. *)
+      (** [sleep_sets] is ignored: a sampling session runs with sleep
+          sets off, so callers pass a benchmark's scheduler as it is.
+          Sleep sets encode "earlier siblings were explored", which is
+          false under random sampling and would mis-prune. *)
   bias : Bias.policy;
   max_executions : int option;  (** stop after this many runs *)
-  time_budget : float option;  (** stop after this many seconds *)
   stop_on_first_bug : bool;  (** return as soon as any bug is found *)
   minimize : bool;  (** delta-debug each new bug's trace before reporting *)
 }
 
-(** [Prefer_stale_rf] bias, 10_000 executions, no time budget,
-    minimization on. At least one of [max_executions] / [time_budget]
-    must be set or the campaign never terminates on bug-free programs. *)
+(** [Prefer_stale_rf] bias, 10_000 executions, minimization on. With
+    [max_executions = None] only [stop] ends a campaign on a bug-free
+    program. *)
 val default_config : config
 
 type stats = {
@@ -54,7 +54,7 @@ type stats = {
   time : float;  (** monotonic wall-clock seconds, including minimization *)
   time_to_first_bug : float option;  (** seconds from start to first buggy run *)
   truncated : bool;
-      (** stopped by [time_budget] or [stop_on_first_bug] before
+      (** stopped by [stop] or [stop_on_first_bug] before
           [max_executions] ran *)
   check : Mc.Explorer.check_counters;
       (** end-of-campaign snapshot of the checking hook's counters
@@ -92,20 +92,23 @@ type result = {
     execution with no built-in bug, so the spec checker's hook plugs in
     unchanged. [check] is snapshotted once at the end of the campaign
     into [stats.check] (note that minimization replays also go through
-    [on_feasible], so their cache hits count too). *)
+    [on_feasible], so their cache hits count too). [stop] is polled after
+    every run short of the cap; [true] ends the campaign as [truncated]. *)
 val run :
   ?config:config ->
   ?on_feasible:(C11.Execution.t -> Mc.Scheduler.annot list -> Mc.Bug.t list) ->
   ?check:(unit -> Mc.Explorer.check_counters) ->
+  ?stop:(unit -> bool) ->
   seed:int ->
   (unit -> unit) ->
   result
 
 (** [replay ?scheduler ?on_feasible ~decisions main] re-executes the run
     identified by [decisions] (missing decisions default to index 0,
-    out-of-range ones clamp) and returns the scheduler result plus the
-    bugs of that single run — built-in bugs, or [on_feasible]'s findings
-    when there are none. Sleep sets are forced off, as in {!run}. *)
+    out-of-range ones clamp) as the one run of a fresh sampling session,
+    and returns the scheduler result plus the bugs of that single run —
+    built-in bugs, or [on_feasible]'s findings when there are none. The
+    result's graph stays valid: the session is never run again. *)
 val replay :
   ?scheduler:Mc.Scheduler.config ->
   ?on_feasible:(C11.Execution.t -> Mc.Scheduler.annot list -> Mc.Bug.t list) ->

@@ -4,8 +4,8 @@
     snapshot restore on each backtrack instead of re-running the program
     prefix — augmented with execution-graph equivalence pruning, so each
     *behaviour* is visited once rather than each *interleaving*. The
-    fresh-run-per-execution DFS the tests compare this engine with is
-    [Oracle.Explorer] in [test/oracle]. *)
+    reference DFS the tests compare it with, [Oracle.Explorer] in
+    [test/oracle], runs each execution as a fresh session's first run. *)
 
 type config = {
   scheduler : Scheduler.config;

@@ -292,21 +292,14 @@ let choose_sched st ~sleep ~avail ~nav =
     end
   in
   st.cursor <- st.cursor + 1;
-  (* Earlier siblings are a sleep-set contribution only under DFS, where
-     [sched_chosen > 0] means they were already explored. A sampled
-     index says nothing about its siblings, so fuzz runs contribute
-     nothing (they disable sleep sets anyway). *)
-  let slept =
-    if st.pick <> None then 0
-    else begin
-      let m = ref 0 in
-      for i = 0 to d.sched_chosen - 1 do
-        m := !m lor (1 lsl d.candidates.(i))
-      done;
-      !m
-    end
-  in
-  (d.candidates.(d.sched_chosen), slept)
+  (* Under DFS, earlier siblings were already explored: they are the
+     step's sleep-set contribution. A sampling session has sleep sets
+     off ([session_create]), so there the mask goes unused. *)
+  let slept = ref 0 in
+  for i = 0 to d.sched_chosen - 1 do
+    slept := !slept lor (1 lsl d.candidates.(i))
+  done;
+  (d.candidates.(d.sched_chosen), !slept)
 
 let kind_tag : Program.op -> int = function
   | Load _ | Await _ -> 0
@@ -800,7 +793,7 @@ let mk_state ?pick ?prune ~config ~trace main =
   st
 
 (* ------------------------------------------------------------------ *)
-(* Sessions: copy-free snapshot/restore across a DFS exploration.
+(* Sessions: copy-free snapshot/restore across a search.
 
    A session keeps one [state] (and one arena-backed [Execution.t])
    alive across every run of the search. At each step that records
@@ -811,11 +804,15 @@ let mk_state ?pick ?prune ~config ~trace main =
    the graph rewinds by arena truncation, scheduler scalars come back
    from the snapshot, and only the program closures are re-run — in a
    cheap replay mode that feeds each thread the values its operations
-   returned (logged during commit), skipping all graph work. *)
+   returned (logged during commit), skipping all graph work. When the
+   caller empties the trace, the root snapshot (taken before the first
+   step) restarts the run from action zero: a sampling session, one
+   created with [pick], runs every execution that way. *)
 
 type session = {
   st : state;
   main : unit -> unit;
+  root : snapshot;  (* before the first step: main registered, not started *)
   mutable started : bool;
   snaps : snapshot Vec.t;  (* parallel to trace indices *)
   mutable n_snapshots : int;
@@ -838,7 +835,7 @@ type session = {
    append to), and re-executing some closures' effects but not others
    tears that state in ways a fresh run never would. A full replay
    re-executes every effect in a spawn-tree-compatible order, exactly
-   like a fresh {!run} does — just without performing
+   like a run from action zero does — just without performing
    a single scheduling effect or graph commit. Threads the snapshot has
    as not-yet-started only need their closure re-registered, which
    their parent's replayed Spawn does; a spawned child always has a
@@ -848,12 +845,13 @@ type session = {
 let replay_threads st main (snap : snapshot) =
   let started tid = snap.s_stat.(tid) <> 0 in
   (* every fiber is stale (threads spawned after the snapshot are
-     simply gone); parents re-register their children *)
+     simply gone); parents re-register their children, and [main] is
+     thread 0 in every snapshot (at the root it has not started) *)
   for tid = 0 to Array.length st.threads - 1 do
     drop_fiber st.threads.(tid);
     st.threads.(tid) <- Finished
   done;
-  if started 0 then st.threads.(0) <- Not_started main;
+  st.threads.(0) <- Not_started main;
   (* Value feeding happens in the dispatcher's replay feed (no effect —
      and no [op] record — per replayed operation), with no hook: an
      operation only gets past the feed when the thread's log is
@@ -903,18 +901,19 @@ let restore_to s (snap : snapshot) =
   done;
   replay_threads st s.main snap
 
-(* The search loop shared by [run] (fresh state every call) and
-   [session_run] (persistent state, snapshot recording). Snapshots are
-   captured at step start and attached to every decision index the step
-   records or consumes — including when the step aborts with [Prune], so
-   a later backtrack to one of its decisions can still restore. *)
-let run_loop ?session st sleep0 =
+(* The search loop behind [session_run]. Snapshots are captured at step
+   start and attached to every decision index the step records or
+   consumes — including when the step aborts with [Prune], so a later
+   backtrack to one of its decisions can still restore. A sampling
+   session captures none: only its root is ever restored. *)
+let run_loop s sleep0 =
+  let st = s.st in
   let d = Domain.DLS.get Program.dispatch in
   let saved = d.Program.hook in
   d.Program.hook <- Some st.hook;
-  let record_snaps c0 snap =
-    match session, snap with
-    | Some s, Some sn ->
+  let record_snaps c0 = function
+    | None -> ()
+    | Some sn ->
       for i = c0 to st.cursor - 1 do
         if i < Vec.length s.snaps then Vec.set s.snaps i sn
         else begin
@@ -922,7 +921,6 @@ let run_loop ?session st sleep0 =
           Vec.push s.snaps sn
         end
       done
-    | _ -> ()
   in
   let rec loop sleep =
     (* One scan classifies every thread: finished, enabled, and (enabled
@@ -951,30 +949,28 @@ let run_loop ?session st sleep0 =
     else if !nav = 0 then raise (Prune Pruned_sleep_set)
     else begin
       let c0 = st.cursor in
+      (* A single-candidate step whose operation makes no value choice
+         ([may_decide]) records no decision, so its snapshot could never
+         be restored to — skip the capture. The step commits only that
+         operation (the hook commits the invisible ones after it, which
+         decide nothing), so a wrong [false] from [may_decide] would
+         leave a decision with no snapshot; [record_snaps] and
+         [session_run] assert against it. *)
+      let skip =
+        st.pick <> None
+        || !nav = 1
+           &&
+           match get_status st !first_av with
+           | Paused (op, _) -> not (may_decide op)
+           | Not_started _ -> true
+           | Finished -> false
+      in
       let snap =
-        match session with
-        | Some s ->
-          (* A single-candidate step whose operation makes no value
-             choice ([may_decide]) records no decision, so its snapshot
-             could never be restored to — skip the capture. The step
-             commits only that operation (the hook commits the invisible
-             ones after it, which decide nothing), so a wrong [false]
-             from [may_decide] would leave a decision with no snapshot;
-             [record_snaps] and [session_run] assert against it. *)
-          let skip =
-            !nav = 1
-            &&
-            match get_status st !first_av with
-            | Paused (op, _) -> not (may_decide op)
-            | Not_started _ -> true
-            | Finished -> false
-          in
-          if skip then None
-          else begin
-            s.n_snapshots <- s.n_snapshots + 1;
-            Some (capture st sleep)
-          end
-        | None -> None
+        if skip then None
+        else begin
+          s.n_snapshots <- s.n_snapshots + 1;
+          Some (capture st sleep)
+        end
       in
       let slept_mask, footprints =
         try
@@ -1017,29 +1013,17 @@ let mk_result st outcome =
     inline_ops = st.n_inline;
   }
 
-(* Free the fibers of every thread still suspended: the run is over. *)
-let drop_fibers st =
-  Array.iteri
-    (fun tid status ->
-      drop_fiber status;
-      st.threads.(tid) <- Finished)
-    st.threads
-
-let run ?pick ?prune ~config ~trace main =
+let session_create ?pick ?prune ~config ~trace main =
+  let config = if pick = None then config else { config with sleep_sets = false } in
   let st = mk_state ?pick ?prune ~config ~trace main in
-  let outcome = run_loop st 0 in
-  drop_fibers st;
-  mk_result st outcome
-
-let session_create ?prune ~config ~trace main =
-  let st = mk_state ?prune ~config ~trace main in
-  { st; main; started = false; snaps = Vec.create (); n_snapshots = 0; n_restores = 0 }
+  let root = capture st 0 in
+  { st; main; root; started = false; snaps = Vec.create (); n_snapshots = 0; n_restores = 0 }
 
 let session_run s =
   let st = s.st in
   if not s.started then begin
     s.started <- true;
-    mk_result st (run_loop ~session:s st 0)
+    mk_result st (run_loop s 0)
   end
   else begin
     (* The explorer's backtrack leaves the bumped decision last in the
@@ -1047,22 +1031,29 @@ let session_run s =
        one step share their snapshot physically, so the first decision
        index of that step — where the cursor must resume so the step's
        earlier (unchanged) decisions replay through the normal commit
-       path — is found by walking [==]-equal snapshots backwards. *)
+       path — is found by walking [==]-equal snapshots backwards. An
+       emptied trace restarts from the root, at cursor 0. *)
     let l = Vec.length st.trace in
-    assert (l > 0 && l <= Vec.length s.snaps);
+    assert (l <= Vec.length s.snaps);
     Vec.truncate s.snaps l;
-    let snap = Vec.get s.snaps (l - 1) in
+    let snap = if l = 0 then s.root else Vec.get s.snaps (l - 1) in
     let first = ref (l - 1) in
     while !first > 0 && Vec.get s.snaps (!first - 1) == snap do
       decr first
     done;
     restore_to s snap;
-    st.cursor <- !first;
+    st.cursor <- max 0 !first;
     s.n_restores <- s.n_restores + 1;
-    mk_result st (run_loop ~session:s st snap.s_sleep)
+    mk_result st (run_loop s snap.s_sleep)
   end
 
-let session_close s = drop_fibers s.st
+(* Free the fibers of every thread still suspended: the search is over. *)
+let session_close s =
+  Array.iteri
+    (fun tid status ->
+      drop_fiber status;
+      s.st.threads.(tid) <- Finished)
+    s.st.threads
 
 let session_counters s = (s.n_snapshots, s.n_restores)
 

@@ -1,6 +1,6 @@
-(** Runs a single execution of a DSL program under a recorded choice
-    trace, extending the trace with default choices at new decision
-    points. The explorer replays/backtracks over these traces.
+(** Runs the executions of a DSL program in a {!session}, each under a
+    recorded choice trace that it extends at new decision points. The
+    explorer backtracks over these traces; the fuzzer samples them.
 
     Scheduling decisions optionally carry sleep-set partial-order
     reduction: a thread explored at a decision node is put to sleep for
@@ -99,82 +99,68 @@ type run_result = {
   outcome : outcome;
   switches : int;
       (** Fiber suspensions performed: every visible operation a thread
-          reaches, plus, in a session, the pause each restore-replayed
-          thread ends on. Counts since the state was created — per run
-          under {!run}, cumulative across a session. *)
+          reaches, plus the pause each restore-replayed thread ends on.
+          Counts since the session was created: cumulative across its
+          runs. *)
   inline_ops : int;
       (** Invisible operations committed inside the dispatch hook
           without suspending the fiber; visible operations never are.
           Same accumulation as [switches]. *)
 }
 
-(** [run ~config ~trace main] executes [main] as thread 0.
-
-    [pick], when given, decides the initial index of every *fresh*
-    decision point (one the replayed [trace] prefix does not cover); the
-    chosen index is recorded in [trace] as usual, so the completed trace
-    replays the run deterministically. Out-of-range picks are clamped to
-    0. Without [pick] fresh points take index 0 — the DFS explorer's
-    convention. Sampled indices carry no "explored siblings" meaning, so
-    runs with [pick] contribute nothing to sleep sets; the fuzzer
-    disables sleep sets entirely (they would mis-prune under random
-    choice).
-
-    [prune], when given, is consulted at every *fresh* non-trivial
-    scheduling decision point with the point's {!prune_key}; returning
-    [true] aborts the run with outcome {!Pruned_equiv} (the caller has
-    already fully explored an identical state, so the subtree can only
-    repeat known graphs). When it returns [false] the key is recorded in
-    the decision's [state] field so the caller can close it on
-    backtrack. Sessions take the same hook; it is meaningless under
-    [pick]. *)
-val run :
-  ?pick:(decision -> int) ->
-  ?prune:(prune_key -> bool) ->
-  config:config ->
-  trace:decision C11.Vec.t ->
-  (unit -> unit) ->
-  run_result
-
 (** {1 Sessions}
 
-    A session runs a whole DFS exploration over one persistent state and
-    one arena-backed execution graph. Where {!run} rebuilds everything
-    from action zero on every call, {!session_run} restores the
-    snapshot captured at the bumped decision's step: the graph rewinds by
-    arena-watermark truncation ({!C11.Execution.restore}), scheduler
-    scalars come back from O(threads)-sized saved copies, and only the
-    program closures are re-run — in a replay mode that feeds each
-    thread the logged values its operations returned, skipping all graph
-    work (OCaml effect continuations are one-shot, so closures cannot be
-    resumed twice; replaying their values is what makes restore sound,
-    by the same determinism contract that underpins trace replay).
+    Every execution runs in a session: one persistent state and one
+    arena-backed execution graph, with [main] as thread 0. The first
+    {!session_run} commits every action from action zero along [trace].
+    Before each later one the caller either advances the trace with
+    {!Explorer.backtrack} semantics (trailing decisions popped, the
+    now-last decision's [chosen] bumped, nothing before it touched), and
+    the session restores the snapshot captured at that decision's step;
+    or empties the trace, and the session restores its root snapshot,
+    taken before the first step, and runs from action zero. A restore
+    rewinds the graph by arena-watermark truncation
+    ({!C11.Execution.restore}), brings the scheduler scalars back from
+    O(threads)-sized copies, and re-runs only the program closures, in
+    a replay mode that feeds each thread the logged values its
+    operations returned (OCaml continuations are one-shot; replaying
+    values is sound by the determinism contract trace replay rests on).
 
-    Sessions follow the DFS explorer's backtracking contract: between
-    two [session_run] calls the caller must have advanced the trace with
-    {!Explorer.backtrack} semantics — trailing decisions popped, the now-
-    last decision's [chosen] bumped, nothing before it touched.
+    A session created with [pick] is a sampling session (the fuzzer's):
+    each run after the first starts from an emptied trace, sleep sets
+    are off whatever [config] says (a sampled index says nothing about
+    its siblings, which a sleep set would read as explored), and no step
+    snapshot is captured, since only the root is ever restored.
 
-    The [run_result.exec] a session returns is the session's single
-    arena: it is valid until the next [session_run] and must be copied
-    ({!C11.Execution.copy}) to be retained beyond that. *)
+    [run_result.exec] is the session's single arena: valid until the
+    next [session_run], and copied ({!C11.Execution.copy}) to be kept
+    longer. *)
 
 type session
 
-(** [session_create ?prune ~config ~trace main]: [prune] and [config] as
-    in {!run} ([pick] is meaningless under DFS sessions). A non-empty
-    [trace] (a donated work-item prefix) replays through the normal
-    commit path on the first run. *)
+(** [session_create ?pick ?prune ~config ~trace main]. [pick], when
+    given, chooses the initial index of every {e fresh} decision point
+    (one the [trace] prefix does not cover), recorded in [trace] as
+    usual, so the completed trace replays the run; out-of-range picks
+    clamp to 0. Without it fresh points take index 0, the DFS
+    convention. [prune], when given, sees the {!prune_key} of every
+    fresh non-trivial scheduling point: [true] aborts the run with
+    {!Pruned_equiv} (an identical state was fully explored), [false]
+    records the key in the decision's [state] for the caller to close
+    on backtrack; it is meaningless under [pick]. A non-empty [trace]
+    (a donated work-item prefix) replays through the normal commit path
+    on the first run. *)
 val session_create :
+  ?pick:(decision -> int) ->
   ?prune:(prune_key -> bool) ->
   config:config ->
   trace:decision C11.Vec.t ->
   (unit -> unit) ->
   session
 
-(** Run the next execution of the search: the first call runs the trace
-    from scratch; later calls restore to the backtracked trace's last
-    decision and continue from there. *)
+(** Run the next execution: from action zero on the first call or after
+    the caller emptied the trace, else from the backtracked trace's last
+    decision. *)
 val session_run : session -> run_result
 
 (** End the search: free the fibers of threads the last run left

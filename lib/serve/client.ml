@@ -84,15 +84,20 @@ let recv ?timeout t =
         match readable with
         | [] -> if deadline <> None then Timeout else go ()
         | _ -> (
-          match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-          | 0 ->
+          (* A peer that closes with our request unread resets the
+             connection: that is a close too. *)
+          let closed () =
             if Buffer.length t.pending > 0 then failwith "Serve.Client.recv: truncated line"
             else Eof
+          in
+          match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+          | 0 -> closed ()
           | n ->
             t.start <- 0;
             t.stop <- n;
             go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()))
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed ()))
   in
   go ()
 

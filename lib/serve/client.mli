@@ -29,9 +29,11 @@ type msg =
 
 (** Next event line. Blocks (or waits up to [timeout] seconds) for a
     complete line. [Eof] means the server closed the connection after
-    a complete line. Raises [Failure] on a line that is not valid JSON,
-    or on a close in the middle of a line (["...truncated line"]) —
-    protocol violations, not recoverable conditions. *)
+    a complete line; a reset connection (a server that closed with the
+    request unread) counts as closed. Raises [Failure] on a line that
+    is not valid JSON, or on a close in the middle of a line
+    (["...truncated line"]) — protocol violations, not recoverable
+    conditions. *)
 val recv : ?timeout:float -> t -> msg
 
 (** [job_id j] is the ["job"] field of an ["accepted"] event. *)

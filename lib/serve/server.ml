@@ -125,21 +125,29 @@ let tests_of b = function
 
 let bug_json b = J.Obj [ ("key", J.Str (Mc.Bug.key b)); ("message", J.Str (Fmt.str "%a" Mc.Bug.pp b)) ]
 
+(* A failed store save keeps the verdict: the event says so and names
+   the entry path in ["store_error"]. *)
 let result_json ~job ~(t : B.test) ~store_disposition (r : Mc.Explorer.result) =
+  let store, store_error =
+    match store_disposition with
+    | `Off -> ("off", [])
+    | `Miss -> ("miss", [])
+    | `Hit -> ("hit", [])
+    | `Save_failed m -> ("save-failed", [ ("store_error", J.Str m) ])
+  in
   event "result"
-    [
-      ("job", J.Int job);
-      ("test", J.Str t.test_name);
-      ("bugs", J.List (List.map bug_json r.bugs));
-      ("explored", J.Int r.stats.explored);
-      ("feasible", J.Int r.stats.feasible);
-      ("distinct_graphs", J.Int r.stats.distinct_graphs);
-      ("truncated", J.Bool r.stats.truncated);
-      ("time", J.Float r.stats.time);
-      ( "store",
-        J.Str
-          (match store_disposition with `Off -> "off" | `Miss -> "miss" | `Hit -> "hit") );
-    ]
+    ([
+       ("job", J.Int job);
+       ("test", J.Str t.test_name);
+       ("bugs", J.List (List.map bug_json r.bugs));
+       ("explored", J.Int r.stats.explored);
+       ("feasible", J.Int r.stats.feasible);
+       ("distinct_graphs", J.Int r.stats.distinct_graphs);
+       ("truncated", J.Bool r.stats.truncated);
+       ("time", J.Float r.stats.time);
+       ("store", J.Str store);
+     ]
+    @ store_error)
 
 (* ------------------------------------------------------------------ *)
 (* Jobs *)
@@ -203,7 +211,9 @@ let run_lint _server conn ~job req =
     | None -> ()
     | Some b ->
       let config = { Analyze.Access_summary.default_config with max_executions } in
-      let summary = Analyze.Access_summary.collect ~config b in
+      let summary =
+        Analyze.Access_summary.collect ~config ~stop:(fun () -> not conn.alive) b
+      in
       let findings = Analyze.Lint.lint summary in
       let ok = Analyze.Lint.max_severity findings <> Some Analyze.Lint.Error in
       send conn
@@ -259,6 +269,7 @@ let run_fuzz _server conn ~job req =
                     }
                   ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
                   ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
+                  ~stop:(fun () -> not conn.alive)
                   ~seed (t.program ords)
               in
               let er = Fuzz.Engine.explorer_result r in

@@ -66,14 +66,15 @@ let tmp_counter = Atomic.make 0
    Each write goes through a temp file of its own — named by process,
    domain and a counter — so concurrent saves of one key never share
    one: each renames a complete file into place and the last rename
-   wins. *)
+   wins. A failure raises [Sys_error "PATH: reason"], naming [path]
+   whichever step failed, and leaves no temp file. *)
 let write_file path content =
   let tmp =
     Printf.sprintf "%s.%d-%d-%d.tmp" path (Unix.getpid ())
       (Domain.self () :> int)
       (Atomic.fetch_and_add tmp_counter 1)
   in
-  let sys_error e = Sys_error (Printf.sprintf "%s: %s" tmp (Unix.error_message e)) in
+  let sys_error e = Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)) in
   let fd =
     try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666
     with Unix.Unix_error (e, _, _) -> raise (sys_error e)
@@ -81,7 +82,7 @@ let write_file path content =
   try
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
         ignore (Unix.write_substring fd content 0 (String.length content)));
-    Sys.rename tmp path
+    Unix.rename tmp path
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise (match e with Unix.Unix_error (e, _, _) -> sys_error e | e -> e)
@@ -513,6 +514,7 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
      [truncated]), and never downgrading an entry that is already
      complete or already covers a larger cap. Buggy runs never save:
      bugs would need serializing to reproduce the verdict from a hit. *)
+  let save_error = ref None in
   (match store, key with
   | Some s, Some k when prune && r.bugs = [] ->
     let complete = not r.stats.truncated in
@@ -531,16 +533,24 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
     let unchanged =
       match stored with Some rs -> rs.entry.partial = None && added_nothing | None -> false
     in
-    if (complete && not unchanged) || (cap_partial <> None && not covered) then
-      save s k
-        {
-          graphs = r.graphs;
-          closed = r.closed;
-          check_entries = Cdsspec.Checker.export_entries cache;
-          partial = (if complete then None else cap_partial);
-        }
+    if (complete && not unchanged) || (cap_partial <> None && not covered) then begin
+      (* A failed write loses the entry, not the verdict. *)
+      try
+        save s k
+          {
+            graphs = r.graphs;
+            closed = r.closed;
+            check_entries = Cdsspec.Checker.export_entries cache;
+            partial = (if complete then None else cap_partial);
+          }
+      with Sys_error m -> save_error := Some m
+    end
   | _ -> ());
   let disposition =
-    match store with None -> `Off | Some _ -> ( match stored with Some _ -> `Hit | None -> `Miss)
+    match store, !save_error, stored with
+    | None, _, _ -> `Off
+    | Some _, Some m, _ -> `Save_failed m
+    | Some _, None, Some _ -> `Hit
+    | Some _, None, None -> `Miss
   in
   (r, disposition)

@@ -110,7 +110,9 @@ val load : t -> key -> entry option
 (** Atomic entry write: to a temp file unique to the writer (process,
     domain, counter), then renamed into place, so concurrent saves of one
     key each land whole and the last rename wins. The written bytes
-    become the handle's resident copy. *)
+    become the handle's resident copy. A failed write raises
+    [Sys_error "PATH: reason"], naming the entry's path whichever step
+    failed (say, a directory at that path), and leaves no temp file. *)
 val save : t -> key -> entry -> unit
 
 (** {2 Resident table}
@@ -157,7 +159,9 @@ val resident_bytes : t -> int
     and the first completing run upgrades the entry in place. Stopped
     and buggy runs are never saved. Returns the result plus the store
     disposition ([`Miss] includes a stored entry rejected for a
-    too-large cap). *)
+    too-large cap). A save that fails keeps the result and gives
+    [`Save_failed m], where [m] is {!save}'s [Sys_error] message, which
+    names the entry path. *)
 val explore_checked :
   ?store:t ->
   ?stop:(unit -> bool) ->
@@ -171,4 +175,4 @@ val explore_checked :
   Structures.Benchmark.t ->
   ords:Structures.Ords.t ->
   Structures.Benchmark.test ->
-  Mc.Explorer.result * [ `Off | `Miss | `Hit ]
+  Mc.Explorer.result * [ `Off | `Miss | `Hit | `Save_failed of string ]

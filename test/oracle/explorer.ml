@@ -24,6 +24,10 @@ let rec backtrack ~close trace =
       ignore (Vec.pop trace);
       backtrack ~close trace
 
+let run ?prune ~config ~trace main =
+  let session = S.session_create ?prune ~config ~trace main in
+  Fun.protect ~finally:(fun () -> S.session_close session) (fun () -> S.session_run session)
+
 let explore ?(config = E.default_config) ?on_feasible main =
   let t0 = Mc.Monotonic.now () in
   let closed : (S.prune_key, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -33,7 +37,7 @@ let explore ?(config = E.default_config) ?on_feasible main =
   let bugs = ref [] and first_buggy_exec = ref None in
   let trace = Vec.create () in
   let rec loop (s : E.stats) =
-    let r = S.run ?prune ~config:config.scheduler ~trace main in
+    let r = run ?prune ~config:config.scheduler ~trace main in
     let s = { s with explored = s.explored + 1 } in
     let s =
       match r.outcome with

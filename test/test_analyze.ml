@@ -30,21 +30,22 @@ let test_downgrades () =
     "release store" [ "relaxed" ] (chain Mo.For_store Mo.Release);
   Alcotest.(check (list string)) "relaxed load" [] (chain Mo.For_load Mo.Relaxed)
 
-(* --- the time budget holds at any jobs count ------------------------ *)
+(* --- a deadline stop holds at any jobs count -------------------------- *)
 
-(* The budget is polled after every run under work stealing too, so a
-   0.3 s budget stops Chase-Lev's push-take-steal long before its
+(* [stop] is polled after every run under work stealing too, so a
+   0.3 s deadline stops Chase-Lev's push-take-steal long before its
    200,000-run per-test cap. The collection runs that test alone: the
-   budget must expire inside a test, which a budget checked only
-   between tests never sees. *)
+   deadline must expire inside a test, which a stop polled only between
+   tests never sees. *)
 let test_budget_at_j2 () =
   let b = bench "Chase-Lev Deque" in
   let b =
     { b with tests = List.filter (fun (t : B.test) -> t.test_name = "push-take-steal") b.tests }
   in
   Alcotest.(check int) "one test" 1 (List.length b.tests);
-  let config = { AS.default_config with time_budget = Some 0.3; jobs = 2 } in
-  let s = AS.collect ~config b in
+  let config = { AS.default_config with jobs = 2 } in
+  let deadline = Mc.Monotonic.now () +. 0.3 in
+  let s = AS.collect ~config ~stop:(fun () -> Mc.Monotonic.now () >= deadline) b in
   Alcotest.(check bool) "truncated" true s.truncated;
   Alcotest.(check bool)
     (Printf.sprintf "explored %d, below 100,000" s.explored)

@@ -350,17 +350,67 @@ let test_session_restore () =
   (match !lens with
   | [] -> Alcotest.fail "no executions"
   | n :: rest -> List.iter (Alcotest.(check int) "arena rewound between runs" n) rest);
-  (* same DFS with a fresh run per execution: same graphs in the same
-     order *)
+  (* same DFS with a fresh session per execution: same graphs in the
+     same order *)
   let fresh_trace = C11.Vec.create () in
   let fresh_fps = ref [] in
   let continue_ = ref true in
   while !continue_ do
-    let r = S.run ~config ~trace:fresh_trace program in
+    let r = Oracle.Explorer.run ~config ~trace:fresh_trace program in
     fresh_fps := C11.Execution.fingerprint r.exec :: !fresh_fps;
     if not (E.backtrack fresh_trace) then continue_ := false
   done;
   Alcotest.(check bool) "graphs match fresh runs" true (!fps = !fresh_fps)
+
+(* Emptying the trace restarts a session from its root: the run commits
+   every action from action zero again on the same arena. A sampling
+   session (created with [pick]) runs every execution that way, and each
+   of its runs builds the graph that a fresh session given the same
+   decisions builds. *)
+let test_root_restart () =
+  let program () =
+    let l = P.malloc ~init:0 1 in
+    let t1 = P.spawn (fun () -> P.store Relaxed l 1) in
+    let t2 = P.spawn (fun () -> ignore (P.load Relaxed l)) in
+    P.join t1;
+    P.join t2
+  in
+  let config = { S.default_config with sleep_sets = false } in
+  let graph (r : S.run_result) =
+    (C11.Execution.fingerprint r.exec, C11.Execution.num_actions r.exec)
+  in
+  let trace = C11.Vec.create () in
+  let session = S.session_create ~config ~trace program in
+  let first = graph (S.session_run session) in
+  Alcotest.(check bool) "a second schedule" true (E.backtrack trace);
+  Alcotest.(check bool) "second run differs" true (graph (S.session_run session) <> first);
+  C11.Vec.truncate trace 0;
+  Alcotest.(check bool)
+    "root restart repeats the first run" true
+    (graph (S.session_run session) = first);
+  Alcotest.(check int) "two restores" 2 (snd (S.session_counters session));
+  S.session_close session;
+  let strace = C11.Vec.create () in
+  let flip = ref 0 in
+  let pick d =
+    incr flip;
+    !flip mod S.decision_arity d
+  in
+  let sampling = S.session_create ~pick ~config ~trace:strace program in
+  let seen = Hashtbl.create 8 in
+  for run = 1 to 12 do
+    C11.Vec.truncate strace 0;
+    let r = S.session_run sampling in
+    let decisions = C11.Vec.create () in
+    C11.Vec.iter (fun d -> C11.Vec.push decisions (E.copy_decision d)) strace;
+    let fresh = Oracle.Explorer.run ~config ~trace:decisions program in
+    Alcotest.(check bool) (Printf.sprintf "run %d matches a fresh session" run) true
+      (graph r = graph fresh);
+    Hashtbl.replace seen (graph r) ()
+  done;
+  Alcotest.(check bool) "several executions sampled" true (Hashtbl.length seen > 1);
+  Alcotest.(check int) "no step snapshots" 0 (fst (S.session_counters sampling));
+  S.session_close sampling
 
 (* ------------------------------------------------------------------ *)
 (* Fiber stacks *)
@@ -429,5 +479,6 @@ let () =
           Alcotest.test_case "nested watermarks" `Quick test_watermark_nested;
           Alcotest.test_case "side-effect replay" `Quick test_side_effect_replay;
           Alcotest.test_case "session restore" `Quick test_session_restore;
+          Alcotest.test_case "root restart" `Quick test_root_restart;
         ] );
     ]

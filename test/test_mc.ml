@@ -732,7 +732,7 @@ let test_visible_ops_suspend () =
   let runs = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let r = Mc.Scheduler.run ~config ~trace main in
+    let r = Oracle.Explorer.run ~config ~trace main in
     incr runs;
     Alcotest.(check bool) "complete" true (r.outcome = Mc.Scheduler.Complete);
     Alcotest.(check int) "switches = visible ops" visible r.switches;

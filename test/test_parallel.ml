@@ -179,7 +179,7 @@ let prefixes ~config ~depth main =
   let acc = ref [] in
   let continue_ = ref true in
   while !continue_ do
-    ignore (Mc.Scheduler.run ~config ~trace main);
+    ignore (Oracle.Explorer.run ~config ~trace main);
     let k = min depth (Vec.length trace) in
     acc := Array.init k (fun i -> E.copy_decision (Vec.get trace i)) :: !acc;
     Vec.truncate trace k;

@@ -141,11 +141,15 @@ let str_f k j = Option.bind (J.member k j) J.to_str
 let int_f k j = Option.bind (J.member k j) J.to_int
 
 (* Collect one job's events up to its [done] or [error], with a timeout
-   on every line, so a wedged daemon fails loudly instead of hanging the
-   suite. *)
-let wait_job c ~job =
+   on every line (or, given [within], on the whole job), so a wedged
+   daemon fails loudly instead of hanging the suite. *)
+let wait_job ?within c ~job =
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) within in
+  let timeout () =
+    match deadline with None -> 300. | Some d -> Float.max 0. (d -. Unix.gettimeofday ())
+  in
   let rec go acc =
-    match Serve.Client.recv ~timeout:300. c with
+    match Serve.Client.recv ~timeout:(timeout ()) c with
     | Serve.Client.Timeout -> Alcotest.fail "timed out waiting for job events"
     | Serve.Client.Eof -> Alcotest.fail "server closed connection mid-job"
     | Serve.Client.Msg j -> (
@@ -435,31 +439,86 @@ let test_store_warm_over_protocol () =
             (List.for_all2 (fun w c -> w <= c) (explored warm) (explored cold))));
   rm_rf dir
 
-(* A job whose run raises ends with an [error] event carrying its id,
-   and the daemon keeps serving. Deleting the store directory under the
-   daemon makes the cold check's save fail. *)
-let test_raising_job_reports_error () =
-  let dir = "serve-store-vanishing" in
+(* A failed store save keeps the verdict: the job sends its [result],
+   which says the save failed and names the entry path, then [done], and
+   the daemon keeps serving. The save fails two ways: with a directory
+   at the entry path, and with the store directory deleted under the
+   daemon. *)
+let test_failed_save_keeps_verdict () =
+  let dir = "serve-store-failing" in
   rm_rf dir;
   with_server ~jobs:1 ~store_dir:dir (fun socket ->
-      rm_rf dir;
       let c = Serve.Client.connect socket in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
-          let job = submit c (check_req "Treiber Stack" ~test:"2push-2pop") in
-          (match List.rev (wait_job c ~job) with
-          | last :: _ ->
-            Alcotest.(check (option string)) "job ends with error" (Some "error") (ev last);
-            Alcotest.(check (option int)) "error carries the job id" (Some job) (int_f "job" last);
-            Alcotest.(check bool) "error carries the exception text" true
-              (match str_f "message" last with
-              | Some m -> String.length m > 0
-              | None -> false)
-          | [] -> Alcotest.fail "no events for the job");
+          let req = check_req "Treiber Stack" ~test:"2push-2pop" in
+          let saved = results_of (wait_job c ~job:(submit c req)) in
+          let entries = Array.to_list (Sys.readdir dir) in
+          let entry =
+            match List.filter (fun f -> Filename.check_suffix f ".bin") entries with
+            | [ f ] -> Filename.concat dir f
+            | _ -> Alcotest.fail "one entry saved"
+          in
+          let failed_save what =
+            let job = submit c req in
+            match wait_job c ~job with
+            | [ result; done_ ] ->
+              Alcotest.(check (option string))
+                (what ^ ": result first") (Some "result") (ev result);
+              Alcotest.(check bool) (what ^ ": same verdict") true (results_of [ result ] = saved);
+              Alcotest.(check (option string))
+                (what ^ ": save failed") (Some "save-failed") (str_f "store" result);
+              Alcotest.(check bool) (what ^ ": the failure names the entry path") true
+                (match str_f "store_error" result with
+                | Some m -> String.starts_with ~prefix:(entry ^ ": ") m
+                | None -> false);
+              Alcotest.(check (option string)) (what ^ ": then done") (Some "done") (ev done_);
+              Alcotest.(check (option int)) (what ^ ": done carries the job id") (Some job)
+                (int_f "job" done_)
+            | evs ->
+              Alcotest.failf "%s: expected result then done, got %s" what
+                (String.concat " " (List.map J.to_line evs))
+          in
+          rm_rf entry;
+          Sys.mkdir entry 0o755;
+          failed_save "directory at the entry path";
+          rm_rf dir;
+          failed_save "store directory deleted";
           Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
           match Serve.Client.recv ~timeout:30. c with
           | Serve.Client.Msg j -> Alcotest.(check (option string)) "daemon still answers" (Some "pong") (ev j)
-          | _ -> Alcotest.fail "no pong after the failed job"));
+          | _ -> Alcotest.fail "no pong after the failed saves"));
   rm_rf dir
+
+(* A job whose client has gone stops: on a one-worker daemon, a job
+   that would run for minutes is abandoned right after its accept, and
+   a check on a new connection must still answer within 10 s. *)
+let abandoned_job_stops req () =
+  with_server ~jobs:1 (fun socket ->
+      let c1 = Serve.Client.connect socket in
+      ignore (submit c1 req);
+      Serve.Client.close c1;
+      let c2 = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c2) (fun () ->
+          let job = submit c2 (check_req "Treiber Stack" ~test:"2push-2pop") in
+          match List.rev (wait_job ~within:10. c2 ~job) with
+          | last :: _ -> Alcotest.(check (option string)) "check answers" (Some "done") (ev last)
+          | [] -> Alcotest.fail "no events for the check"))
+
+(* Seqlock/2write-1read runs about 40,000 fuzz executions a second, and
+   a lint job sent without [max_executions] explores Chase-Lev's tests
+   with no cap. *)
+let test_abandoned_fuzz_stops =
+  abandoned_job_stops
+    (J.Obj
+       [
+         ("op", J.Str "fuzz");
+         ("bench", J.Str "Seqlock");
+         ("test", J.Str "2write-1read");
+         ("max_executions", J.Int 3_000_000);
+       ])
+
+let test_abandoned_lint_stops =
+  abandoned_job_stops (J.Obj [ ("op", J.Str "lint"); ("bench", J.Str "Chase-Lev Deque") ])
 
 (* The daemon opens its store before it binds the socket, so the first
    connect that succeeds finds the store's [meta] written and no
@@ -671,6 +730,17 @@ let test_eof_mid_line () =
           (String.ends_with ~suffix:"truncated line" m)
       | _ -> Alcotest.fail "a close mid-line must raise Failure")
 
+(* A peer that closes with our request unread resets the connection:
+   [recv] reports that close as [Eof]. *)
+let test_reset_is_eof () =
+  with_peer (fun c ~write:_ ~hang_up ->
+      Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+      hang_up ();
+      match Serve.Client.recv ~timeout:10. c with
+      | Serve.Client.Eof -> ()
+      | Serve.Client.Msg j -> Alcotest.failf "expected Eof, got %s" (J.to_line j)
+      | Serve.Client.Timeout -> Alcotest.fail "expected Eof, got Timeout")
+
 let test_silent_peer () =
   with_peer (fun c ~write:_ ~hang_up:_ ->
       let t0 = Unix.gettimeofday () in
@@ -698,7 +768,10 @@ let () =
           Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
-          Alcotest.test_case "raising job reports error" `Quick test_raising_job_reports_error;
+          Alcotest.test_case "failed store save keeps the verdict" `Quick
+            test_failed_save_keeps_verdict;
+          Alcotest.test_case "abandoned fuzz job stops" `Quick test_abandoned_fuzz_stops;
+          Alcotest.test_case "abandoned lint job stops" `Quick test_abandoned_lint_stops;
           Alcotest.test_case "store ready before connect" `Quick test_store_ready_before_connect;
           Alcotest.test_case "oversized request line" `Quick test_oversized_line;
           Alcotest.test_case "socket path rule" `Quick test_socket_path_rule;
@@ -711,6 +784,7 @@ let () =
           Alcotest.test_case "line longer than the buffer" `Quick test_line_longer_than_buffer;
           Alcotest.test_case "eof after a line" `Quick test_eof_after_line;
           Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;
+          Alcotest.test_case "close with the request unread" `Quick test_reset_is_eof;
           Alcotest.test_case "silent peer times out" `Quick test_silent_peer;
         ] );
     ]

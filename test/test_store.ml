@@ -438,6 +438,31 @@ let test_directory_entry () =
   Alcotest.(check int) "every load a miss" 100 (Store.stats s).misses;
   rm_rf dir
 
+(* A save that fails keeps the verdict: with a directory at the entry
+   path the clean run's result comes back as the store-less run's, and
+   the failure names the path. No temp file is left behind. *)
+let test_failed_save_keeps_verdict () =
+  let dir = scratch_dir () in
+  let b = treiber () in
+  let ords = Ords.default b.B.sites in
+  let t = List.find (fun (t : B.test) -> t.B.test_name = "2push-2pop") b.B.tests in
+  let store = Store.open_dir dir in
+  let path = entry_path dir (check_key b t ~ords) in
+  Sys.mkdir path 0o755;
+  let plain, _ = run ~jobs:1 ~prune:true b ~ords t in
+  let r, d = run ~store ~jobs:1 ~prune:true b ~ords t in
+  check_semantics ~where:"failed save" plain r;
+  Alcotest.(check (list string)) "clean verdict" [] (keys r);
+  (match d with
+  | `Save_failed m ->
+    Alcotest.(check bool) ("the failure names the path: " ^ m) true
+      (String.starts_with ~prefix:(path ^ ": ") m)
+  | _ -> Alcotest.fail "a directory at the entry path must fail the save");
+  Alcotest.(check (list string))
+    "no temp file left" []
+    (List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir)));
+  rm_rf dir
+
 (* A warm hit that adds nothing to a complete entry leaves the file
    alone: same inode, same bytes. *)
 let test_warm_hit_no_rewrite () =
@@ -621,6 +646,7 @@ let () =
           Alcotest.test_case "corrupt entry discarded" `Quick test_corrupt_entry_discarded;
           Alcotest.test_case "engine-rev flush" `Quick test_engine_rev_flush;
           Alcotest.test_case "directory at entry path" `Quick test_directory_entry;
+          Alcotest.test_case "failed save keeps the verdict" `Quick test_failed_save_keeps_verdict;
         ] );
       ( "resident",
         [
