@@ -106,12 +106,19 @@ let exhaustive_one ?store ~checker ~max_execs ~jobs ~prune ~profile (b : B.t) ~o
     (if r.stats.truncated then " (truncated)" else "");
   (match disposition with
   | `Off -> ()
+  | `Hit when r.witnesses <> [] ->
+    (* each witness of a buggy entry replays as one run *)
+    let n = List.length r.witnesses in
+    Format.printf
+      "  store: hit (%d witness run%s replayed; warm re-validation; stored graph set merged)@." n
+      (if n = 1 then "" else "s")
   | `Hit -> Format.printf "  store: hit (warm re-validation; stored graph set merged)@."
   | `Miss ->
     let saved =
-      if prune && r.bugs = [] then
-        if r.stats.truncated then ", saved (partial)" else ", saved"
-      else ", not saved"
+      match prune, r.stats.truncated with
+      | false, _ -> ", not saved"
+      | true, false -> ", saved"
+      | true, true -> if r.bugs = [] then ", saved (partial)" else ", not saved"
     in
     Format.printf "  store: miss (cold run%s)@." saved
   | `Save_failed m ->
@@ -222,6 +229,7 @@ let replay_one ~checker ~decisions (b : B.t) ~ords (t : B.test) =
     first_buggy_exec = (if bugs <> [] then Some run_r.exec else None);
     graphs = (if complete then [ C11.Execution.fingerprint run_r.exec ] else []);
     closed = [];
+    witnesses = [];
   }
 
 (* [--store PATH] of [check] and [serve]: a path that cannot be a store

@@ -205,6 +205,7 @@ let explorer_result (r : result) : Mc.Explorer.result =
     first_buggy_exec = r.first_buggy_exec;
     graphs = r.graphs;
     closed = [];
+    witnesses = [];
   }
 
 let trace_to_string l = String.concat "." (List.map string_of_int l)

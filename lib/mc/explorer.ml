@@ -83,6 +83,8 @@ let no_stats =
     check = no_check_counters;
   }
 
+type witness = { keys : string list; path : Scheduler.decision array }
+
 type result = {
   stats : stats;
   bugs : Bug.t list;
@@ -92,6 +94,9 @@ type result = {
       (* decision-point states whose subtrees this search fully explored —
          what the persistent store saves so a later identical run can
          prune them without re-exploring ([] with pruning off) *)
+  witnesses : witness list;
+      (* one per run that reported a new bug key, in discovery order —
+         what the store saves so a hit can replay the buggy runs *)
 }
 
 (* Decision records are mutated by [backtrack]; a prefix handed to
@@ -166,6 +171,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
   let seen_bugs : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let bugs = ref [] in
   let first_buggy_exec = ref None in
+  let witnesses = ref [] in
   (* Fully-explored decision-point states: a fresh decision point whose
      key is in here can only replay an already-explored subtree, so the
      scheduler aborts the run with [Pruned_equiv]. Soundness: keys are
@@ -199,14 +205,24 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
       (* [exec] is the session's single graph, valid only until the
          next run: retaining it takes a deep copy. *)
       if Option.is_none !first_buggy_exec then first_buggy_exec := Some (C11.Execution.copy exec);
-      List.iter
-        (fun b ->
-          let key = Bug.key b in
-          if not (Hashtbl.mem seen_bugs key) then begin
-            Hashtbl.add seen_bugs key ();
-            bugs := b :: !bugs
-          end)
-        found
+      let added =
+        List.fold_left
+          (fun added b ->
+            let key = Bug.key b in
+            if Hashtbl.mem seen_bugs key then added
+            else begin
+              Hashtbl.add seen_bugs key ();
+              bugs := b :: !bugs;
+              key :: added
+            end)
+          [] found
+      in
+      (* The run's decision path replays it; [backtrack] mutates the
+         records, so the witness keeps copies. *)
+      if added <> [] then begin
+        let path = Array.init (Vec.length trace) (fun i -> copy_decision (Vec.get trace i)) in
+        witnesses := { keys = List.rev added; path } :: !witnesses
+      end
     end
   in
   let session = Scheduler.session_create ?prune ~config:config.scheduler ~trace main in
@@ -215,6 +231,9 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
      read once at the end, cover the whole search. *)
   let switches = ref 0 and inlined = ref 0 in
   let continue_ = ref true in
+  (* A run that diverges from a replayed trace raises out of the search:
+     its suspended fibers are freed on the way. *)
+  Fun.protect ~finally:(fun () -> Scheduler.session_close session) @@ fun () ->
   while !continue_ do
     let r = Scheduler.session_run session in
     incr explored;
@@ -282,7 +301,6 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
       | _ -> ()
     end
   done;
-  Scheduler.session_close session;
   let graph_list = List.sort_uniq Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) graphs []) in
   let snapshots, restores = Scheduler.session_counters session in
   let exec = Scheduler.session_exec session in
@@ -316,6 +334,7 @@ let explore_subtree ?(config = default_config) ?on_feasible ?(check = fun () -> 
     first_buggy_exec = !first_buggy_exec;
     graphs = graph_list;
     closed = Hashtbl.fold (fun k () acc -> k :: acc) visited [];
+    witnesses = List.rev !witnesses;
   }
 
 let explore ?config ?on_feasible ?check ?stop ?warm main =

@@ -114,6 +114,12 @@ type stats = {
     base for results built by hand ([{ no_stats with explored = 1 }]). *)
 val no_stats : stats
 
+(** A run that reported a bug key no earlier run of the search had: the
+    keys it added, in its report order, and a copy of its decision path,
+    which replays it ({!explore_subtree} with the path as a frozen
+    trace). *)
+type witness = { keys : string list; path : Scheduler.decision array }
+
 type result = {
   stats : stats;
   bugs : Bug.t list;  (** deduplicated by {!Bug.key}, discovery order *)
@@ -131,6 +137,11 @@ type result = {
           a later run of the identical program/config can preload them via
           [warm] and skip the corresponding subtrees. Empty with
           [config.prune] off. *)
+  witnesses : witness list;
+      (** one per run that reported a new bug key, in discovery order:
+          the first is the run of [first_buggy_exec], and replaying them
+          in order rebuilds [bugs]. The persistent store saves them so a
+          hit on a buggy entry can replay the buggy runs *)
 }
 
 (** Copy a decision record: decision records are mutated by {!backtrack},

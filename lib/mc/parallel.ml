@@ -20,6 +20,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
   let stats = ref zero in
   let bugs = ref [] in
   let first_exec = ref None in
+  let witnesses = ref [] in
   List.iter
     (fun (r : Explorer.result) ->
       let s = !stats in
@@ -49,6 +50,13 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
         };
       List.iter (fun fp -> Hashtbl.replace graphs fp ()) r.graphs;
       List.iter (fun k -> Hashtbl.replace closed k ()) r.closed;
+      (* A witness every key of which an earlier subtree reported would
+         add nothing to a replay of the merged bug list. *)
+      List.iter
+        (fun (w : Explorer.witness) ->
+          if List.exists (fun k -> not (Hashtbl.mem seen k)) w.keys then
+            witnesses := w :: !witnesses)
+        r.witnesses;
       List.iter
         (fun b ->
           let key = Bug.key b in
@@ -73,6 +81,7 @@ let merge ~t0 ~stopped ~check (results : Explorer.result list) : Explorer.result
     first_buggy_exec = !first_exec;
     graphs = graph_list;
     closed = Hashtbl.fold (fun k () acc -> k :: acc) closed [];
+    witnesses = List.rev !witnesses;
   }
 
 (* What every worker polls after each counted run: the global execution

@@ -53,6 +53,17 @@ val explore :
   (unit -> unit) ->
   Explorer.result
 
+(** [merge ~t0 ~stopped ~check results] combines the results of
+    searches over disjoint parts of one tree, given in DFS order — what
+    {!explore} does with its work items. Stats are summed, with
+    [truncated] set by [stopped] or by any result, [time] measured from
+    [t0] and [check] as given. Graphs and closed keys are unioned; bugs
+    are deduplicated by key in order; the first buggy execution is the
+    first result's that has one; and a witness is kept unless every key
+    it added was reported by an earlier result. *)
+val merge :
+  t0:float -> stopped:bool -> check:Explorer.check_counters -> Explorer.result list -> Explorer.result
+
 (** {1 Resident domain pool}
 
     A long-lived pool of worker domains for callers that process many

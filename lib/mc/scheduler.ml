@@ -65,6 +65,8 @@ type run_result = {
 
 exception Prune of outcome
 
+exception Diverged
+
 
 type status =
   | Not_started of (unit -> unit)
@@ -215,17 +217,17 @@ let initial_choice st d =
     if i < 0 || i >= decision_arity d then 0 else i
 
 (* Decision points: consume the replayed prefix, then extend with the
-   default choice. Trivial (single-alternative) points are not recorded. *)
+   default choice. Trivial (single-alternative) points are not recorded.
+   A replayed decision of another kind or arity, or with its chosen
+   index out of range, raises [Diverged]. *)
 let choose st num =
   if num <= 1 then 0
   else if st.cursor < Vec.length st.trace then begin
     match Vec.get st.trace st.cursor with
-    | Choice d ->
-      (* replay must be deterministic: same prefix, same alternatives *)
-      assert (d.num = num);
+    | Choice d when d.num = num && d.choice_chosen < num ->
       st.cursor <- st.cursor + 1;
       d.choice_chosen
-    | Sched _ -> assert false
+    | Choice _ | Sched _ -> raise Diverged
   end
   else begin
     let d = { choice_chosen = 0; num } in
@@ -247,6 +249,21 @@ let mask_to_list nthreads m =
   done;
   !out
 
+(* A replayed scheduling decision must list exactly the threads
+   available at the live point, in tid order: then its chosen index
+   names the same thread, and its earlier siblings the same sleepers. *)
+let same_candidates st candidates ~avail ~nav =
+  Array.length candidates = nav
+  &&
+  let i = ref 0 and same = ref true in
+  for tid = 0 to st.nthreads - 1 do
+    if avail land (1 lsl tid) <> 0 then begin
+      if candidates.(!i) <> tid then same := false;
+      incr i
+    end
+  done;
+  !same
+
 (* Scheduling decision over the available-candidate mask [avail] (with
    [nav] >= 2 set bits; single-candidate steps never reach here); returns
    (chosen tid, mask of already-explored siblings to put to sleep).
@@ -257,10 +274,8 @@ let choose_sched st ~sleep ~avail ~nav =
   let d =
     if st.cursor < Vec.length st.trace then begin
       match Vec.get st.trace st.cursor with
-      | Sched d ->
-        assert (Array.length d.candidates = nav);
-        d
-      | Choice _ -> assert false
+      | Sched d when d.sched_chosen < nav && same_candidates st d.candidates ~avail ~nav -> d
+      | Sched _ | Choice _ -> raise Diverged
     end
     else begin
       let state =
@@ -901,6 +916,10 @@ let restore_to s (snap : snapshot) =
   done;
   replay_threads st s.main snap
 
+(* A run completes only on the whole of its trace: recorded decisions
+   left unconsumed mean the trace was recorded against another program. *)
+let completed st = if st.cursor < Vec.length st.trace then raise Diverged else Complete
+
 (* The search loop behind [session_run]. Snapshots are captured at step
    start and attached to every decision index the step records or
    consumes — including when the step aborts with [Prune], so a later
@@ -937,14 +956,14 @@ let run_loop s sleep0 =
         end
       end
     done;
-    if !all_fin then Complete
+    if !all_fin then completed st
     else if !nen = 0 then begin
       let blocked = ref [] in
       for tid = st.nthreads - 1 downto 0 do
         match get_status st tid with Finished -> () | _ -> blocked := tid :: !blocked
       done;
       st.bugs <- Bug.Deadlock { blocked_tids = !blocked } :: st.bugs;
-      Complete
+      completed st
     end
     else if !nav = 0 then raise (Prune Pruned_sleep_set)
     else begin

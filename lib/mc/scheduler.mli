@@ -108,6 +108,15 @@ type run_result = {
           Same accumulation as [switches]. *)
 }
 
+(** Raised by {!session_run} when a run departs from its recorded
+    trace: a replayed decision is of another kind, has another arity,
+    lists other candidate threads or has its chosen index out of range,
+    or the run completes with recorded decisions left unconsumed. A
+    search never raises it on its own trace, whose runs are determined
+    by their decision paths; it marks a trace recorded against another
+    program (a stale store witness, say). *)
+exception Diverged
+
 (** {1 Sessions}
 
     Every execution runs in a session: one persistent state and one

@@ -76,11 +76,21 @@ let str_field = field J.to_str "a string"
 let int_field = field J.to_int "an integer"
 let bool_field = field (function J.Bool b -> Some b | _ -> None) "a boolean"
 
+(* The cap a job runs under when its request gives none: a [check]
+   explores to completion, and [lint] and [fuzz] stop where their
+   library defaults do ([cdsspec_run lint] caps at the same 200,000). *)
+let default_cap = function
+  | "lint" -> Analyze.Access_summary.default_config.max_executions
+  | "fuzz" -> Fuzz.Engine.default_config.max_executions
+  | _ -> None
+
 (* A job's [max_executions] cap must be at least 1: a smaller one would
-   explore one run and report it truncated. *)
-let cap_field j =
+   explore one run and report it truncated. An absent field is the op's
+   default. *)
+let cap_field ~op j =
   match int_field j "max_executions" with
   | Ok (Some n) when n < 1 -> Error (Printf.sprintf "max_executions must be at least 1 (got %d)" n)
+  | Ok None -> Ok (default_cap op)
   | r -> r
 
 (* The [bench] field every job op needs. *)
@@ -156,7 +166,7 @@ let run_check server conn ~job req =
   match
     let* name = bench_field ~op:"check" req in
     let* test = str_field req "test" in
-    let* max_execs = cap_field req in
+    let* max_execs = cap_field ~op:"check" req in
     let* prune = bool_field req "prune" in
     let* overrides = overrides_field req in
     Ok (name, test, max_execs, Option.value prune ~default:true, overrides)
@@ -202,7 +212,7 @@ let severity_json s = J.Str (Analyze.Lint.severity_to_string s)
 let run_lint _server conn ~job req =
   match
     let* name = bench_field ~op:"lint" req in
-    let* max_execs = cap_field req in
+    let* max_execs = cap_field ~op:"lint" req in
     Ok (name, max_execs)
   with
   | Error m -> send_error conn ~job m
@@ -241,11 +251,11 @@ let run_fuzz _server conn ~job req =
     let* name = bench_field ~op:"fuzz" req in
     let* test = str_field req "test" in
     let* seed = int_field req "seed" in
-    let* max_execs = cap_field req in
-    Ok (name, test, Option.value seed ~default:0, Option.value max_execs ~default:10_000)
+    let* max_execs = cap_field ~op:"fuzz" req in
+    Ok (name, test, Option.value seed ~default:0, max_execs)
   with
   | Error m -> send_error conn ~job m
-  | Ok (name, test, seed, max_execs) -> (
+  | Ok (name, test, seed, max_executions) -> (
     match find_bench_or_report conn ~job name with
     | None -> ()
     | Some b -> (
@@ -262,11 +272,7 @@ let run_fuzz _server conn ~job req =
               let r =
                 Fuzz.Engine.run
                   ~config:
-                    {
-                      Fuzz.Engine.default_config with
-                      scheduler = b.scheduler;
-                      max_executions = Some max_execs;
-                    }
+                    { Fuzz.Engine.default_config with scheduler = b.scheduler; max_executions }
                   ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
                   ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
                   ~stop:(fun () -> not conn.alive)
@@ -309,10 +315,16 @@ let submit_job server conn ~op run req =
   server.next_job <- job + 1;
   conn.jobs_active <- conn.jobs_active + 1;
   Mutex.unlock server.mu;
+  (* [max_executions] echoes the cap the job will run under ([null]:
+     none), once the request's field parses. *)
   send conn
     (event "accepted"
        ([ ("job", J.Int job); ("op", J.Str op) ]
-       @ match str_field req "bench" with Ok (Some b) -> [ ("bench", J.Str b) ] | _ -> []));
+       @ (match str_field req "bench" with Ok (Some b) -> [ ("bench", J.Str b) ] | _ -> [])
+       @
+       match cap_field ~op req with
+       | Ok cap -> [ ("max_executions", match cap with Some n -> J.Int n | None -> J.Null) ]
+       | Error _ -> []));
   Mc.Parallel.pool_submit server.pool (fun () ->
       Fun.protect
         ~finally:(fun () ->

@@ -37,27 +37,57 @@ let entry_files dir =
 
 (* Store files go through a bare fd, closed on every path: a channel
    brings a 64 KiB buffer per call, freed only at finalisation, and one
-   left open by a failed read keeps its fd for good. [read_file] is the
-   whole regular file at [path], or [None] when there is none to read
-   whole (missing, a directory, shrunk under the read). *)
-let read_file path =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+   left open by a failed read keeps its fd for good. [with_regular_file
+   path f] is [f fd size] on the regular file at [path], or [None] when
+   there is none (missing, a directory) or a read fails. The open never
+   blocks: without [O_NONBLOCK], a FIFO at [path] would wait for a
+   writer. *)
+let with_regular_file path f =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (_, _, _) -> None
   | fd -> (
-    let read () =
+    let use () =
       match Unix.fstat fd with
-      | { Unix.st_kind = Unix.S_REG; st_size = n; _ } ->
-        let buf = Bytes.create n in
-        let rec fill off =
-          if off = n then Some (Bytes.unsafe_to_string buf)
-          else match Unix.read fd buf off (n - off) with 0 -> None | k -> fill (off + k)
-        in
-        fill 0
+      | { Unix.st_kind = Unix.S_REG; st_size = n; _ } -> f fd n
       | _ -> None
     in
-    match Fun.protect ~finally:(fun () -> Unix.close fd) read with
+    match Fun.protect ~finally:(fun () -> Unix.close fd) use with
     | s -> s
     | exception Unix.Unix_error (_, _, _) -> None)
+
+(* The [n] bytes from [fd]'s offset, or [None] when the file is shorter
+   (shrunk under the read). *)
+let read_all fd n =
+  let buf = Bytes.create n in
+  let rec fill off =
+    if off = n then Some (Bytes.unsafe_to_string buf)
+    else match Unix.read fd buf off (n - off) with 0 -> None | k -> fill (off + k)
+  in
+  fill 0
+
+let read_file path = with_regular_file path read_all
+
+(* [buf]'s first [len] bytes equal [s]'s [len] bytes from [off],
+   compared a word at a time. *)
+let equal_chunk buf s off len =
+  let rec words i =
+    if i + 8 > len then bytes i
+    else (Bytes.get_int64_ne buf i : int64) = String.get_int64_ne s (off + i) && words (i + 8)
+  and bytes i = i >= len || (Bytes.get buf i = String.get s (off + i) && bytes (i + 1)) in
+  words 0
+
+(* [fd], from its offset on, holds [s]'s bytes, read through [buf]. The
+   caller has checked the file's size. *)
+let same_bytes fd buf s =
+  let n = String.length s in
+  let rec from off =
+    off = n
+    ||
+    match Unix.read fd buf 0 (min (Bytes.length buf) (n - off)) with
+    | 0 -> false
+    | k -> equal_chunk buf s off k && from (off + k)
+  in
+  from 0
 
 let tmp_counter = Atomic.make 0
 
@@ -76,7 +106,10 @@ let write_file path content =
   in
   let sys_error e = Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)) in
   let fd =
-    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666
+    try
+      Unix.openfile tmp
+        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_NONBLOCK; Unix.O_CLOEXEC ]
+        0o666
     with Unix.Unix_error (e, _, _) -> raise (sys_error e)
   in
   try
@@ -138,6 +171,9 @@ type entry = {
       (* None: the run explored to completion. Some cap: a clean run
          truncated by max_execs = cap — its closed keys and graphs are
          sound but incomplete, usable to warm runs capped at <= cap. *)
+  witnesses : Mc.Explorer.witness list;
+      (* the runs that reported the bugs of a complete buggy run, which a
+         hit replays; [] for a clean run *)
 }
 
 let magic = "CDSS1"
@@ -250,6 +286,43 @@ let get_check_entry r : Cdsspec.Checker.cache_entry =
   let entry_p_trunc = get_bool r in
   { entry_key; entry_verdict; entry_h_trunc; entry_p_trunc }
 
+(* A decision is its chosen index plus what the replay compares with
+   the live point: a scheduling decision's candidate tids, a reads-from
+   or CAS branch's arity. *)
+let put_decision buf = function
+  | Mc.Scheduler.Sched d ->
+    put_int buf 0;
+    put_int buf d.sched_chosen;
+    put_int buf (Array.length d.candidates);
+    Array.iter (put_int buf) d.candidates
+  | Choice d ->
+    put_int buf 1;
+    put_int buf d.choice_chosen;
+    put_int buf d.num
+
+let get_decision r : Mc.Scheduler.decision =
+  match get_int r with
+  | 0 ->
+    let sched_chosen = get_int r in
+    let candidates = Array.of_list (get_list r get_int) in
+    Sched { sched_chosen; candidates; state = None }
+  | 1 ->
+    let choice_chosen = get_int r in
+    let num = get_int r in
+    Choice { choice_chosen; num }
+  | _ -> raise Corrupt
+
+let put_witness buf (w : Mc.Explorer.witness) =
+  put_int buf (List.length w.keys);
+  List.iter (put_str buf) w.keys;
+  put_int buf (Array.length w.path);
+  Array.iter (put_decision buf) w.path
+
+let get_witness r : Mc.Explorer.witness =
+  let keys = get_list r get_str in
+  let path = Array.of_list (get_list r get_decision) in
+  { keys; path }
+
 let encode (key : key) e =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
@@ -266,6 +339,8 @@ let encode (key : key) e =
   | Some cap ->
     put_bool buf true;
     put_int buf cap);
+  put_int buf (List.length e.witnesses);
+  List.iter (put_witness buf) e.witnesses;
   put_i64 buf (fnv64 (Buffer.contents buf));
   Buffer.contents buf
 
@@ -282,8 +357,9 @@ let decode (key : key) s =
   let closed = get_list r get_prune_key in
   let check_entries = get_list r get_check_entry in
   let partial = if get_bool r then Some (get_int r) else None in
+  let witnesses = get_list r get_witness in
   if r.pos <> lim then raise Corrupt;
-  { graphs; closed; check_entries; partial }
+  { graphs; closed; check_entries; partial; witnesses }
 
 (* ------------------------------------------------------------------ *)
 (* Store handle and its resident table *)
@@ -302,10 +378,15 @@ type resident = {
 type t = {
   dir : string;
   stats : stats;
-  lock : Mutex.t;  (* guards [stats], [resident] and [resident_bytes] *)
+  lock : Mutex.t;  (* guards [stats], [resident], [resident_bytes] and [chunks] *)
   resident : (string, resident) Hashtbl.t;  (* by entry fingerprint *)
   mutable resident_bytes : int;  (* sum of [String.length raw], <= [resident_cap] *)
+  mutable chunks : Bytes.t list;  (* read buffers no lookup holds *)
 }
+
+(* One read of the in-place check: [Unix.read] moves at most this much
+   per call. *)
+let chunk_size = 65536
 
 (* Raw bytes the resident table may hold. The registry's check entries
    total about 1 MiB; decoded, an entry takes several times its raw
@@ -334,6 +415,7 @@ let open_dir dirname =
     lock = Mutex.create ();
     resident = Hashtbl.create 64;
     resident_bytes = 0;
+    chunks = [];
   }
 
 let entry_path t key = Filename.concat t.dir (key.fp ^ ".bin")
@@ -375,41 +457,80 @@ let resident_of (key : key) raw entry =
   List.iter (fun k -> Hashtbl.replace warm k ()) entry.closed;
   { raw; descr = key.descr; entry; warm }
 
-(* The one lookup path. The file is re-read on every call, so another
+(* A read buffer of the in-place check, held by one lookup at a time:
+   [Unix.read] releases the runtime lock, so two threads of one domain
+   must never fill the same one. The handle keeps the buffers no lookup
+   holds, so a lookup allocates none once each concurrent caller has
+   one. *)
+let with_chunk t f =
+  let buf =
+    Mutex.protect t.lock (fun () ->
+        match t.chunks with
+        | b :: rest ->
+          t.chunks <- rest;
+          b
+        | [] -> Bytes.create chunk_size)
+  in
+  Fun.protect ~finally:(fun () -> Mutex.protect t.lock (fun () -> t.chunks <- buf :: t.chunks))
+    (fun () -> f buf)
+
+(* What an entry path holds, against the resident bytes [raw]. *)
+type contents = Absent | Resident | Changed of string
+
+(* The file is compared with [raw] in place, through a chunk buffer,
+   after a size check: most entries are larger than the largest block
+   the minor heap takes (256 words), so a copy of the file would go
+   straight to the major heap. The whole file is read only when there
+   are no resident bytes or they differ. *)
+let read_entry t path raw =
+  let contents =
+    with_regular_file path (fun fd n ->
+        match raw with
+        | Some raw when String.length raw = n && with_chunk t (fun buf -> same_bytes fd buf raw) ->
+          Some Resident
+        | _ ->
+          ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+          Option.map (fun s -> Changed s) (read_all fd n))
+  in
+  Option.value contents ~default:Absent
+
+(* The one lookup path. The file is read on every call, so another
    process's rewrite, corruption or deletion of the entry is seen at
-   once; decoding is skipped only when the bytes equal the resident
-   copy's. *)
+   once; decoding is skipped only when the file holds the resident
+   copy's bytes. *)
 let lookup t (key : key) =
   let path = entry_path t key in
   let locked f = Mutex.protect t.lock (fun () -> f t) in
-  match read_file path with
-  | None ->
+  let cached =
+    match locked (fun t -> Hashtbl.find_opt t.resident key.fp) with
+    | Some r when String.equal r.descr key.descr -> Some r
+    | _ -> None
+  in
+  match read_entry t path (Option.map (fun r -> r.raw) cached) with
+  | Absent ->
     locked (fun t ->
         forget t key.fp;
         t.stats.misses <- t.stats.misses + 1);
     None
-  | Some raw -> (
-    let cached = locked (fun t -> Hashtbl.find_opt t.resident key.fp) in
-    match cached with
-    | Some r when String.equal r.raw raw && String.equal r.descr key.descr ->
-      locked (fun t -> t.stats.hits <- t.stats.hits + 1);
+  | Resident ->
+    locked (fun t -> t.stats.hits <- t.stats.hits + 1);
+    cached
+  | Changed raw -> (
+    match decode key raw with
+    | entry ->
+      let r = resident_of key raw entry in
+      locked (fun t ->
+          remember t key.fp r;
+          t.stats.hits <- t.stats.hits + 1);
       Some r
-    | _ -> (
-      match decode key raw with
-      | entry ->
-        let r = resident_of key raw entry in
-        locked (fun t ->
-            remember t key.fp r;
-            t.stats.hits <- t.stats.hits + 1);
-        Some r
-      | exception Corrupt ->
-        (* Discard, never trust: a bad entry is a miss plus a deletion. *)
-        (try Sys.remove path with Sys_error _ -> ());
-        locked (fun t ->
-            forget t key.fp;
-            t.stats.corrupt <- t.stats.corrupt + 1;
-            t.stats.misses <- t.stats.misses + 1);
-        None))
+    | exception Corrupt ->
+      (* Discard, never trust: a bad entry is a miss plus a deletion. *)
+      (try Sys.remove path with Sys_error _ -> ());
+      locked (fun t ->
+          forget t key.fp;
+          t.stats.corrupt <- t.stats.corrupt + 1;
+          t.stats.misses <- t.stats.misses + 1);
+      None)
 
 let load t key = Option.map (fun r -> r.entry) (lookup t key)
 
@@ -437,48 +558,123 @@ let rec sorted_subset a b =
     let c = Int64.compare x y in
     if c = 0 then sorted_subset a' b' else if c > 0 then sorted_subset a b' else false
 
+(* Drop an entry that [lookup] counted as a hit but that fails a later
+   check: a miss plus a deletion, as a corrupt file is. *)
+let discard t key =
+  (try Sys.remove (entry_path t key) with Sys_error _ -> ());
+  Mutex.protect t.lock (fun () ->
+      forget t key.fp;
+      t.stats.hits <- t.stats.hits - 1;
+      t.stats.misses <- t.stats.misses + 1;
+      t.stats.corrupt <- t.stats.corrupt + 1)
+
+(* Replay one witness as exactly one run down its recorded path, frozen
+   and with pruning off, through [Mc.Explorer.explore_subtree], which
+   also runs {!Mc.Parallel}'s work items. [None] when the witness no
+   longer replays: the run departs from the path, does not complete on
+   exactly that path, or does not report the keys the witness recorded.
+   The one-run cap marks the result truncated; that says nothing about
+   the job, so it is cleared. *)
+let replay ~config ~on_feasible program (w : Mc.Explorer.witness) =
+  let trace = C11.Vec.create () in
+  Array.iter (fun d -> C11.Vec.push trace (Mc.Explorer.copy_decision d)) w.path;
+  let frozen = Array.length w.path in
+  let config =
+    { config with Mc.Explorer.max_executions = Some 1; progress = None; prune = false }
+  in
+  match Mc.Explorer.explore_subtree ~config ~on_feasible ~trace ~frozen program with
+  | exception Mc.Scheduler.Diverged -> None
+  | r ->
+    let reported = List.map Mc.Bug.key r.bugs in
+    if
+      r.stats.feasible = 1
+      && C11.Vec.length trace = frozen
+      && List.for_all (fun k -> List.mem k reported) w.keys
+    then Some { r with stats = { r.stats with truncated = false } }
+    else None
+
+(* Every witness of an entry, in order; [None] as soon as one no longer
+   replays. [stop] is polled before each run, as the explorer polls it
+   after each: once it holds, the rest are skipped, and the warm run
+   that follows ends truncated at its first run. *)
+let replay_all ?stop ~config ~on_feasible program witnesses =
+  let stopped () = match stop with Some f -> f () | None -> false in
+  let rec go acc = function
+    | w :: rest when not (stopped ()) -> (
+      match replay ~config ~on_feasible program w with
+      | Some r -> go (r :: acc) rest
+      | None -> None)
+    | _ -> Some (List.rev acc)
+  in
+  go [] witnesses
+
 let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_execs ~jobs
     ~prune (b : B.t) ~ords (t : B.test) =
-  let cache = Cdsspec.Checker.create_cache () in
-  let key =
+  let keyed =
     Option.map
-      (fun _ ->
-        job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
-          ~sched:b.scheduler ~prune ~engine:`Arena ~max_execs ~checker ~use_cache:true)
+      (fun s ->
+        ( s,
+          job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
+            ~sched:b.scheduler ~prune ~engine:`Arena ~max_execs ~checker ~use_cache:true ))
       store
   in
-  let stored =
-    match store, key with Some s, Some k -> lookup s k | _ -> None
-  in
-  (* Partial entries are cap-scoped: a clean-but-capped run's closed
-     keys are sound only for runs that stop at or before the same cap —
-     a larger-capped (or uncapped) run would prune subtrees whose tails
-     the stored run never reached. An incompatible entry is a miss. *)
-  let stored =
-    match stored, store with
-    | Some rs, Some s
-      when (match rs.entry.partial with
-           | None -> false
-           | Some cap -> ( match max_execs with Some n -> n > cap | None -> true)) ->
-      Mutex.protect s.lock (fun () ->
-          s.stats.hits <- s.stats.hits - 1;
-          s.stats.misses <- s.stats.misses + 1);
-      None
-    | _ -> stored
-  in
-  (match stored with
-  | Some rs -> Cdsspec.Checker.import_entries cache rs.entry.check_entries
-  | None -> ());
-  let verdicts_in = (Cdsspec.Checker.cache_counters cache).cache_entries in
-  let warm = match stored with Some rs when prune -> Some rs.warm | _ -> None in
   let config =
     { Mc.Explorer.default_config with scheduler = b.scheduler; max_executions = max_execs; progress;
       prune }
   in
-  let on_feasible = Cdsspec.Checker.hook ~config:checker ~cache b.spec in
-  let check () = Cdsspec.Checker.cache_counters cache in
+  let hook cache = Cdsspec.Checker.hook ~config:checker ~cache b.spec in
   let program = t.program ords in
-  let r = Mc.Parallel.explore ~config ~on_feasible ~check ?stop ?warm ~jobs program in
+  let t0 = Mc.Monotonic.now () in
+  (* Partial entries are cap-scoped: a clean-but-capped run's closed
+     keys are sound only for runs that stop at or before the same cap —
+     a larger-capped (or uncapped) run would prune subtrees whose tails
+     the stored run never reached. An incompatible entry is a miss.
+
+     On a hit the entry's verdicts preload the check cache and its
+     witnesses replay, one run each, before the warm run: the bugs and
+     the first buggy execution are rebuilt by executions on this engine,
+     never read from the file. An entry with a witness that no longer
+     replays is discarded, and the job runs cold with nothing from it. *)
+  let hit =
+    match keyed with
+    | None -> None
+    | Some (s, k) -> (
+      match lookup s k with
+      | Some rs
+        when match rs.entry.partial with
+             | None -> false
+             | Some cap -> ( match max_execs with Some n -> n > cap | None -> true) ->
+        Mutex.protect s.lock (fun () ->
+            s.stats.hits <- s.stats.hits - 1;
+            s.stats.misses <- s.stats.misses + 1);
+        None
+      | Some rs -> (
+        let cache = Cdsspec.Checker.create_cache () in
+        Cdsspec.Checker.import_entries cache rs.entry.check_entries;
+        match replay_all ?stop ~config ~on_feasible:(hook cache) program rs.entry.witnesses with
+        | Some replays -> Some (rs, cache, replays)
+        | None ->
+          discard s k;
+          None)
+      | None -> None)
+  in
+  let stored = Option.map (fun (rs, _, _) -> rs) hit in
+  let cache =
+    match hit with Some (_, cache, _) -> cache | None -> Cdsspec.Checker.create_cache ()
+  in
+  let verdicts_in = (Cdsspec.Checker.cache_counters cache).cache_entries in
+  let warm = match stored with Some rs when prune -> Some rs.warm | _ -> None in
+  let check () = Cdsspec.Checker.cache_counters cache in
+  let r = Mc.Parallel.explore ~config ~on_feasible:(hook cache) ~check ?stop ?warm ~jobs program in
+  (* The replays come first in DFS order: their bugs, in stored order,
+     then any the warm run found that no witness gave. Their runs count
+     in the hit's stats. *)
+  let r =
+    match hit with
+    | Some (_, _, (_ :: _ as replays)) ->
+      Mc.Parallel.merge ~t0 ~stopped:false ~check:r.stats.check (replays @ [ r ])
+    | _ -> r
+  in
   (* A warm run only re-discovers graphs reachable without entering a
      closed subtree; the stored set is the rest. The union equals the
      cold run's graph set exactly. When the run found nothing the entry
@@ -504,22 +700,25 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
       in
       { r with graphs; closed; stats = { r.stats with distinct_graphs = List.length graphs } }
   in
-  (* Save clean, pruning-on runs. Complete runs save — including the
-     upgrade of a previously-partial entry once a warm run finishes the
-     job — unless the entry is already complete and the run added
-     nothing to it, in which case the file is left untouched.
-     Clean-but-capped runs save under a [partial] flag keyed by the cap,
-     but only when the truncation is known to come from the cap itself
-     ([stop] runs are cancelled by a client, which looks identical in
-     [truncated]), and never downgrading an entry that is already
-     complete or already covers a larger cap. Buggy runs never save:
-     bugs would need serializing to reproduce the verdict from a hit. *)
+  (* Save pruning-on runs. Complete runs save, clean or buggy — including
+     the upgrade of a previously-partial entry once a warm run finishes
+     the job — unless the entry is already complete and the run added
+     nothing to it, in which case the file is left untouched. A buggy
+     entry carries the witnesses a hit replays. Clean-but-capped runs
+     save under a [partial] flag keyed by the cap, but only when the
+     truncation is known to come from the cap itself ([stop] runs are
+     cancelled by a client, which looks identical in [truncated]), and
+     never downgrading an entry that is already complete or already
+     covers a larger cap. A buggy run that was capped or stopped never
+     saves: there are no partial buggy entries. *)
   let save_error = ref None in
-  (match store, key with
-  | Some s, Some k when prune && r.bugs = [] ->
+  (match keyed with
+  | Some (s, k) when prune ->
     let complete = not r.stats.truncated in
     let cap_partial =
-      match stop, max_execs with None, Some n when not complete -> Some n | _ -> None
+      match stop, max_execs with
+      | None, Some n when (not complete) && r.bugs = [] -> Some n
+      | _ -> None
     in
     let covered =
       match stored with
@@ -542,12 +741,13 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
             closed = r.closed;
             check_entries = Cdsspec.Checker.export_entries cache;
             partial = (if complete then None else cap_partial);
+            witnesses = r.witnesses;
           }
       with Sys_error m -> save_error := Some m
     end
   | _ -> ());
   let disposition =
-    match store, !save_error, stored with
+    match keyed, !save_error, stored with
     | None, _, _ -> `Off
     | Some _, Some m, _ -> `Save_failed m
     | Some _, None, Some _ -> `Hit

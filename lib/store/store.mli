@@ -2,10 +2,11 @@
     checking-as-a-service.
 
     A store is a directory of binary entry files, each holding the
-    artifacts of one clean checked exploration — the distinct-graph
+    artifacts of one checked exploration — the distinct-graph
     fingerprint set, the closed prune keys ({!Mc.Explorer.result}
-    [closed]), the memoized check-cache verdicts and, for a run stopped
-    by its execution cap, that cap. Entries are keyed by a canonical
+    [closed]), the memoized check-cache verdicts, for a clean run
+    stopped by its execution cap that cap, and for a complete buggy run
+    one replayable witness per bug. Entries are keyed by a canonical
     fingerprint of everything the result is a function of: the program
     identity (benchmark + test name), the full per-site memory-order
     table, the scheduler bounds, the prune flag and the checker config.
@@ -17,24 +18,29 @@
       entry wholesale. Invalidation is coarse and safe, never clever and
       wrong — a semantics change anywhere in the engine costs one cold
       rebuild, not a wrong verdict.
-    - {b Clean only, caps scoped}: {!explore_checked} saves entries only
-      for bug-free, pruning-on runs — a warm hit never has to reproduce
-      serialized bugs; the stored verdict is "clean" and the warm run
-      re-derives everything else. Complete runs save, except a warm
-      hit on a complete entry that added nothing to it, which leaves
-      the file as it is. A clean run truncated by its execution cap
-      saves under a [partial] flag recording the cap: its closed prune
-      keys are genuinely fully-explored subtrees, but the entry as a
-      whole is incomplete, so it only warms later runs whose cap is at
-      most the stored one (anything larger is treated as a miss), is
-      never allowed to overwrite a complete entry, and is upgraded in
-      place the first time a run under its key explores to completion.
-      Runs truncated by a [stop] callback (client cancellation) are
-      never saved — the store cannot tell how far they got.
+    - {b No verdict read from a file, caps scoped}: {!explore_checked}
+      saves pruning-on runs, and no bug is ever read back from an
+      entry. A complete buggy run saves its witnesses
+      ({!Mc.Explorer.witness}): a hit replays each as one run on the
+      running engine, which rebuilds the bug list and the first buggy
+      execution exactly as the cold run produced them. Complete runs
+      save, except a warm hit on a complete entry that added nothing to
+      it, which leaves the file as it is. A clean run truncated by its
+      execution cap saves under a [partial] flag recording the cap: its
+      closed prune keys are genuinely fully-explored subtrees, but the
+      entry as a whole is incomplete, so it only warms later runs whose
+      cap is at most the stored one (anything larger is treated as a
+      miss), is never allowed to overwrite a complete entry, and is
+      upgraded in place the first time a run under its key explores to
+      completion. A buggy run that was capped or stopped is never saved
+      (there are no partial buggy entries), nor is any run truncated by
+      a [stop] callback (client cancellation) — the store cannot tell
+      how far it got.
 
     Corruption is handled the same way: an entry that fails its length,
-    magic, trailing-hash or key-echo check is deleted and reported as a
-    miss, never trusted. *)
+    magic, trailing-hash or key-echo check, or that has a witness that
+    no longer replays, is deleted and reported as a miss, never
+    trusted. *)
 
 type t
 
@@ -48,7 +54,7 @@ val open_dir : string -> t
 val dir : t -> string
 
 (** Lookup/decode accounting since [open_dir]. [corrupt] counts entries
-    deleted because they failed a decode check. *)
+    deleted because they failed a decode check or a witness replay. *)
 type stats = { mutable hits : int; mutable misses : int; mutable corrupt : int }
 
 val stats : t -> stats
@@ -95,14 +101,23 @@ type entry = {
       (** [None]: the run explored to completion. [Some cap]: a clean
           run truncated by [max_execs = cap]; sound but incomplete, and
           only warm-loaded by runs capped at [<= cap] *)
+  witnesses : Mc.Explorer.witness list;
+      (** a complete buggy run's witnesses, one per run that reported a
+          new bug key, in discovery order; [[]] for a clean run. A
+          decision is stored as its chosen index plus its candidate tids
+          (scheduling) or its arity (reads-from or CAS branch), which
+          the replay compares with the live decision point *)
 }
 
 (** [None] on absent, corrupt (deleted, counted) or key-collision
-    entries.
+    entries, and on anything at the entry path but a regular file (a
+    FIFO is never waited on: every store file opens non-blocking).
 
-    The file is read on every call; its bytes are compared with the
-    handle's resident copy of the entry, and only bytes that differ are
-    decoded (and become the resident copy). Another process's rewrite,
+    The file is read on every call. With a resident copy of the entry,
+    the file is compared with its bytes in place, through a read buffer
+    the handle reuses, after a size check from [fstat]; the whole file
+    is read, and decoded (becoming the resident copy), only when there
+    is no resident copy or the bytes differ. Another process's rewrite,
     corruption or deletion of the entry is therefore seen by the next
     [load], exactly as if nothing were kept in memory. *)
 val load : t -> key -> entry option
@@ -143,6 +158,20 @@ val resident_bytes : t -> int
     the result, making graphs, bugs and verdicts identical to the cold
     run's. On a miss (or with no store) this is exactly the cold path.
 
+    A hit on a buggy entry first replays each witness as exactly one
+    run ({!Mc.Explorer.explore_subtree} with the witness's path frozen,
+    pruning off, the job's checker hook and the preloaded cache). The
+    bug list is rebuilt from those runs in stored order, the first
+    buggy execution is the first witness's, and a bug the warm run
+    finds that no witness gave is appended after them. The replays'
+    runs count in the stats; they add no graph, closed key or verdict
+    to an unchanged program's entry. A witness no longer replays when a
+    recorded decision differs from the live one
+    ({!Mc.Scheduler.Diverged}), when the run does not complete on
+    exactly its path, or when it does not report the witness's keys:
+    the entry is then deleted and counted in [stats.corrupt], and the
+    job runs cold with nothing from it ([`Miss]); nothing raises.
+
     A hit on a complete entry whose run added no closed prune key, graph
     fingerprint or check-cache verdict — the usual warm hit — writes
     nothing: the result carries the stored graph and closed-key lists
@@ -156,8 +185,9 @@ val resident_bytes : t -> int
     Check keys are cap-agnostic ([max_execs] is not part of the key):
     clean-but-capped runs save partial entries scoped by their cap, a
     partial entry only warms runs whose cap is at most the stored one,
-    and the first completing run upgrades the entry in place. Stopped
-    and buggy runs are never saved. Returns the result plus the store
+    and the first completing run upgrades the entry in place. Complete
+    buggy runs save their witnesses; stopped runs and capped buggy runs
+    are never saved. Returns the result plus the store
     disposition ([`Miss] includes a stored entry rejected for a
     too-large cap). A save that fails keeps the result and gives
     [`Save_failed m], where [m] is {!save}'s [Sys_error] message, which

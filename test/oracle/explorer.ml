@@ -78,4 +78,5 @@ let explore ?(config = E.default_config) ?on_feasible main =
     first_buggy_exec = !first_buggy_exec;
     graphs = List.sort Int64.compare (Hashtbl.fold (fun k () acc -> k :: acc) graphs []);
     closed = Hashtbl.fold (fun k () acc -> k :: acc) closed [];
+    witnesses = [];
   }

@@ -439,6 +439,67 @@ let test_store_warm_over_protocol () =
             (List.for_all2 (fun w c -> w <= c) (explored warm) (explored cold))));
   rm_rf dir
 
+(* A buggy job is served from the store too: the same weakened check
+   answers [miss], then [hit] with the same bugs, keys and messages. *)
+let test_buggy_store_over_protocol () =
+  let dir = "serve-store-buggy" in
+  rm_rf dir;
+  with_server ~jobs:1 ~store_dir:dir (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          let req =
+            J.Obj
+              [
+                ("op", J.Str "check");
+                ("bench", J.Str "M&S Queue");
+                ("test", J.Str "1enq-1deq");
+                ("overrides", J.List [ J.List [ J.Str "enq_cas_next"; J.Str "relaxed" ] ]);
+              ]
+          in
+          let result evs =
+            match List.filter (fun j -> ev j = Some "result") evs with
+            | [ r ] -> r
+            | _ -> Alcotest.fail "one result event"
+          in
+          let cold = result (wait_job c ~job:(submit c req)) in
+          let warm = result (wait_job c ~job:(submit c req)) in
+          Alcotest.(check (option string)) "first job misses" (Some "miss") (str_f "store" cold);
+          Alcotest.(check (option string)) "second job hits" (Some "hit") (str_f "store" warm);
+          Alcotest.(check bool) "the job is buggy" true
+            (match J.member "bugs" cold with Some (J.List (_ :: _)) -> true | _ -> false);
+          Alcotest.(check bool) "identical bugs" true (J.member "bugs" cold = J.member "bugs" warm);
+          Alcotest.(check bool) "identical graph count" true
+            (int_f "distinct_graphs" cold = int_f "distinct_graphs" warm)));
+  rm_rf dir
+
+(* [accepted] echoes the cap a job runs under. A [lint] sent without
+   [max_executions] runs under the CLI's 200,000-run cap; it used to
+   explore with no cap. A [check] without one has none. *)
+let test_accepted_echoes_cap () =
+  with_server ~jobs:1 (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          let accepted req =
+            Serve.Client.send c req;
+            match Serve.Client.recv ~timeout:30. c with
+            | Serve.Client.Msg j when ev j = Some "accepted" ->
+              ignore (wait_job c ~job:(Option.get (Serve.Client.job_id j)));
+              J.member "max_executions" j
+            | _ -> Alcotest.fail "no accepted event"
+          in
+          Alcotest.(check bool) "lint without a cap runs under the CLI's" true
+            (accepted (J.Obj [ ("op", J.Str "lint"); ("bench", J.Str "SPSC Queue") ])
+            = Some (J.Int 200_000));
+          Alcotest.(check bool) "a request's cap is echoed" true
+            (accepted
+               (J.Obj
+                  [ ("op", J.Str "lint"); ("bench", J.Str "SPSC Queue"); ("max_executions", J.Int 7) ])
+            = Some (J.Int 7));
+          Alcotest.(check bool) "check without a cap has none" true
+            (accepted
+               (J.Obj [ ("op", J.Str "check"); ("bench", J.Str "SPSC Queue"); ("test", J.Str "1enq-1deq") ])
+            = Some J.Null)))
+
 (* A failed store save keeps the verdict: the job sends its [result],
    which says the save failed and names the entry path, then [done], and
    the daemon keeps serving. The save fails two ways: with a directory
@@ -768,6 +829,9 @@ let () =
           Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
           Alcotest.test_case "disconnect does not wedge pool" `Quick test_disconnect_does_not_wedge;
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
+          Alcotest.test_case "buggy job served from the store" `Quick
+            test_buggy_store_over_protocol;
+          Alcotest.test_case "accepted echoes the cap" `Quick test_accepted_echoes_cap;
           Alcotest.test_case "failed store save keeps the verdict" `Quick
             test_failed_save_keeps_verdict;
           Alcotest.test_case "abandoned fuzz job stops" `Quick test_abandoned_fuzz_stops;

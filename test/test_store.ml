@@ -61,15 +61,24 @@ let run ?store ~jobs ~prune (b : B.t) ~ords (t : B.test) =
 
 let keys (r : E.result) = List.map Mc.Bug.key r.bugs
 
+let messages (r : E.result) = List.map (Format.asprintf "%a" Mc.Bug.pp) r.bugs
+
 let check_semantics ~where (cold : E.result) (warm : E.result) =
   Alcotest.(check bool) (where ^ ": graph sets identical") true (cold.graphs = warm.graphs);
   Alcotest.(check int)
     (where ^ ": distinct graphs")
     cold.stats.distinct_graphs warm.stats.distinct_graphs;
   Alcotest.(check (list string)) (where ^ ": bug keys") (keys cold) (keys warm);
+  Alcotest.(check (list string)) (where ^ ": bug messages") (messages cold) (messages warm);
   Alcotest.(check (option string))
     (where ^ ": first buggy trace")
     (Option.map render cold.first_buggy_exec) (Option.map render warm.first_buggy_exec)
+
+let entry_path dir key = Filename.concat dir (Store.fingerprint key ^ ".bin")
+
+let check_key (b : B.t) (t : B.test) ~ords =
+  Store.job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
+    ~sched:b.scheduler ~prune:true ~engine:`Arena ~max_execs:(Some cap) ~checker ~use_cache:true
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints *)
@@ -122,6 +131,17 @@ let sample_entry =
         };
       ];
     partial = Some 321;
+    witnesses =
+      [
+        {
+          Mc.Explorer.keys = [ "race:k" ];
+          path =
+            [|
+              Mc.Scheduler.Sched { sched_chosen = 1; candidates = [| 0; 2 |]; state = None };
+              Mc.Scheduler.Choice { choice_chosen = 2; num = 3 };
+            |];
+        };
+      ];
   }
 
 let test_entry_roundtrip () =
@@ -137,15 +157,16 @@ let test_entry_roundtrip () =
     Alcotest.(check bool) "closed roundtrip" true (e.Store.closed = entry.Store.closed);
     Alcotest.(check bool) "check entries roundtrip" true
       (e.Store.check_entries = entry.Store.check_entries);
-    Alcotest.(check bool) "partial roundtrip" true (e.Store.partial = entry.Store.partial));
+    Alcotest.(check bool) "partial roundtrip" true (e.Store.partial = entry.Store.partial);
+    Alcotest.(check bool) "witnesses roundtrip" true (e.Store.witnesses = entry.Store.witnesses));
   (* a different key never reads someone else's entry *)
   let other = default_key ~test:"other" [ ("a", C11.Memory_order.Seq_cst) ] in
   Alcotest.(check bool) "foreign key misses" true (Store.load s other = None);
   rm_rf dir
 
-(* The on-disk bytes of [sample_entry] under a fixed key, captured from
-   the codec before its rewrite: any change that moves a byte must come
-   with an engine-rev bump. *)
+(* The on-disk bytes of [sample_entry] under a fixed key, its witness
+   section (one scheduling and one reads-from decision) last: any change
+   that moves a byte must come with an engine-rev bump. *)
 let golden_hex =
   String.concat ""
     [
@@ -157,7 +178,10 @@ let golden_hex =
       "00000000000000000000000000010000000000000002000000000000006b3102";
       "00000000000000000000000000000002000000000000006d3102000000000000";
       "0011000000000000006d322077697468200a206e65776c696e65010001410100";
-      "0000000000d3bca4a3837e1e93";
+      "0000000000010000000000000001000000000000000600000000000000726163";
+      "653a6b0200000000000000000000000000000001000000000000000200000000";
+      "0000000000000000000000020000000000000001000000000000000200000000";
+      "000000030000000000000044ce04f34def0c9c";
     ]
 
 let test_encode_golden () =
@@ -248,6 +272,214 @@ let test_registry_differential () =
   Alcotest.(check bool)
     (Printf.sprintf "differential not vacuous (%d structures gated)" !gated)
     true (!gated >= 10);
+  rm_rf dir
+
+(* A complete buggy run saves one witness per bug, and a hit replays
+   them: serial cold, then serial and [-j2] warm hits with the cold
+   run's bug keys, messages, first buggy execution and graph set, in
+   fewer runs. The serial hit leaves the entry file alone. *)
+let buggy_differential ~where (b : B.t) ~ords (t : B.test) =
+  let dir = scratch_dir () in
+  let store = Store.open_dir dir in
+  let cold, d0 = run ~store ~jobs:1 ~prune:true b ~ords t in
+  Alcotest.(check bool) (where ^ ": cold run misses") true (d0 = `Miss);
+  Alcotest.(check bool) (where ^ ": cold run is buggy") true (cold.bugs <> []);
+  Alcotest.(check bool) (where ^ ": cold run completes") false cold.stats.truncated;
+  Alcotest.(check bool) (where ^ ": one witness per run that added a key") true
+    (List.concat_map (fun (w : E.witness) -> w.keys) cold.witnesses = keys cold);
+  let path = entry_path dir (check_key b t ~ords) in
+  let ino = inode path and bytes = read_bytes path in
+  List.iter
+    (fun jobs ->
+      let where = Printf.sprintf "%s -j%d warm" where jobs in
+      let warm, d = run ~store ~jobs ~prune:true b ~ords t in
+      Alcotest.(check bool) (where ^ ": hit") true (d = `Hit);
+      check_semantics ~where cold warm;
+      Alcotest.(check bool) (where ^ ": not truncated") false warm.stats.truncated;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d runs, fewer than the cold %d" where warm.stats.explored
+           cold.stats.explored)
+        true
+        (warm.stats.explored < cold.stats.explored);
+      if jobs = 1 then begin
+        Alcotest.(check bool) (where ^ ": same inode") true (inode path = ino);
+        Alcotest.(check bool) (where ^ ": same bytes") true (read_bytes path = bytes)
+      end)
+    [ 1; 2 ];
+  rm_rf dir
+
+let find_bench name =
+  match Structures.Registry.find name with
+  | Some b -> b
+  | None -> Alcotest.failf "%s registered" name
+
+let find_test (b : B.t) name =
+  match List.find_opt (fun (t : B.test) -> t.B.test_name = name) b.B.tests with
+  | Some t -> t
+  | None -> Alcotest.failf "%s/%s registered" b.B.name name
+
+(* The known bugs of M&S Queue and Bounded Queue, on every unit test
+   that exposes them. *)
+let test_known_bugs_differential () =
+  let gated = ref 0 in
+  List.iter
+    (fun (name, known) ->
+      let b = find_bench name in
+      List.iter
+        (fun (site, ords) ->
+          List.iter
+            (fun (t : B.test) ->
+              let plain, _ = run ~jobs:1 ~prune:true b ~ords t in
+              if plain.bugs <> [] && not plain.stats.truncated then begin
+                incr gated;
+                buggy_differential ~where:(Printf.sprintf "%s/%s@%s" name t.B.test_name site) b
+                  ~ords t
+              end)
+            b.B.tests)
+        known)
+    [
+      ("M&S Queue", Structures.Ms_queue.known_bugs);
+      ("Bounded Queue", Structures.Bounded_queue.known_bugs);
+    ];
+  Alcotest.(check bool) (Printf.sprintf "%d buggy tests gated" !gated) true (!gated >= 4)
+
+(* The published weakenings the serve benchmark sends, each on the test
+   that exposes it. *)
+let test_weakenings_differential () =
+  List.iter
+    (fun (name, test, site) ->
+      let b = find_bench name in
+      let ords = Ords.with_order b.B.sites site C11.Memory_order.Relaxed in
+      buggy_differential ~where:(Printf.sprintf "%s/%s@%s=relaxed" name test site) b ~ords
+        (find_test b test))
+    [
+      ("M&S Queue", "1enq-1deq", "enq_cas_next");
+      ("M&S Queue", "1enq-1deq", "deq_load_next");
+      ("Bounded Queue", "1push-1pop", "push_cas_next");
+      ("Bounded Queue", "1push-1pop", "pop_load_next");
+      ("Chase-Lev Deque", "resize-race", "resize_store_array");
+    ]
+
+(* Every Figure 8 injection that is detected, on its detecting test:
+   each weakenable site of the paper's ten structures, weakened one
+   step, on the first unit test whose run reports a bug, under the
+   figure's cap. *)
+let fig8_benches =
+  [
+    "Chase-Lev Deque";
+    "SPSC Queue";
+    "RCU";
+    "Lockfree Hashtable";
+    "MCS Lock";
+    "MPMC Queue";
+    "M&S Queue";
+    "Linux RW Lock";
+    "Seqlock";
+    "Ticket Lock";
+  ]
+
+let test_fig8_differential () =
+  let fig8_cap = Some 150_000 in
+  let detected = ref 0 in
+  List.iter
+    (fun name ->
+      let b = find_bench name in
+      List.iter
+        (fun (site : Ords.site) ->
+          let ords = Option.get (Ords.weakened b.B.sites site.name) in
+          let detecting =
+            List.find_opt
+              (fun (t : B.test) ->
+                let r, _ =
+                  Store.explore_checked ~checker ~max_execs:fig8_cap ~jobs:1 ~prune:true b ~ords t
+                in
+                r.bugs <> [])
+              b.B.tests
+          in
+          match detecting with
+          | Some t ->
+            incr detected;
+            buggy_differential ~where:(Printf.sprintf "%s/%s@%s" name t.B.test_name site.name) b
+              ~ords t
+          | None -> ())
+        (Ords.weakenable b.B.sites))
+    fig8_benches;
+  (* bench/fig8.expected: 43 of the 57 injections are detected *)
+  Alcotest.(check int) "detected injections" 43 !detected
+
+(* A witness that no longer replays is a miss, never an answer: the
+   entry is deleted and counted corrupt, the job runs cold, and its
+   verdict is the store-less one. Each doctored entry is saved under
+   the job's real key. *)
+let test_doctored_witness () =
+  let b = find_bench "M&S Queue" in
+  let t = find_test b "1enq-1deq" in
+  let ords = Ords.with_order b.B.sites "enq_cas_next" C11.Memory_order.Relaxed in
+  let plain, _ = run ~jobs:1 ~prune:true b ~ords t in
+  let dir = scratch_dir () in
+  let store = Store.open_dir dir in
+  let key = check_key b t ~ords in
+  ignore (run ~store ~jobs:1 ~prune:true b ~ords t);
+  let entry = Option.get (Store.load store key) in
+  let w = List.hd entry.witnesses in
+  let n = Array.length w.path in
+  let bump = function
+    | Mc.Scheduler.Sched d ->
+      Mc.Scheduler.Sched { d with candidates = Array.append d.candidates [| 9 |] }
+    | Choice d -> Choice { d with num = d.num + 1 }
+  in
+  let doctored =
+    [
+      ("an arity changed", { w with path = Array.mapi (fun i d -> if i = n - 1 then bump d else d) w.path });
+      ("a decision dropped", { w with path = Array.sub w.path 0 (n - 1) });
+      ("a decision added", { w with path = Array.append w.path [| w.path.(n - 1) |] });
+      ( "a chosen index out of range",
+        {
+          w with
+          path =
+            Array.map
+              (function
+                | Mc.Scheduler.Choice d -> Mc.Scheduler.Choice { d with choice_chosen = d.num }
+                | d -> d)
+              w.path;
+        } );
+      ("another key", { w with keys = [ "race:no such key" ] });
+    ]
+  in
+  (* Odd cases read the doctored entry through another handle, which
+     decodes it; even ones through the handle that saved it, which holds
+     it resident. *)
+  List.iteri
+    (fun i (what, w) ->
+      Store.save store key { entry with witnesses = [ w ] };
+      let reader = if i mod 2 = 0 then store else Store.open_dir dir in
+      let corrupt = (Store.stats reader).corrupt in
+      let r, d = run ~store:reader ~jobs:1 ~prune:true b ~ords t in
+      Alcotest.(check bool) (what ^ ": a miss") true (d = `Miss);
+      Alcotest.(check int) (what ^ ": counted corrupt") (corrupt + 1) (Store.stats reader).corrupt;
+      check_semantics ~where:what plain r;
+      Alcotest.(check bool) (what ^ ": the cold run saved afresh") true
+        (match Store.load reader key with Some e -> e = entry | None -> false))
+    doctored;
+  rm_rf dir
+
+(* A buggy run stopped by its cap saves nothing: there are no partial
+   buggy entries. *)
+let test_capped_buggy_not_saved () =
+  let b = find_bench "M&S Queue" in
+  let t = find_test b "1enq-1deq" in
+  let ords = Ords.with_order b.B.sites "enq_cas_next" C11.Memory_order.Relaxed in
+  let full, _ = run ~jobs:1 ~prune:true b ~ords t in
+  let dir = scratch_dir () in
+  let store = Store.open_dir dir in
+  let r, d =
+    Store.explore_checked ~store ~checker ~max_execs:(Some (full.stats.explored - 1)) ~jobs:1
+      ~prune:true b ~ords t
+  in
+  Alcotest.(check bool) "capped run misses" true (d = `Miss);
+  Alcotest.(check bool) "capped run truncates" true r.stats.truncated;
+  Alcotest.(check bool) "capped run is buggy" true (r.bugs <> []);
+  Alcotest.(check (list string)) "no entry saved" [] (entry_files dir);
   rm_rf dir
 
 (* A cold [-j2] store still warms a serial re-run: under work stealing
@@ -396,6 +628,7 @@ let test_engine_rev_flush () =
       closed = [];
       check_entries = [];
       partial = None;
+      witnesses = [];
     };
   Alcotest.(check bool) "entry exists" true (entry_files dir <> []);
   (* same rev: reopening keeps entries *)
@@ -412,12 +645,6 @@ let test_engine_rev_flush () =
 
 (* ------------------------------------------------------------------ *)
 (* Resident entries and writes *)
-
-let entry_path dir key = Filename.concat dir (Store.fingerprint key ^ ".bin")
-
-let check_key (b : B.t) (t : B.test) ~ords =
-  Store.job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
-    ~sched:b.scheduler ~prune:true ~engine:`Arena ~max_execs:(Some cap) ~checker ~use_cache:true
 
 (* A directory where a key's entry file belongs reads as a miss every
    time, and each failed read closes the descriptor it opened: an
@@ -521,6 +748,7 @@ let small_entry n =
     closed = [ { Mc.Scheduler.fp = Int64.of_int n; sleeping = []; nacts = n } ];
     check_entries = [];
     partial = None;
+    witnesses = [];
   }
 
 (* Another handle (another process, in practice) rewrites, corrupts or
@@ -640,6 +868,10 @@ let () =
           Alcotest.test_case "registry cold vs warm" `Slow test_registry_differential;
           Alcotest.test_case "parallel cold store" `Quick test_parallel_cold_store;
           Alcotest.test_case "partial capped runs" `Slow test_partial_capped_runs;
+          Alcotest.test_case "known bugs cold vs warm" `Slow test_known_bugs_differential;
+          Alcotest.test_case "published weakenings cold vs warm" `Quick
+            test_weakenings_differential;
+          Alcotest.test_case "figure 8 injections cold vs warm" `Slow test_fig8_differential;
         ] );
       ( "integrity",
         [
@@ -647,6 +879,8 @@ let () =
           Alcotest.test_case "engine-rev flush" `Quick test_engine_rev_flush;
           Alcotest.test_case "directory at entry path" `Quick test_directory_entry;
           Alcotest.test_case "failed save keeps the verdict" `Quick test_failed_save_keeps_verdict;
+          Alcotest.test_case "stale witness is a miss" `Quick test_doctored_witness;
+          Alcotest.test_case "capped buggy run not saved" `Quick test_capped_buggy_not_saved;
         ] );
       ( "resident",
         [
