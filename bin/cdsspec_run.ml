@@ -506,7 +506,8 @@ let render_event ev =
 let client_cmd socket op bench test overrides max_execs json_out =
   let module C = Serve.Client in
   (* A write to a server that has gone fails with EPIPE instead of a
-     process-killing signal. *)
+     process-killing signal, and so does a write to a stdout whose
+     reader has gone. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match C.connect socket with
   | exception Unix.Unix_error (e, _, _) ->
@@ -514,6 +515,12 @@ let client_cmd socket op bench test overrides max_execs json_out =
   | c -> (
     let finally () = C.close c in
     Fun.protect ~finally @@ fun () ->
+    (* The only [Sys_error] here is a failed write to stdout: its reader
+       has gone (say, [| head -1]), which abandons the job. The
+       connection closes on the way out, which the daemon's stop hook
+       sees, and closing stdout leaves the flushes at exit nothing to
+       write. Every print below flushes. *)
+    try
     (* A write to a server that has closed the connection fails; the
        next [recv] reports the close. *)
     let send j = try C.send c j with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> () in
@@ -524,7 +531,11 @@ let client_cmd socket op bench test overrides max_execs json_out =
       send (J.Obj [ ("op", J.Str req) ]);
       match C.recv ~timeout:30. c with
       | C.Msg ev ->
-        if json_out then print_endline (J.to_line ev) else print_string (J.to_string ev);
+        if json_out then print_endline (J.to_line ev)
+        else begin
+          print_string (J.to_string ev);
+          flush stdout
+        end;
         `Ok
       | C.Eof -> `Msg "server closed the connection"
       | C.Timeout -> `Msg "timed out waiting for the server"
@@ -565,7 +576,10 @@ let client_cmd socket op bench test overrides max_execs json_out =
           | C.Timeout -> `Msg "timed out"
         in
         stream ())
-    | op -> `Msg (Printf.sprintf "unknown client op %S (check, lint, fuzz, ping, list, shutdown)" op))
+    | op -> `Msg (Printf.sprintf "unknown client op %S (check, lint, fuzz, ping, list, shutdown)" op)
+    with Sys_error _ ->
+      close_out_noerr stdout;
+      `Msg "client: stdout closed")
 
 open Cmdliner
 
@@ -705,7 +719,7 @@ let check_term =
   let max_execs =
     Arg.(
       value
-      & opt (some int) (Some 500_000)
+      & opt (some int) Store.default_max_execs
       & info [ "max-executions" ] ~docv:"N" ~doc:"Stop exploration after N runs.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the first buggy trace.") in
@@ -794,7 +808,7 @@ let lint_term =
   let max_execs =
     Arg.(
       value
-      & opt (some int) (Some 200_000)
+      & opt (some int) Analyze.Access_summary.default_config.max_executions
       & info [ "max-executions" ] ~docv:"N"
           ~doc:"Per-test exploration cap, for both the fact collection and each advisor candidate.")
   in

@@ -7,20 +7,31 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* [s.[start..n)] escaped onto [buf], from [i] on: the bytes from [start]
+   to the next one that needs an escape go in as one run. *)
+let rec add_escaped buf s n start i =
+  if i = n then Buffer.add_substring buf s start (n - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      Buffer.add_substring buf s start (i - start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+      add_escaped buf s n (i + 1) (i + 1)
+    | _ -> add_escaped buf s n start (i + 1)
+
+(* [s] as a quoted JSON string, onto [buf]. A string with nothing to
+   escape — nearly every key and value the protocol sends — goes in
+   whole, with no copy of its own. *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s (String.length s) 0 0;
+  Buffer.add_char buf '"'
 
 let rec emit buf depth j =
   let pad n = Buffer.add_string buf (String.make (2 * n) ' ') in
@@ -28,11 +39,8 @@ let rec emit buf depth j =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Float f -> Printf.bprintf buf "%.6g" f
+  | Str s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_string buf "[\n";
@@ -52,9 +60,8 @@ let rec emit buf depth j =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ",\n";
         pad (depth + 1);
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
         emit buf (depth + 1) v)
       fields;
     Buffer.add_char buf '\n';
@@ -69,17 +76,14 @@ let to_string j =
 
 (* Compact one-line form — the serve protocol's NDJSON framing: one
    message per line, so the value itself must never contain a newline
-   (escape handles any embedded in strings). *)
+   ([add_quoted] escapes any embedded in strings). *)
 let rec emit_line buf j =
   match j with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Float f -> Printf.bprintf buf "%.6g" f
+  | Str s -> add_quoted buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -93,9 +97,8 @@ let rec emit_line buf j =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
+        add_quoted buf k;
+        Buffer.add_char buf ':';
         emit_line buf v)
       fields;
     Buffer.add_char buf '}'
@@ -104,6 +107,10 @@ let to_line j =
   let buf = Buffer.create 256 in
   emit_line buf j;
   Buffer.contents buf
+
+let add_line buf j =
+  emit_line buf j;
+  Buffer.add_char buf '\n'
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -119,24 +126,23 @@ type cursor = { src : string; mutable pos : int }
 
 let fail cur msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg cur.pos))
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+let more cur = cur.pos < String.length cur.src
+
+(* The byte at the cursor, or ['\000'] past the end ([more] tells the
+   two apart): a plain [char], so reading one allocates nothing. *)
+let peek cur = if more cur then String.unsafe_get cur.src cur.pos else '\000'
 
 let advance cur = cur.pos <- cur.pos + 1
 
-let skip_ws cur =
-  let rec go () =
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance cur;
-      go ()
-    | _ -> ()
-  in
-  go ()
+let rec skip_ws cur =
+  match peek cur with
+  | ' ' | '\t' | '\n' | '\r' ->
+    advance cur;
+    skip_ws cur
+  | _ -> ()
 
 let expect cur c =
-  match peek cur with
-  | Some c' when c' = c -> advance cur
-  | _ -> fail cur (Printf.sprintf "expected '%c'" c)
+  if peek cur = c then advance cur else fail cur (Printf.sprintf "expected '%c'" c)
 
 let parse_literal cur word v =
   let n = String.length word in
@@ -146,64 +152,83 @@ let parse_literal cur word v =
   end
   else fail cur (Printf.sprintf "expected '%s'" word)
 
+(* The first quote or backslash in [src] from [i] on, or [String.length
+   src]. *)
+let rec plain_end src i =
+  if i < String.length src && src.[i] <> '"' && src.[i] <> '\\' then plain_end src (i + 1)
+  else i
+
+(* The rest of a string with an escape, from the cursor, onto [buf]. *)
+let rec parse_escaped cur buf =
+  if not (more cur) then fail cur "unterminated string";
+  match peek cur with
+  | '"' -> advance cur
+  | '\\' ->
+    advance cur;
+    (match peek cur with
+    | '"' -> Buffer.add_char buf '"'; advance cur
+    | '\\' -> Buffer.add_char buf '\\'; advance cur
+    | '/' -> Buffer.add_char buf '/'; advance cur
+    | 'n' -> Buffer.add_char buf '\n'; advance cur
+    | 'r' -> Buffer.add_char buf '\r'; advance cur
+    | 't' -> Buffer.add_char buf '\t'; advance cur
+    | 'b' -> Buffer.add_char buf '\b'; advance cur
+    | 'f' -> Buffer.add_char buf '\012'; advance cur
+    | 'u' ->
+      advance cur;
+      if cur.pos + 4 > String.length cur.src then fail cur "truncated \\u escape";
+      let hex = String.sub cur.src cur.pos 4 in
+      let code =
+        try int_of_string ("0x" ^ hex) with _ -> fail cur "bad \\u escape"
+      in
+      cur.pos <- cur.pos + 4;
+      (* The printer only emits \u00XX for control bytes; decode the
+         BMP range as UTF-8 so round-trips through foreign producers
+         do not lose data. *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+    | _ -> fail cur "bad escape");
+    parse_escaped cur buf
+  | c ->
+    Buffer.add_char buf c;
+    advance cur;
+    parse_escaped cur buf
+
+(* A string with no backslash is one [String.sub]; one with an escape
+   goes through a buffer from its first escape on. *)
 let parse_string cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' ->
-      advance cur;
-      (match peek cur with
-      | Some '"' -> Buffer.add_char buf '"'; advance cur
-      | Some '\\' -> Buffer.add_char buf '\\'; advance cur
-      | Some '/' -> Buffer.add_char buf '/'; advance cur
-      | Some 'n' -> Buffer.add_char buf '\n'; advance cur
-      | Some 'r' -> Buffer.add_char buf '\r'; advance cur
-      | Some 't' -> Buffer.add_char buf '\t'; advance cur
-      | Some 'b' -> Buffer.add_char buf '\b'; advance cur
-      | Some 'f' -> Buffer.add_char buf '\012'; advance cur
-      | Some 'u' ->
-        advance cur;
-        if cur.pos + 4 > String.length cur.src then fail cur "truncated \\u escape";
-        let hex = String.sub cur.src cur.pos 4 in
-        let code =
-          try int_of_string ("0x" ^ hex) with _ -> fail cur "bad \\u escape"
-        in
-        cur.pos <- cur.pos + 4;
-        (* The printer only emits \u00XX for control bytes; decode the
-           BMP range as UTF-8 so round-trips through foreign producers
-           do not lose data. *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-      | _ -> fail cur "bad escape");
-      go ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance cur;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = cur.pos in
+  let stop = plain_end cur.src start in
+  if stop < String.length cur.src && cur.src.[stop] = '"' then begin
+    cur.pos <- stop + 1;
+    String.sub cur.src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf cur.src start (stop - start);
+    cur.pos <- stop;
+    parse_escaped cur buf;
+    Buffer.contents buf
+  end
 
 let parse_number cur =
   let start = cur.pos in
   let is_float = ref false in
   let rec go () =
     match peek cur with
-    | Some ('0' .. '9' | '-' | '+') ->
+    | '0' .. '9' | '-' | '+' ->
       advance cur;
       go ()
-    | Some ('.' | 'e' | 'E') ->
+    | '.' | 'e' | 'E' ->
       is_float := true;
       advance cur;
       go ()
@@ -222,16 +247,16 @@ let parse_number cur =
 let rec parse_value cur =
   skip_ws cur;
   match peek cur with
-  | None -> fail cur "unexpected end of input"
-  | Some 'n' -> parse_literal cur "null" Null
-  | Some 't' -> parse_literal cur "true" (Bool true)
-  | Some 'f' -> parse_literal cur "false" (Bool false)
-  | Some '"' -> Str (parse_string cur)
-  | Some ('-' | '0' .. '9') -> parse_number cur
-  | Some '[' ->
+  | '\000' when not (more cur) -> fail cur "unexpected end of input"
+  | 'n' -> parse_literal cur "null" Null
+  | 't' -> parse_literal cur "true" (Bool true)
+  | 'f' -> parse_literal cur "false" (Bool false)
+  | '"' -> Str (parse_string cur)
+  | '-' | '0' .. '9' -> parse_number cur
+  | '[' ->
     advance cur;
     skip_ws cur;
-    if peek cur = Some ']' then begin
+    if peek cur = ']' then begin
       advance cur;
       List []
     end
@@ -240,21 +265,21 @@ let rec parse_value cur =
       skip_ws cur;
       let rec go () =
         match peek cur with
-        | Some ',' ->
+        | ',' ->
           advance cur;
           items := parse_value cur :: !items;
           skip_ws cur;
           go ()
-        | Some ']' -> advance cur
+        | ']' -> advance cur
         | _ -> fail cur "expected ',' or ']'"
       in
       go ();
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance cur;
     skip_ws cur;
-    if peek cur = Some '}' then begin
+    if peek cur = '}' then begin
       advance cur;
       Obj []
     end
@@ -271,18 +296,18 @@ let rec parse_value cur =
       skip_ws cur;
       let rec go () =
         match peek cur with
-        | Some ',' ->
+        | ',' ->
           advance cur;
           fields := field () :: !fields;
           skip_ws cur;
           go ()
-        | Some '}' -> advance cur
+        | '}' -> advance cur
         | _ -> fail cur "expected ',' or '}'"
       in
       go ();
       Obj (List.rev !fields)
     end
-  | Some c -> fail cur (Printf.sprintf "unexpected '%c'" c)
+  | c -> fail cur (Printf.sprintf "unexpected '%c'" c)
 
 let of_string s =
   let cur = { src = s; pos = 0 } in

@@ -21,6 +21,10 @@ val to_string : t -> string
     output never contains one). *)
 val to_line : t -> string
 
+(** [add_line buf j] appends [to_line j] and a newline to [buf]: one
+    NDJSON line, with no intermediate string. *)
+val add_line : Buffer.t -> t -> unit
+
 (** Parse one JSON value; accepts what either printer emits plus
     insignificant whitespace, rejects trailing garbage. Numbers
     containing '.', 'e' or 'E' parse as [Float], others as [Int].

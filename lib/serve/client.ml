@@ -23,12 +23,13 @@ let connect path =
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
 let send t j =
-  let line = J.to_line j ^ "\n" in
-  let bytes = Bytes.of_string line in
-  let len = Bytes.length bytes in
+  let buf = Buffer.create 256 in
+  J.add_line buf j;
+  let line = Buffer.contents buf in
+  let len = String.length line in
   let off = ref 0 in
   while !off < len do
-    let n = Unix.write t.fd bytes !off (len - !off) in
+    let n = Unix.write_substring t.fd line !off (len - !off) in
     if n <= 0 then failwith "Serve.Client.send: connection closed";
     off := !off + n
   done

@@ -27,24 +27,31 @@ type t = {
   mutable shutdown : bool;
 }
 
-(* One full line per write call keeps NDJSON framing atomic even with
+(* Whole lines per write call keep NDJSON framing atomic even with
    several worker domains streaming events to the same client; a failed
-   write just marks the connection dead (the main loop reaps it). *)
-let send conn (j : J.t) =
+   write just marks the connection dead (the main loop reaps it).
+   [send_all] frames its events into one buffer and sends them in one
+   write: a job's last [result] goes out with its [done]. *)
+let send_all conn (events : J.t list) =
   Mutex.lock conn.out_mu;
   (if conn.alive then
-     let line = J.to_line j ^ "\n" in
-     let len = String.length line in
-     let bytes = Bytes.of_string line in
+     (* 1 KiB holds a typical [result] and [done] without regrowing and
+        still comes from the minor heap. *)
+     let buf = Buffer.create 1024 in
+     List.iter (J.add_line buf) events;
+     let lines = Buffer.contents buf in
+     let len = String.length lines in
      try
        let off = ref 0 in
        while !off < len do
-         let n = Unix.write conn.fd bytes !off (len - !off) in
+         let n = Unix.write_substring conn.fd lines !off (len - !off) in
          if n <= 0 then raise Exit;
          off := !off + n
        done
      with _ -> conn.alive <- false);
   Mutex.unlock conn.out_mu
+
+let send conn j = send_all conn [ j ]
 
 let event name fields = J.Obj (("event", J.Str name) :: fields)
 
@@ -76,13 +83,14 @@ let str_field = field J.to_str "a string"
 let int_field = field J.to_int "an integer"
 let bool_field = field (function J.Bool b -> Some b | _ -> None) "a boolean"
 
-(* The cap a job runs under when its request gives none: a [check]
-   explores to completion, and [lint] and [fuzz] stop where their
-   library defaults do ([cdsspec_run lint] caps at the same 200,000). *)
+(* The cap a job runs under when its request gives none: where the
+   CLI's defaults stop ([cdsspec_run check] at 500,000 runs,
+   [cdsspec_run lint] at 200,000), and a [fuzz] job where its library
+   default does. *)
 let default_cap = function
   | "lint" -> Analyze.Access_summary.default_config.max_executions
   | "fuzz" -> Fuzz.Engine.default_config.max_executions
-  | _ -> None
+  | _ -> Store.default_max_execs
 
 (* A job's [max_executions] cap must be at least 1: a smaller one would
    explore one run and report it truncated. An absent field is the op's
@@ -159,8 +167,33 @@ let result_json ~job ~(t : B.test) ~store_disposition (r : Mc.Explorer.result) =
      ]
     @ store_error)
 
+let done_event ~job ok = event "done" [ ("job", J.Int job); ("ok", J.Bool ok) ]
+
 (* ------------------------------------------------------------------ *)
 (* Jobs *)
+
+(* Run a job's tests in order while its client stays connected,
+   streaming one [result] per test; the last one goes out with the
+   job's [done] in one write. A client gone by the end of a test gets
+   nothing more. *)
+let run_tests conn ~job tests run_test =
+  let rec go any_bug = function
+    | [] -> ()
+    | (t : B.test) :: rest ->
+      if conn.alive then begin
+        let r, store_disposition = run_test t in
+        if conn.alive then begin
+          let result = result_json ~job ~t ~store_disposition r in
+          let any_bug = any_bug || r.Mc.Explorer.bugs <> [] in
+          if rest = [] then send_all conn [ result; done_event ~job (not any_bug) ]
+          else begin
+            send conn result;
+            go any_bug rest
+          end
+        end
+      end
+  in
+  go false tests
 
 let run_check server conn ~job req =
   match
@@ -183,29 +216,14 @@ let run_check server conn ~job req =
         match tests_of b test with
         | [] -> send_error conn ~job "no matching test"
         | tests ->
-          let any_bug = ref false in
-          let aborted = ref false in
-          List.iter
-            (fun (t : B.test) ->
-              if conn.alive && not !aborted then begin
-                let r, disposition =
-                  Store.explore_checked ?store:server.store
-                    ~stop:(fun () -> not conn.alive)
-                    ~progress:(fun n ->
-                      send conn
-                        (event "progress"
-                           [ ("job", J.Int job); ("test", J.Str t.test_name); ("explored", J.Int n) ]))
-                    ~checker:Cdsspec.Checker.default_config ~max_execs ~jobs:1 ~prune b ~ords t
-                in
-                if not conn.alive then aborted := true
-                else begin
-                  if r.bugs <> [] then any_bug := true;
-                  send conn (result_json ~job ~t ~store_disposition:disposition r)
-                end
-              end)
-            tests;
-          if not !aborted then
-            send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool (not !any_bug)) ]))))
+          run_tests conn ~job tests (fun t ->
+              Store.explore_checked ?store:server.store
+                ~stop:(fun () -> not conn.alive)
+                ~progress:(fun n ->
+                  send conn
+                    (event "progress"
+                       [ ("job", J.Int job); ("test", J.Str t.test_name); ("explored", J.Int n) ]))
+                ~checker:Cdsspec.Checker.default_config ~max_execs ~jobs:1 ~prune b ~ords t))))
 
 let severity_json s = J.Str (Analyze.Lint.severity_to_string s)
 
@@ -226,25 +244,26 @@ let run_lint _server conn ~job req =
       in
       let findings = Analyze.Lint.lint summary in
       let ok = Analyze.Lint.max_severity findings <> Some Analyze.Lint.Error in
-      send conn
-        (event "result"
-           [
-             ("job", J.Int job);
-             ("bench", J.Str b.name);
-             ( "findings",
-               J.List
-                 (List.map
-                    (fun (f : Analyze.Lint.finding) ->
-                      J.Obj
-                        [
-                          ("rule", J.Str f.rule);
-                          ("severity", severity_json f.severity);
-                          ("site", match f.site with Some s -> J.Str s | None -> J.Null);
-                          ("message", J.Str f.message);
-                        ])
-                    findings) );
-           ]);
-      send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool ok) ]))
+      let result =
+        event "result"
+          [
+            ("job", J.Int job);
+            ("bench", J.Str b.name);
+            ( "findings",
+              J.List
+                (List.map
+                   (fun (f : Analyze.Lint.finding) ->
+                     J.Obj
+                       [
+                         ("rule", J.Str f.rule);
+                         ("severity", severity_json f.severity);
+                         ("site", match f.site with Some s -> J.Str s | None -> J.Null);
+                         ("message", J.Str f.message);
+                       ])
+                   findings) );
+          ]
+      in
+      send_all conn [ result; done_event ~job ok ])
 
 let run_fuzz _server conn ~job req =
   match
@@ -263,31 +282,17 @@ let run_fuzz _server conn ~job req =
       | [] -> send_error conn ~job "no matching test"
       | tests ->
         let ords = Ords.default b.sites in
-        let any_bug = ref false in
-        let aborted = ref false in
-        List.iter
-          (fun (t : B.test) ->
-            if conn.alive && not !aborted then begin
-              let cache = Cdsspec.Checker.create_cache () in
-              let r =
-                Fuzz.Engine.run
-                  ~config:
-                    { Fuzz.Engine.default_config with scheduler = b.scheduler; max_executions }
-                  ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
-                  ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
-                  ~stop:(fun () -> not conn.alive)
-                  ~seed (t.program ords)
-              in
-              let er = Fuzz.Engine.explorer_result r in
-              if not conn.alive then aborted := true
-              else begin
-                if er.bugs <> [] then any_bug := true;
-                send conn (result_json ~job ~t ~store_disposition:`Off er)
-              end
-            end)
-          tests;
-        if not !aborted then
-          send conn (event "done" [ ("job", J.Int job); ("ok", J.Bool (not !any_bug)) ])))
+        run_tests conn ~job tests (fun t ->
+            let cache = Cdsspec.Checker.create_cache () in
+            let r =
+              Fuzz.Engine.run
+                ~config:{ Fuzz.Engine.default_config with scheduler = b.scheduler; max_executions }
+                ~on_feasible:(Cdsspec.Checker.hook ~cache b.spec)
+                ~check:(fun () -> Cdsspec.Checker.cache_counters cache)
+                ~stop:(fun () -> not conn.alive)
+                ~seed (t.program ords)
+            in
+            (Fuzz.Engine.explorer_result r, `Off))))
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)

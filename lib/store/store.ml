@@ -24,7 +24,12 @@ let hex64 h = Printf.sprintf "%016Lx" h
 (* ------------------------------------------------------------------ *)
 (* Store files *)
 
-type stats = { mutable hits : int; mutable misses : int; mutable corrupt : int }
+type stats = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable corrupt : int;
+  mutable reused : int;
+}
 
 let meta_format = "cdsspec-store/1"
 
@@ -364,21 +369,30 @@ let decode (key : key) s =
 (* ------------------------------------------------------------------ *)
 (* Store handle and its resident table *)
 
+(* The result of a hit that re-validated an entry and wrote nothing,
+   with the [jobs] and [max_execs] it ran under. *)
+type kept = { jobs : int; max_execs : int option; result : Mc.Explorer.result }
+
 (* An entry kept in memory: the exact file bytes it was decoded from (or
    encoded to), the key description it was validated against, the
-   decoded entry, and its closed keys as the explorer's read-only warm
-   table. A lookup reuses it only when the file still holds [raw]. *)
+   decoded entry, its closed keys as the explorer's read-only warm
+   table, and the result of its last clean re-validation in this
+   process, if any. A lookup reuses it only when the file still holds
+   [raw]. [kept] is read and written under the handle's lock. *)
 type resident = {
   raw : string;
   descr : string;
   entry : entry;
   warm : (Mc.Scheduler.prune_key, unit) Hashtbl.t;
+  mutable kept : kept option;
 }
 
 type t = {
   dir : string;
   stats : stats;
-  lock : Mutex.t;  (* guards [stats], [resident], [resident_bytes] and [chunks] *)
+  lock : Mutex.t;
+      (* guards [stats], [resident] (and each record's [kept]),
+         [resident_bytes] and [chunks] *)
   resident : (string, resident) Hashtbl.t;  (* by entry fingerprint *)
   mutable resident_bytes : int;  (* sum of [String.length raw], <= [resident_cap] *)
   mutable chunks : Bytes.t list;  (* read buffers no lookup holds *)
@@ -411,7 +425,7 @@ let open_dir dirname =
     write_file (meta_path dirname) expected);
   {
     dir = dirname;
-    stats = { hits = 0; misses = 0; corrupt = 0 };
+    stats = { hits = 0; misses = 0; corrupt = 0; reused = 0 };
     lock = Mutex.create ();
     resident = Hashtbl.create 64;
     resident_bytes = 0;
@@ -437,13 +451,13 @@ let remember t fp r =
   let n = String.length r.raw in
   if n <= resident_cap then begin
     if t.resident_bytes + n > resident_cap then begin
-      let victims = ref [] and kept = ref t.resident_bytes in
+      let victims = ref [] and left = ref t.resident_bytes in
       (try
          Hashtbl.iter
            (fun victim v ->
-             if !kept + n <= resident_cap then raise Exit;
+             if !left + n <= resident_cap then raise Exit;
              victims := victim :: !victims;
-             kept := !kept - String.length v.raw)
+             left := !left - String.length v.raw)
            t.resident
        with Exit -> ());
       List.iter (forget t) !victims
@@ -455,7 +469,7 @@ let remember t fp r =
 let resident_of (key : key) raw entry =
   let warm = Hashtbl.create (max 16 (List.length entry.closed)) in
   List.iter (fun k -> Hashtbl.replace warm k ()) entry.closed;
-  { raw; descr = key.descr; entry; warm }
+  { raw; descr = key.descr; entry; warm; kept = None }
 
 (* A read buffer of the in-place check, held by one lookup at a time:
    [Unix.read] releases the runtime lock, so two threads of one domain
@@ -543,6 +557,8 @@ let save t key e =
 (* ------------------------------------------------------------------ *)
 (* Checked exploration through the store *)
 
+let default_max_execs = Some 500_000
+
 let union_closed a b =
   let h : (Mc.Scheduler.prune_key, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun k -> Hashtbl.replace h k ()) a;
@@ -608,55 +624,34 @@ let replay_all ?stop ~config ~on_feasible program witnesses =
   in
   go [] witnesses
 
-let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_execs ~jobs
-    ~prune (b : B.t) ~ords (t : B.test) =
-  let keyed =
-    Option.map
-      (fun s ->
-        ( s,
-          job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
-            ~sched:b.scheduler ~prune ~engine:`Arena ~max_execs ~checker ~use_cache:true ))
-      store
-  in
+(* The checked exploration proper, given the job's store handle and key
+   ([keyed]) and the compatible entry [lookup] found ([found]): a cold
+   run, or a hit that replays the entry's witnesses and re-validates it
+   with a warm run. *)
+let run_checked ?stop ?progress ~checker ~max_execs ~jobs ~prune ~t0 ~keyed ~found (b : B.t)
+    ~ords (t : B.test) =
   let config =
     { Mc.Explorer.default_config with scheduler = b.scheduler; max_executions = max_execs; progress;
       prune }
   in
   let hook cache = Cdsspec.Checker.hook ~config:checker ~cache b.spec in
   let program = t.program ords in
-  let t0 = Mc.Monotonic.now () in
-  (* Partial entries are cap-scoped: a clean-but-capped run's closed
-     keys are sound only for runs that stop at or before the same cap —
-     a larger-capped (or uncapped) run would prune subtrees whose tails
-     the stored run never reached. An incompatible entry is a miss.
-
-     On a hit the entry's verdicts preload the check cache and its
+  (* On a hit the entry's verdicts preload the check cache and its
      witnesses replay, one run each, before the warm run: the bugs and
      the first buggy execution are rebuilt by executions on this engine,
      never read from the file. An entry with a witness that no longer
      replays is discarded, and the job runs cold with nothing from it. *)
   let hit =
-    match keyed with
-    | None -> None
-    | Some (s, k) -> (
-      match lookup s k with
-      | Some rs
-        when match rs.entry.partial with
-             | None -> false
-             | Some cap -> ( match max_execs with Some n -> n > cap | None -> true) ->
-        Mutex.protect s.lock (fun () ->
-            s.stats.hits <- s.stats.hits - 1;
-            s.stats.misses <- s.stats.misses + 1);
-        None
-      | Some rs -> (
-        let cache = Cdsspec.Checker.create_cache () in
-        Cdsspec.Checker.import_entries cache rs.entry.check_entries;
-        match replay_all ?stop ~config ~on_feasible:(hook cache) program rs.entry.witnesses with
-        | Some replays -> Some (rs, cache, replays)
-        | None ->
-          discard s k;
-          None)
-      | None -> None)
+    match keyed, found with
+    | Some (s, k), Some rs -> (
+      let cache = Cdsspec.Checker.create_cache () in
+      Cdsspec.Checker.import_entries cache rs.entry.check_entries;
+      match replay_all ?stop ~config ~on_feasible:(hook cache) program rs.entry.witnesses with
+      | Some replays -> Some (rs, cache, replays)
+      | None ->
+        discard s k;
+        None)
+    | _ -> None
   in
   let stored = Option.map (fun (rs, _, _) -> rs) hit in
   let cache =
@@ -700,6 +695,10 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
       in
       { r with graphs; closed; stats = { r.stats with distinct_graphs = List.length graphs } }
   in
+  let complete = not r.stats.truncated in
+  let unchanged =
+    match stored with Some rs -> rs.entry.partial = None && added_nothing | None -> false
+  in
   (* Save pruning-on runs. Complete runs save, clean or buggy — including
      the upgrade of a previously-partial entry once a warm run finishes
      the job — unless the entry is already complete and the run added
@@ -714,7 +713,6 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
   let save_error = ref None in
   (match keyed with
   | Some (s, k) when prune ->
-    let complete = not r.stats.truncated in
     let cap_partial =
       match stop, max_execs with
       | None, Some n when (not complete) && r.bugs = [] -> Some n
@@ -728,9 +726,6 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
         | Some c, Some n -> c >= n
         | Some _, None -> false)
       | None -> false
-    in
-    let unchanged =
-      match stored with Some rs -> rs.entry.partial = None && added_nothing | None -> false
     in
     if (complete && not unchanged) || (cap_partial <> None && not covered) then begin
       (* A failed write loses the entry, not the verdict. *)
@@ -746,6 +741,16 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
       with Sys_error m -> save_error := Some m
     end
   | _ -> ());
+  (* A hit that replayed every witness and ran its warm run to
+     completion on a complete entry it added nothing to — the usual warm
+     hit, which writes nothing — re-validated the entry's bytes: its
+     result is kept on their resident record for {!explore_checked} to
+     reuse. *)
+  (match keyed, hit with
+  | Some (s, _), Some (rs, _, replays)
+    when unchanged && complete && List.compare_lengths replays rs.entry.witnesses = 0 ->
+    Mutex.protect s.lock (fun () -> rs.kept <- Some { jobs; max_execs; result = r })
+  | _ -> ());
   let disposition =
     match keyed, !save_error, stored with
     | None, _, _ -> `Off
@@ -754,3 +759,60 @@ let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_
     | Some _, None, None -> `Miss
   in
   (r, disposition)
+
+(* The result a re-validation kept on [rs], when it ran under [jobs] and
+   [max_execs]; counted as a reuse. *)
+let kept_result t rs ~jobs ~max_execs =
+  Mutex.protect t.lock (fun () ->
+      match rs.kept with
+      | Some k when k.jobs = jobs && k.max_execs = max_execs ->
+        t.stats.reused <- t.stats.reused + 1;
+        Some k.result
+      | _ -> None)
+
+let explore_checked ?store ?stop ?progress ?engine:_ ?use_cache:_ ~checker ~max_execs ~jobs
+    ~prune (b : B.t) ~ords (t : B.test) =
+  let t0 = Mc.Monotonic.now () and g0 = Gc.minor_words () in
+  let keyed =
+    Option.map
+      (fun s ->
+        ( s,
+          job_key ~kind:`Check ~bench:b.name ~test:t.test_name ~ords:(Ords.to_list ords)
+            ~sched:b.scheduler ~prune ~engine:`Arena ~max_execs ~checker ~use_cache:true ))
+      store
+  in
+  (* Partial entries are cap-scoped: a clean-but-capped run's closed
+     keys are sound only for runs that stop at or before the same cap —
+     a larger-capped (or uncapped) run would prune subtrees whose tails
+     the stored run never reached. An incompatible entry is a miss. *)
+  let found =
+    match keyed with
+    | None -> None
+    | Some (s, k) -> (
+      match lookup s k with
+      | Some rs
+        when match rs.entry.partial with
+             | None -> false
+             | Some cap -> ( match max_execs with Some n -> n > cap | None -> true) ->
+        Mutex.protect s.lock (fun () ->
+            s.stats.hits <- s.stats.hits - 1;
+            s.stats.misses <- s.stats.misses + 1);
+        None
+      | found -> found)
+  in
+  (* The file still holds bytes this process has re-validated under the
+     same [jobs] and [max_execs]: the program, engine and checker are
+     this process's, and the key fixes everything else the run reads, so
+     running it again could only compute the kept result again. Only
+     [time] and [minor_words] are this call's. *)
+  let kept =
+    match keyed, found with
+    | Some (s, _), Some rs -> kept_result s rs ~jobs ~max_execs
+    | _ -> None
+  in
+  match kept with
+  | Some r ->
+    let time = Mc.Monotonic.now () -. t0 and minor_words = Gc.minor_words () -. g0 in
+    ({ r with stats = { r.stats with time; minor_words } }, `Hit)
+  | None ->
+    run_checked ?stop ?progress ~checker ~max_execs ~jobs ~prune ~t0 ~keyed ~found b ~ords t

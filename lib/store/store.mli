@@ -35,7 +35,10 @@
       completion. A buggy run that was capped or stopped is never saved
       (there are no partial buggy entries), nor is any run truncated by
       a [stop] callback (client cancellation) — the store cannot tell
-      how far it got.
+      how far it got. Within one process, a hit on bytes an earlier hit
+      re-validated returns that hit's result ({!explore_checked},
+      "Reuse"): every entry's first hit in every process re-validates
+      it, and only the repeats go.
 
     Corruption is handled the same way: an entry that fails its length,
     magic, trailing-hash or key-echo check, or that has a witness that
@@ -54,8 +57,15 @@ val open_dir : string -> t
 val dir : t -> string
 
 (** Lookup/decode accounting since [open_dir]. [corrupt] counts entries
-    deleted because they failed a decode check or a witness replay. *)
-type stats = { mutable hits : int; mutable misses : int; mutable corrupt : int }
+    deleted because they failed a decode check or a witness replay.
+    [reused] counts the hits {!explore_checked} answered with the result
+    of an earlier re-validation in this process (each is also a hit). *)
+type stats = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable corrupt : int;
+  mutable reused : int;
+}
 
 val stats : t -> stats
 
@@ -133,10 +143,11 @@ val save : t -> key -> entry -> unit
 (** {2 Resident table}
 
     Each handle keeps recently loaded or saved entries in memory, keyed
-    by fingerprint: the raw file bytes, the decoded entry and its closed
-    keys as a read-only warm table. Its raw bytes are capped at
-    {!resident_cap}; inserting past the cap evicts other entries, and an
-    entry larger than the cap is never kept. *)
+    by fingerprint: the raw file bytes, the decoded entry, its closed
+    keys as a read-only warm table, and the result of the entry's last
+    clean re-validation by {!explore_checked}, if any. Its raw bytes are
+    capped at {!resident_cap}; inserting past the cap evicts other
+    entries, and an entry larger than the cap is never kept. *)
 
 val resident_cap : int
 
@@ -144,6 +155,11 @@ val resident_cap : int
 val resident_bytes : t -> int
 
 (** {2 Checked exploration through the store} *)
+
+(** The execution cap of a [check] that names none: [cdsspec_run check]'s
+    [--max-executions] default, and the serve daemon's for a [check]
+    job sent without [max_executions]. *)
+val default_max_execs : int option
 
 (** [explore_checked ?store ... b ~ords t] is the one checked-exploration
     path shared by [cdsspec_run check] (with or without [--store]), the
@@ -176,6 +192,25 @@ val resident_bytes : t -> int
     fingerprint or check-cache verdict — the usual warm hit — writes
     nothing: the result carries the stored graph and closed-key lists
     as they are, and the entry file is left untouched.
+
+    {b Reuse.} Such a hit, with every witness replayed and the warm run
+    complete (neither capped nor stopped), has re-validated the entry's
+    bytes, and its result is kept on their resident record with the
+    [jobs] and [max_execs] it ran under. A later call under the same
+    [jobs] and [max_execs] whose {!load} finds the file still holding
+    those bytes returns the kept result — bugs, witnesses, first buggy
+    execution, graphs and every count — with only [time] and
+    [minor_words] its own, counted in [stats.reused]. It imports no
+    verdict, replays no witness and runs nothing, so it polls neither
+    [stop] nor [progress]. This is sound because nothing the run reads
+    can differ: the program, engine and checker are this process's, the
+    key fixes the bench, test, orders, scheduler bounds, prune flag and
+    checker config, and the file's bytes are compared on every call. A
+    rewrite, corruption or deletion of the file, a {!save}, an eviction,
+    or a hit under other [jobs] or [max_execs] re-validates. Every
+    entry's first hit in every process is a re-validation, so no verdict
+    is ever read from a file. With [jobs > 1] the counts of a run depend
+    on how work stealing split it; a reuse reports the kept run's.
 
     The exploration is one {!Mc.Parallel.explore} call over [jobs]
     domains. [stop] is polled after every run at any [jobs] (the serve

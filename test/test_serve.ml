@@ -28,6 +28,12 @@ let samples =
     J.Str "plain";
     J.Str "esc \" \\ \n \t \r \x01 end";
     J.Str "caf\xc3\xa9";
+    J.Str "\"escape first";
+    J.Str "escape last\\";
+    J.Str "\n";
+    J.Str "\\\"";
+    J.Str "a\x00b\x1f\x7f";
+    J.Obj [ ("key \"with\" escapes\n", J.Int 1); ("plain", J.Str "\t") ];
     J.List [];
     J.List [ J.Int 1; J.Str "two"; J.Null ];
     J.Obj [];
@@ -58,6 +64,19 @@ let test_json_roundtrip () =
         (String.contains (J.to_line j) '\n'))
     samples
 
+(* The compact form's bytes, pinned: the serve protocol, [client --json]
+   and [lint --json] print them. *)
+let test_json_golden_line () =
+  Alcotest.(check string)
+    "to_line bytes" {|{"event":"result","k\"ey":[-3,0.5,true,null,"a\tb\u0001\\"],"o":{}}|}
+    (J.to_line
+       (J.Obj
+          [
+            ("event", J.Str "result");
+            ("k\"ey", J.List [ J.Int (-3); J.Float 0.5; J.Bool true; J.Null; J.Str "a\tb\x01\\" ]);
+            ("o", J.Obj []);
+          ]))
+
 let test_json_errors () =
   let rejects what s =
     match J.of_string s with
@@ -85,8 +104,8 @@ let socket_counter = ref 0
    ack) and domain join are part of every test's teardown, so a wedged
    server fails the test rather than leaking. [on_connect] runs at each
    successful readiness probe, before [f]. [socket] defaults to a fresh
-   path. *)
-let with_server ?store_dir ?(on_connect = ignore) ?socket ~jobs f =
+   path. The daemon's store is [store], or a handle on [store_dir]. *)
+let with_server ?store_dir ?store ?(on_connect = ignore) ?socket ~jobs f =
   let socket =
     match socket with
     | Some path -> path
@@ -98,7 +117,8 @@ let with_server ?store_dir ?(on_connect = ignore) ?socket ~jobs f =
   in
   let d =
     Domain.spawn (fun () ->
-        Serve.Server.serve ~socket ~jobs ?store:(Option.map Store.open_dir store_dir) ())
+        let store = match store with Some _ -> store | None -> Option.map Store.open_dir store_dir in
+        Serve.Server.serve ~socket ~jobs ?store ())
   in
   (* The socket file appears at bind, a moment before the daemon
      listens, so wait for a connect to succeed rather than for the file. *)
@@ -472,9 +492,54 @@ let test_buggy_store_over_protocol () =
             (int_f "distinct_graphs" cold = int_f "distinct_graphs" warm)));
   rm_rf dir
 
+(* One job submitted three times to a daemon with a store answers
+   [miss], then [hit] twice with the same counts and bugs: the third
+   reuses the second's re-validation. *)
+let test_repeated_hit_reused () =
+  let dir = "serve-store-reuse" in
+  rm_rf dir;
+  let store = Store.open_dir dir in
+  with_server ~jobs:1 ~store (fun socket ->
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          let req =
+            J.Obj
+              [
+                ("op", J.Str "check");
+                ("bench", J.Str "M&S Queue");
+                ("test", J.Str "1enq-1deq");
+                ("overrides", J.List [ J.List [ J.Str "enq_cas_next"; J.Str "relaxed" ] ]);
+              ]
+          in
+          let result () =
+            match List.filter (fun j -> ev j = Some "result") (wait_job c ~job:(submit c req)) with
+            | [ r ] -> r
+            | _ -> Alcotest.fail "one result event"
+          in
+          let cold = result () in
+          let hits = [ result (); result () ] in
+          Alcotest.(check (list (option string)))
+            "miss, hit, hit" [ Some "miss"; Some "hit"; Some "hit" ]
+            (List.map (str_f "store") (cold :: hits));
+          let counts r =
+            (List.map (fun k -> int_f k r) [ "explored"; "feasible"; "distinct_graphs" ], J.member "bugs" r)
+          in
+          Alcotest.(check bool) "the hits report the same counts and bugs" true
+            (counts (List.nth hits 0) = counts (List.nth hits 1));
+          Alcotest.(check bool) "the job is buggy" true
+            (match J.member "bugs" cold with Some (J.List (_ :: _)) -> true | _ -> false);
+          Alcotest.(check bool) "the hits' bugs and graphs are the cold run's" true
+            (List.for_all
+               (fun h ->
+                 J.member "bugs" h = J.member "bugs" cold
+                 && int_f "distinct_graphs" h = int_f "distinct_graphs" cold)
+               hits)));
+  Alcotest.(check int) "the third job is a reuse" 1 (Store.stats store).reused;
+  rm_rf dir
+
 (* [accepted] echoes the cap a job runs under. A [lint] sent without
-   [max_executions] runs under the CLI's 200,000-run cap; it used to
-   explore with no cap. A [check] without one has none. *)
+   [max_executions] runs under the CLI's 200,000-run cap, and a [check]
+   under the CLI's 500,000; both used to explore with no cap. *)
 let test_accepted_echoes_cap () =
   with_server ~jobs:1 (fun socket ->
       let c = Serve.Client.connect socket in
@@ -495,10 +560,10 @@ let test_accepted_echoes_cap () =
                (J.Obj
                   [ ("op", J.Str "lint"); ("bench", J.Str "SPSC Queue"); ("max_executions", J.Int 7) ])
             = Some (J.Int 7));
-          Alcotest.(check bool) "check without a cap has none" true
+          Alcotest.(check bool) "check without a cap runs under the CLI's" true
             (accepted
                (J.Obj [ ("op", J.Str "check"); ("bench", J.Str "SPSC Queue"); ("test", J.Str "1enq-1deq") ])
-            = Some J.Null)))
+            = Some (J.Int 500_000))))
 
 (* A failed store save keeps the verdict: the job sends its [result],
    which says the save failed and names the entry path, then [done], and
@@ -692,6 +757,40 @@ let test_socket_path_rule () =
             Alcotest.(check (option string)) "stale socket replaced" (Some "pong") (ev j)
           | _ -> Alcotest.fail "no pong on the replaced socket"))
 
+(* [cdsspec_run client] whose stdout reader has gone (as under
+   [| head -1]) says so in one line on stderr and exits 2, with no
+   internal-error block; it closes its connection, and the daemon keeps
+   serving. Its first write to stdout fails: the pipe's read end is
+   closed before it starts. *)
+let test_client_stdout_closed () =
+  let exe = "../bin/cdsspec_run.exe" in
+  with_server ~jobs:1 (fun socket ->
+      List.iter
+        (fun flags ->
+          let out_r, out_w = Unix.pipe ~cloexec:true () in
+          Unix.close out_r;
+          let err_r, err_w = Unix.pipe ~cloexec:true () in
+          let args =
+            Array.of_list
+              ([ exe; "client"; "--socket"; socket ] @ flags @ [ "lint"; "SPSC Queue" ])
+          in
+          let pid = Unix.create_process exe args Unix.stdin out_w err_w in
+          Unix.close out_w;
+          Unix.close err_w;
+          let err = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+          Unix.close err_r;
+          let _, status = Unix.waitpid [] pid in
+          let what = String.concat " " ("client" :: flags) in
+          Alcotest.(check string) (what ^ ": one line on stderr") "client: stdout closed\n" err;
+          Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2))
+        [ [ "--json" ]; [] ];
+      let c = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          Serve.Client.send c (J.Obj [ ("op", J.Str "ping") ]);
+          match Serve.Client.recv ~timeout:30. c with
+          | Serve.Client.Msg j -> Alcotest.(check (option string)) "still serving" (Some "pong") (ev j)
+          | _ -> Alcotest.fail "no pong after the client left"))
+
 (* ------------------------------------------------------------------ *)
 (* Client framing *)
 
@@ -817,6 +916,7 @@ let () =
         [
           Alcotest.test_case "printer/parser roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
+          Alcotest.test_case "golden compact line" `Quick test_json_golden_line;
         ] );
       ( "protocol",
         [
@@ -831,6 +931,7 @@ let () =
           Alcotest.test_case "warm store over protocol" `Quick test_store_warm_over_protocol;
           Alcotest.test_case "buggy job served from the store" `Quick
             test_buggy_store_over_protocol;
+          Alcotest.test_case "a repeated hit is reused" `Quick test_repeated_hit_reused;
           Alcotest.test_case "accepted echoes the cap" `Quick test_accepted_echoes_cap;
           Alcotest.test_case "failed store save keeps the verdict" `Quick
             test_failed_save_keeps_verdict;
@@ -839,6 +940,7 @@ let () =
           Alcotest.test_case "store ready before connect" `Quick test_store_ready_before_connect;
           Alcotest.test_case "oversized request line" `Quick test_oversized_line;
           Alcotest.test_case "socket path rule" `Quick test_socket_path_rule;
+          Alcotest.test_case "client with a closed stdout" `Quick test_client_stdout_closed;
         ] );
       ( "client framing",
         [

@@ -781,6 +781,105 @@ let test_foreign_changes_seen () =
   Alcotest.(check int) "deletion frees the resident copy" 0 (Store.resident_bytes mine);
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* Reuse of a re-validated hit *)
+
+let reused store = (Store.stats store).reused
+
+(* Every field but [time] and [minor_words]. *)
+let check_same_result ~where (a : E.result) (b : E.result) =
+  check_semantics ~where a b;
+  Alcotest.(check bool) (where ^ ": closed keys") true (a.closed = b.closed);
+  Alcotest.(check bool) (where ^ ": witnesses") true (a.witnesses = b.witnesses);
+  let counts (s : E.stats) = [ s.explored; s.feasible; s.distinct_graphs ] in
+  Alcotest.(check (list int)) (where ^ ": counts") (counts a.stats) (counts b.stats);
+  let untimed (s : E.stats) = { s with time = 0.; minor_words = 0. } in
+  Alcotest.(check bool) (where ^ ": check counters and every other stat") true
+    (untimed a.stats = untimed b.stats)
+
+(* On one handle, hits on the bytes an earlier hit re-validated, under
+   the same [jobs] and [max_execs], return that hit's result; anything
+   that changes the bytes, the resident record or the run's settings
+   re-validates. *)
+let reuse_case ~where (b : B.t) ~ords (t : B.test) =
+  let dir = scratch_dir () in
+  let store = Store.open_dir dir in
+  let key = check_key b t ~ords in
+  let path = entry_path dir key in
+  let call ?stop ?(jobs = 1) ?(max_execs = Some cap) () =
+    Store.explore_checked ~store ?stop ~checker ~max_execs ~jobs ~prune:true b ~ords t
+  in
+  let hit ?jobs ?max_execs what =
+    let r, d = call ?jobs ?max_execs () in
+    Alcotest.(check bool) (Printf.sprintf "%s: %s: a hit" where what) true (d = `Hit);
+    r
+  in
+  let cold, d0 = call () in
+  Alcotest.(check bool) (where ^ ": cold run misses") true (d0 = `Miss);
+  let first = hit "first hit" in
+  check_semantics ~where:(where ^ ": first hit") cold first;
+  Alcotest.(check int) (where ^ ": the first hit re-validates") 0 (reused store);
+  check_same_result ~where:(where ^ ": second hit") first (hit "second hit");
+  check_same_result ~where:(where ^ ": third hit") first (hit "third hit");
+  Alcotest.(check int) (where ^ ": two reuses") 2 (reused store);
+  let reuses = ref 2 in
+  let revalidated what r =
+    Alcotest.(check int) (Printf.sprintf "%s: %s: re-validated" where what) !reuses (reused store);
+    check_semantics ~where:(where ^ ": " ^ what) first r;
+    r
+  in
+  (* the next hit reuses the re-validation [r] *)
+  let reuses_again what r =
+    check_same_result ~where:(where ^ ": " ^ what) r (hit what);
+    incr reuses;
+    Alcotest.(check int) (Printf.sprintf "%s: %s: reused" where what) !reuses (reused store)
+  in
+  (* another handle rewrites the entry: same size, other bytes (its
+     closed keys in another order) *)
+  let bytes = read_bytes path in
+  let other = Store.open_dir dir in
+  let e = Option.get (Store.load other key) in
+  Store.save other key { e with closed = List.rev e.closed };
+  Alcotest.(check bool) (where ^ ": the rewrite keeps the size, not the bytes") true
+    (String.length (read_bytes path) = String.length bytes && read_bytes path <> bytes);
+  reuses_again "after a re-validated rewrite"
+    (revalidated "a rewrite by another handle" (hit "after a rewrite"));
+  (* a save through this handle *)
+  Store.save store key (Option.get (Store.load store key));
+  reuses_again "after a re-validated save" (revalidated "a save" (hit "after a save"));
+  (* a stopped hit keeps nothing *)
+  Store.save store key (Option.get (Store.load store key));
+  let stopped, _ = call ~stop:(fun () -> true) () in
+  Alcotest.(check bool) (where ^ ": a stopped hit truncates") true stopped.stats.truncated;
+  ignore (revalidated "a hit after a stopped one" (hit "after a stopped hit"));
+  (* other settings, each right after a serial hit has kept its result *)
+  List.iter
+    (fun (what, jobs, max_execs) ->
+      ignore (hit "a serial hit");
+      reuses := reused store;
+      ignore (revalidated what (hit ~jobs ~max_execs what)))
+    [ ("another cap", 1, Some (cap - 1)); ("-j2 after serial hits", 2, Some cap) ];
+  (* a doctored witness is a corrupt miss, never a reuse *)
+  let e = Option.get (Store.load store key) in
+  Store.save store key
+    { e with witnesses = e.witnesses @ [ { E.keys = [ "race:no such key" ]; path = [||] } ] };
+  let corrupt = (Store.stats store).corrupt in
+  let r, d = call () in
+  Alcotest.(check bool) (where ^ ": a doctored witness misses") true (d = `Miss);
+  Alcotest.(check int) (where ^ ": counted corrupt") (corrupt + 1) (Store.stats store).corrupt;
+  ignore (revalidated "a doctored witness" r);
+  rm_rf dir
+
+let test_reuse_clean () =
+  let b = treiber () in
+  reuse_case ~where:"Treiber Stack/2push-2pop" b ~ords:(Ords.default b.B.sites)
+    (find_test b "2push-2pop")
+
+let test_reuse_weakening () =
+  let b = find_bench "M&S Queue" in
+  let ords = Ords.with_order b.B.sites "enq_cas_next" C11.Memory_order.Relaxed in
+  reuse_case ~where:"M&S Queue/1enq-1deq@enq_cas_next=relaxed" b ~ords (find_test b "1enq-1deq")
+
 (* Entries totalling more than the cap: every load stays correct, and
    the resident bytes never exceed the cap. *)
 let test_resident_cap () =
@@ -887,6 +986,8 @@ let () =
           Alcotest.test_case "warm hit leaves the entry alone" `Quick test_warm_hit_no_rewrite;
           Alcotest.test_case "partial upgrade rewrites" `Quick test_partial_upgrade_rewrites;
           Alcotest.test_case "foreign changes seen" `Quick test_foreign_changes_seen;
+          Alcotest.test_case "a re-validated clean hit is reused" `Quick test_reuse_clean;
+          Alcotest.test_case "a re-validated buggy hit is reused" `Quick test_reuse_weakening;
           Alcotest.test_case "byte cap" `Quick test_resident_cap;
           Alcotest.test_case "concurrent same-key saves" `Quick test_concurrent_saves;
         ] );
